@@ -200,6 +200,16 @@ def _outdir(cfg: ExperimentConfig) -> Path:
     return out
 
 
+def warn_censored(censored: int, trials: int, max_iters: int,
+                  where: str = "") -> None:
+    """Say on stderr when trials hit max_iters: the broadcast averages
+    count each of them as max_iters."""
+    if censored:
+        print(f"warning: {where}{censored} of {trials} trials hit "
+              f"max_iters={max_iters} without converging; the broadcast "
+              f"averages count them as {max_iters}", file=sys.stderr)
+
+
 # ---- subcommands ----
 
 def cmd_generate(cfg: ExperimentConfig) -> int:
@@ -289,11 +299,22 @@ def cmd_sweep(cfg: ExperimentConfig, svg: bool) -> int:
     header = make_header("sweep", cfg, extras)
     sim.write_text(out / "sweep.csv", sim.sweep_csv(points, analytic=analytic),
                    header_lines=header)
-    best = min(points, key=lambda p: p.result.mean_broadcasts)
-    print(f"points={len(points)} trials_per_point={cfg.trials}")
-    print(f"best_epsilon={best.epsilon:.17g} "
-          f"mean_broadcasts={best.result.mean_broadcasts:.17g}")
-    if svg:
+    failures = sum(len(p.result.failures) for p in points)
+    censored = sum(p.result.censored for p in points)
+    print(f"points={len(points)} trials_per_point={cfg.trials} "
+          f"failures={failures} censored={censored}")
+    for p in points:
+        for idx, msg in p.result.failures:
+            print(f"  epsilon={p.epsilon:.17g} trial {idx} failed: {msg}",
+                  file=sys.stderr)
+    warn_censored(censored, len(points) * cfg.trials, cfg.max_iters)
+    # a point whose every trial failed has a nan mean and takes no part
+    finite = [p for p in points if np.isfinite(p.result.mean_broadcasts)]
+    if finite:
+        best = min(finite, key=lambda p: p.result.mean_broadcasts)
+        print(f"best_epsilon={best.epsilon:.17g} "
+              f"mean_broadcasts={best.result.mean_broadcasts:.17g}")
+    if svg and finite:
         svgplot.save_chart(
             out / "sweep.svg",
             [(kind.value, [p.epsilon for p in points],
@@ -302,7 +323,7 @@ def cmd_sweep(cfg: ExperimentConfig, svg: bool) -> int:
             title="mean broadcasts to converge", xlabel="epsilon",
             ylabel="broadcasts", log_y=True)
     print(f"wrote {out / 'sweep.csv'}")
-    return EXIT_OK
+    return EXIT_NUMERIC if failures else EXIT_OK
 
 
 def cmd_simulate(cfg: ExperimentConfig, per_trial: bool, svg: bool) -> int:
@@ -340,11 +361,14 @@ def cmd_simulate(cfg: ExperimentConfig, per_trial: bool, svg: bool) -> int:
         print(f"scheme={kind.value} epsilon={eps:.17g} "
               f"mean_broadcasts={res.mean_broadcasts:.17g} "
               f"mean_r_final={res.mean_r_final:.17g} "
-              f"mean_q_final={res.mean_q_final:.17g} failures={len(res.failures)}")
+              f"mean_q_final={res.mean_q_final:.17g} failures={len(res.failures)} "
+              f"censored={res.censored}")
         if res.failures:
             any_failures = True
             for idx, msg in res.failures:
                 print(f"  trial {idx} failed: {msg}", file=sys.stderr)
+        warn_censored(res.censored, res.trials, cfg.max_iters,
+                      f"scheme={kind.value}: ")
     if svg and curves:
         safe = [(lbl, [t for t, r in zip(ts, rs) if r > 0],
                  [r for r in rs if r > 0]) for lbl, ts, rs in curves]

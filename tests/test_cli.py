@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from gossiplab import analysis, graph
+from gossiplab import analysis, graph, sim
 from gossiplab.cli import (
     DEFAULT_GRID, EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_RETRY,
     ConfigError, load_config_file, main, parse_grid, resolve_epsilon,
@@ -142,6 +142,7 @@ def test_sweep(graph_file, tmp_path, capsys):
     assert code == EXIT_OK
     printed = capsys.readouterr().out
     assert "best_epsilon=" in printed
+    assert "failures=0 censored=0" in printed
     text = (tmp_path / "sweep.csv").read_text()
     data = [ln for ln in text.splitlines() if not ln.startswith("#")]
     assert data[0].endswith(",analytic_lambda2")
@@ -149,6 +150,41 @@ def test_sweep(graph_file, tmp_path, capsys):
     svg = (tmp_path / "sweep.svg").read_text()
     assert svg.startswith("<!-- gossiplab 0.1.0 -->\n")
     assert "<svg " in svg
+
+
+def test_sweep_reports_failed_and_censored_trials(graph_file, tmp_path,
+                                                 capsys, monkeypatch):
+    argv = ["sweep", "--graph", str(graph_file), "--scheme", "ubga1",
+            "--grid", "0.3,0.5", "--trials", "2", "--threshold", "1e-3",
+            "--out", str(tmp_path)]
+    # a negative tolerance makes the mass monitor reject every trial
+    monkeypatch.setattr(sim, "MASS_RTOL", -1.0)
+    assert run(argv + ["--svg"]) == EXIT_NUMERIC
+    captured = capsys.readouterr()
+    assert "failures=4 censored=0" in captured.out
+    assert "best_epsilon=" not in captured.out
+    assert captured.err.count("MassConservationError") == 4
+    assert "epsilon=0.29999999999999999 trial 0 failed" in captured.err
+    data = [ln for ln in (tmp_path / "sweep.csv").read_text().splitlines()
+            if not ln.startswith("#")]
+    assert data[1].startswith("0.29999999999999999,nan,nan,")
+    monkeypatch.undo()
+
+    # far beyond the stability window one point fails; the best point is
+    # chosen among the others
+    mixed = ["sweep", "--graph", str(graph_file), "--scheme", "ubga1",
+             "--grid", "50,0.5", "--trials", "2", "--threshold", "1e-3",
+             "--out", str(tmp_path / "mixed"), "--svg"]
+    assert run(mixed) == EXIT_NUMERIC
+    captured = capsys.readouterr()
+    assert "failures=2 censored=0" in captured.out
+    assert "best_epsilon=0.5 " in captured.out
+    assert (tmp_path / "mixed" / "sweep.svg").exists()
+
+    assert run(argv + ["--max-iters", "3"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert "failures=0 censored=4" in captured.out
+    assert "warning: 4 of 4 trials hit max_iters=3" in captured.err
 
 
 def test_sweep_rejects_classic(graph_file, tmp_path):
@@ -176,6 +212,7 @@ def test_simulate_outputs(graph_file, tmp_path, capsys):
     assert run(argv) == EXIT_OK
     printed = capsys.readouterr().out
     assert "scheme=bbga" in printed and "scheme=classic" in printed
+    assert printed.count("failures=0 censored=0") == 2
     for kind in ("bbga", "classic"):
         traj = (out / f"trajectory_{kind}.csv").read_text()
         data = [ln for ln in traj.splitlines() if not ln.startswith("#")]
@@ -199,6 +236,15 @@ def test_simulate_reports_numerical_failures(graph_file, tmp_path, capsys):
     assert code == EXIT_NUMERIC
     err = capsys.readouterr().err
     assert "MassConservationError" in err
+
+
+def test_simulate_warns_about_censored_trials(graph_file, tmp_path, capsys):
+    code = run(["simulate", "--graph", str(graph_file), "--schemes", "bbga",
+                "--trials", "2", "--max-iters", "4", "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    captured = capsys.readouterr()
+    assert "failures=0 censored=2" in captured.out
+    assert "warning: scheme=bbga: 2 of 2 trials hit max_iters=4" in captured.err
 
 
 def test_config_file_resolution(graph_file, tmp_path, capsys):

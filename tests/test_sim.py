@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from gossiplab import sim
 from gossiplab.errors import InvalidEpsilon, MissingCoords
 from gossiplab.graph import DiGraph
 from gossiplab.protocol import SchemeKind, build_scheme
@@ -139,7 +140,7 @@ def test_monte_carlo_campaign(graph16):
     res = monte_carlo(s, graph16, InitKind.UNIFORM, 5, 1e-4, 100_000,
                       base_seed=40, w1=rep_w1)
     assert res.trials == 5 and len(res.records) == 5
-    assert res.failures == ()
+    assert res.failures == () and res.censored == 0
     assert [r.seed for r in res.records] == [40, 41, 42, 43, 44]
     for r in res.records:
         x0 = np.random.default_rng(r.seed).random(16)
@@ -156,6 +157,10 @@ def test_monte_carlo_campaign(graph16):
     assert stripped.records[0].r_final == res.records[0].r_final
     with pytest.raises(ValueError):
         monte_carlo(s, graph16, InitKind.UNIFORM, 0, 1e-4, 100, base_seed=0)
+
+    # trials that run out of iterations are counted, not hidden
+    short = monte_carlo(s, graph16, "uniform", 3, 1e-4, 50, base_seed=40)
+    assert short.censored == 3 and short.mean_broadcasts == 50.0
 
 
 def test_monte_carlo_worker_count_does_not_change_results(graph16, monkeypatch):
@@ -176,14 +181,37 @@ def test_monte_carlo_worker_count_does_not_change_results(graph16, monkeypatch):
     assert capped.mean_broadcasts == serial.mean_broadcasts
 
 
-def test_epsilon_sweep(graph16):
+def test_epsilon_sweep(graph16, monkeypatch):
+    built = []
+    real_build = sim.build_scheme
+
+    def counting_build(*args, **kwargs):
+        built.append(args)
+        return real_build(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "build_scheme", counting_build)
     points = epsilon_sweep(SchemeKind.BBGA, graph16, [0.3, 0.6], 3, 1e-3,
                            100_000, base_seed=11)
+    # one scheme per grid point both validates the grid and runs it
+    assert len(built) == 2
     assert [p.epsilon for p in points] == [0.3, 0.6]
     for p in points:
-        assert p.result.trials == 3
+        assert p.result.trials == 3 and p.result.censored == 0
         assert p.mean_broadcasts == p.result.mean_broadcasts
         assert np.isfinite(p.mean_broadcasts)
+    # each point equals the campaign monte_carlo runs at that coupling
+    for p in points:
+        alone = monte_carlo(build_scheme(SchemeKind.BBGA, graph16, p.epsilon),
+                            graph16, InitKind.UNIFORM, 3, 1e-3, 100_000,
+                            base_seed=11, keep_series=False)
+        assert p.result.mean_broadcasts == alone.mean_broadcasts
+        assert p.result.mean_r_final == alone.mean_r_final
+        assert p.result.mean_q_final == alone.mean_q_final
+        assert [r.converged_at for r in p.result.records] == \
+            [r.converged_at for r in alone.records]
+    with pytest.raises(ValueError):
+        epsilon_sweep(SchemeKind.BBGA, graph16, [0.3], 0, 1e-3, 100,
+                      base_seed=0)
     with pytest.raises(ValueError):
         epsilon_sweep(SchemeKind.BBGA, graph16, [], 3, 1e-3, 100, base_seed=0)
     # the whole grid is validated before any simulation runs
