@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -359,7 +359,8 @@ def _trial_record(series, converged_at, consensus, r_final, q_final, seed,
 def run_trial(scheme: ParamScheme, x0, threshold: float, max_iters: int,
               rng: np.random.Generator, *, stride: int = 1,
               full_series: bool = False, predicted: float | None = None,
-              seed: int | None = None, stop_rule: str = "change") -> TrialRecord:
+              seed: int | None = None, stop_rule: str = "change",
+              keep_series: bool = True) -> TrialRecord:
     """Run one trial until the stacked state settles or max_iters is hit.
 
     The default stopping rule fires at the first iteration (multiple of
@@ -372,13 +373,16 @@ def run_trial(scheme: ParamScheme, x0, threshold: float, max_iters: int,
     engine recomputes the total of values plus companions every iteration
     and raises MassConservationError on relative drift beyond 1e-9.
 
+    keep_series=False records no r/q series (nor stat series) and
+    computes r and q only at the stop; the finals are the same.
+
     Broadcasters are drawn DRAW_BLOCK at a time, which yields the same
     sequence as single draws; the caller's `rng` may therefore end up to
     one block past the last draw the trial used.
     """
     (res,) = _lockstep([scheme], x0, threshold, max_iters, rng, stride=stride,
-                       full_series=full_series, stop_rule=stop_rule,
-                       seed=seed, predicted=predicted)
+                       keep_series=keep_series, full_series=full_series,
+                       stop_rule=stop_rule, seed=seed, predicted=predicted)
     if isinstance(res, GossipLabError):
         raise res
     return res
@@ -389,14 +393,9 @@ def _single_trial(scheme, g, init, threshold, max_iters, seed, keep_series,
     rng = np.random.default_rng(seed)
     x0 = init_values(init, g, rng)
     predicted = None if w1 is None else float(np.asarray(w1) @ x0)
-    rec = run_trial(scheme, x0, threshold, max_iters, rng, stride=stride,
-                    full_series=full_series, predicted=predicted, seed=seed,
-                    stop_rule=stop_rule)
-    if not keep_series:
-        empty = np.empty(0)
-        rec = replace(rec, t_series=np.empty(0, dtype=np.int64),
-                      r_series=empty, q_series=empty, stat_series=None)
-    return rec
+    return run_trial(scheme, x0, threshold, max_iters, rng, stride=stride,
+                     full_series=full_series, predicted=predicted, seed=seed,
+                     stop_rule=stop_rule, keep_series=keep_series)
 
 
 def _trial_outcome(args):

@@ -1,0 +1,16 @@
+"""Hypothesis strategies shared by the property tests."""
+from hypothesis import strategies as st
+
+from gossiplab.graph import DiGraph
+
+
+@st.composite
+def strong_digraphs(draw, max_n):
+    """A random Hamiltonian cycle (so the graph is strongly connected)
+    plus random extra edges, on 2..max_n nodes."""
+    n = draw(st.integers(2, max_n))
+    order = draw(st.permutations(range(1, n + 1)))
+    edges = {(order[i], order[i - 1]) for i in range(n)}
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=2 * n)))
+    return DiGraph(n, edges)

@@ -15,12 +15,13 @@ from hypothesis import strategies as st
 
 from gossiplab import sim
 from gossiplab.errors import MassConservationError
-from gossiplab.graph import DiGraph
 from gossiplab.protocol import GossipState, SchemeKind, build_scheme, step
 from gossiplab.sim import (
-    FULL_RECORD_LIMIT, TrialRecord, _lockstep, epsilon_sweep, run_trial,
+    FULL_RECORD_LIMIT, InitKind, TrialRecord, _lockstep, epsilon_sweep,
+    monte_carlo, run_trial,
 )
 from reference_engine import reference_trial
+from strategies import strong_digraphs
 
 FIELDS = ("converged_at", "consensus_value", "r_final", "q_final", "seed",
           "predicted")
@@ -52,18 +53,6 @@ def stripped(rec):
 
 
 @st.composite
-def strong_digraphs(draw):
-    """A random Hamiltonian cycle (so the graph is strongly connected)
-    plus random extra edges."""
-    n = draw(st.integers(2, 12))
-    order = draw(st.permutations(range(1, n + 1)))
-    edges = {(order[i], order[i - 1]) for i in range(n)}
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
-    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=2 * n)))
-    return DiGraph(n, edges)
-
-
-@st.composite
 def row_schemes(draw, g):
     kind = draw(st.sampled_from(list(SchemeKind)))
     if kind is SchemeKind.CLASSIC:
@@ -73,7 +62,7 @@ def row_schemes(draw, g):
 
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(data=st.data(), g=strong_digraphs(), rows=st.integers(1, 6),
+@given(data=st.data(), g=strong_digraphs(12), rows=st.integers(1, 6),
        seed=st.integers(0, 2**32 - 1), stride=st.integers(1, 4),
        stop_rule=st.sampled_from(["change", "spread"]),
        threshold=st.sampled_from([1e-2, 1e-4, 1e-7]),
@@ -182,3 +171,35 @@ def test_epsilon_sweep_worker_count_does_not_change_results(graph16,
         assert a.result.failures == b.result.failures
         for ra, rb in zip(a.result.records, b.result.records):
             assert_same(ra, rb)
+
+
+def test_monte_carlo_without_series_equals_the_stripped_series_run(graph16):
+    # keep_series=False reaches the kernel, which then records nothing;
+    # records, failures and aggregates must equal the stripped full run.
+    # The cases converge, run out of iterations, and fail on mass drift.
+    w1 = np.full(16, 1.0 / 16)
+    seen = {"failed": False, "censored": False}
+    for scheme, full_series, stride, max_iters in [
+            (build_scheme(SchemeKind.BBGA, graph16, 0.5), False, 1, 20_000),
+            (build_scheme(SchemeKind.UBGA1, graph16, 0.5), True, 3, 20_000),
+            (build_scheme(SchemeKind.UBGA2, graph16, 0.5), False, 1, 60),
+            (build_scheme(SchemeKind.UBGA3, graph16, 50.0), False, 1, 20_000),
+            (build_scheme(SchemeKind.CLASSIC, graph16, 0.0), False, 2, 20_000)]:
+        opts = dict(base_seed=30, w1=w1, full_series=full_series,
+                    stride=stride)
+        kept = monte_carlo(scheme, graph16, InitKind.UNIFORM, 3, 1e-4,
+                           max_iters, **opts)
+        bare = monte_carlo(scheme, graph16, InitKind.UNIFORM, 3, 1e-4,
+                           max_iters, keep_series=False, **opts)
+        assert bare.failures == kept.failures
+        assert len(bare.records) == len(kept.records)
+        for a, b in zip(bare.records, kept.records):
+            assert_same(a, stripped(b))
+        assert bare.censored == kept.censored
+        assert str((bare.mean_broadcasts, bare.median_broadcasts,
+                    bare.mean_r_final, bare.mean_q_final)) == \
+            str((kept.mean_broadcasts, kept.median_broadcasts,
+                 kept.mean_r_final, kept.mean_q_final))
+        seen["failed"] |= bool(kept.failures)
+        seen["censored"] |= bool(kept.censored)
+    assert all(seen.values())
