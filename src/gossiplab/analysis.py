@@ -29,6 +29,7 @@ from . import spectra
 from .errors import BadStationaryVector, BadXi, NotSimple, SizeOverflow, XiOutOfRange
 from .graph import DiGraph, laplacian
 from .protocol import ParamScheme, SchemeKind, assemble_Wk
+from .sim import _fmt
 
 # An eigenvalue counts as the unit eigenvalue within this distance, and
 # the rest must stay below 1 - UNIT_MARGIN in modulus for a clean
@@ -408,10 +409,6 @@ def epsilon_report(g: DiGraph) -> EpsilonReport:
 
 
 # ---- serialization ----
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
 
 def _complex_pair(z: complex) -> list:
     return [float(z.real), float(z.imag)]

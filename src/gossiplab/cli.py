@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -151,15 +152,25 @@ def parse_scheme(token: str) -> SchemeKind:
         raise ConfigError(f"unknown scheme {token!r} (choose from {names})")
 
 
-def resolve_epsilon(spec: str, g, kind: SchemeKind) -> tuple:
+def epsilon_reports(g):
+    """A getter of g's epsilon report that computes it on first use only,
+    so one command builds it at most once."""
+    return functools.cache(lambda: analysis.epsilon_report(g))
+
+
+def resolve_epsilon(spec: str, g, kind: SchemeKind, report=None) -> tuple:
     """Turn an epsilon spec (literal, auto-optimal, auto-eta-fraction:f)
-    into a number, with a note when the value is only approximate."""
+    into a number, with a note when the value is only approximate.  The
+    auto specs read g's epsilon report from `report`, a getter made by
+    epsilon_reports (a fresh one by default)."""
     spec = spec.strip()
     if kind is SchemeKind.CLASSIC:
         return 0.0, ""
+    if report is None:
+        report = epsilon_reports(g)
     note = ""
     if spec == "auto-optimal":
-        er = analysis.epsilon_report(g)
+        er = report()
         eps = er.epsilon_star
         if not er.spectrum_real:
             note = "approximate (complex Laplacian spectrum)"
@@ -170,7 +181,7 @@ def resolve_epsilon(spec: str, g, kind: SchemeKind) -> tuple:
             raise ConfigError(f"bad fraction in {spec!r}")
         if not 0.0 < frac < 1.0:
             raise ConfigError("eta fraction must lie strictly between 0 and 1")
-        er = analysis.epsilon_report(g)
+        er = report()
         eps = frac * er.eta_formula
         if not er.spectrum_real:
             note = "approximate (complex Laplacian spectrum)"
@@ -234,7 +245,8 @@ def cmd_generate(cfg: ExperimentConfig) -> int:
 def cmd_analyze(cfg: ExperimentConfig, check: str | None) -> int:
     g, extras = obtain_graph(cfg)
     kind = parse_scheme(cfg.scheme)
-    eps, note = resolve_epsilon(cfg.epsilon, g, kind)
+    eps_report = epsilon_reports(g)
+    eps, note = resolve_epsilon(cfg.epsilon, g, kind, eps_report)
     extras["epsilon_resolved"] = format(eps, ".17g")
     scheme = build_scheme(kind, g, eps, cfg.gamma)
     out = _outdir(cfg)
@@ -264,7 +276,7 @@ def cmd_analyze(cfg: ExperimentConfig, check: str | None) -> int:
               "no stability window or optimal coupling")
         eta = eps_star = float("nan")
     else:
-        er = analysis.epsilon_report(g)
+        er = eps_report()
         edict = analysis.epsilon_report_dict(er)
         edict["header"] = header
         analysis.save_report_json(edict, out / "epsilon_report.json")
@@ -335,8 +347,9 @@ def cmd_simulate(cfg: ExperimentConfig, per_trial: bool, svg: bool) -> int:
     out = _outdir(cfg)
     any_failures = False
     curves = []
+    eps_report = epsilon_reports(g)
     for kind in kinds:
-        eps, note = resolve_epsilon(cfg.epsilon, g, kind)
+        eps, note = resolve_epsilon(cfg.epsilon, g, kind, eps_report)
         scheme = build_scheme(kind, g, eps, cfg.gamma)
         extras[f"epsilon_{kind.value}"] = format(eps, ".17g")
         w1 = None

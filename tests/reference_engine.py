@@ -2,9 +2,10 @@
 gossiplab.sim replaced, kept as the slow oracle for differential tests.
 
 It draws one broadcaster per iteration, updates the receivers in place
-and recomputes r, q and the mass check on every step.  Besides the
-TrialRecord it returns the final (x, y) state so tests can replay the
-trial through protocol.step.
+and recomputes r, q and the mass check on every step, keeping the
+largest drift (nan once the state is no longer finite, as np.maximum
+gives).  Besides the TrialRecord it returns the final (x, y) state so
+tests can replay the trial through protocol.step.
 """
 import math
 
@@ -33,6 +34,7 @@ def reference_trial(scheme, x0, threshold, max_iters, rng, *, stride=1,
     check_mass = scheme.kind.is_unbiased
     total0 = float(x.sum())
     mass_tol = sim.MASS_RTOL * max(1.0, abs(total0))
+    drift_max = 0.0
 
     ts = [0]
     rs = [float(np.mean((x - mu0) ** 2))]
@@ -65,6 +67,7 @@ def reference_trial(scheme, x0, threshold, max_iters, rng, *, stride=1,
 
         if check_mass:
             drift = abs((float(x.sum()) + float(y.sum())) - total0)
+            drift_max = float(np.maximum(drift_max, drift))
             if drift > mass_tol:
                 raise MassConservationError(
                     f"mass drifted by {drift:.3e} at iteration {t}")
@@ -101,5 +104,6 @@ def reference_trial(scheme, x0, threshold, max_iters, rng, *, stride=1,
         r_series=np.asarray(rs),
         q_series=np.asarray(qs),
         stat_series=None if stats is None else np.asarray(stats),
+        max_drift=drift_max if check_mass else None,
     )
     return record, x, y

@@ -112,6 +112,41 @@ def test_analyze_auto_epsilon(graph_file, tmp_path, capsys):
     assert f"epsilon={star:.17g}" in printed
 
 
+def test_epsilon_report_is_computed_once_per_command(graph_file, tmp_path,
+                                                     monkeypatch):
+    real = analysis.epsilon_report
+    calls = []
+
+    def counting(g):
+        calls.append(g.n)
+        return real(g)
+
+    monkeypatch.setattr(analysis, "epsilon_report", counting)
+    g = graph.load_graph(graph_file)
+    expected = analysis.epsilon_report_dict(real(g))
+    for spec in ("auto-optimal", "auto-eta-fraction:0.5", "0.3"):
+        calls.clear()
+        out = tmp_path / spec.replace(":", "_")
+        assert run(["analyze", "--graph", str(graph_file), "--scheme", "ubga1",
+                    "--epsilon", spec, "--out", str(out)]) == EXIT_OK
+        assert calls == [8]
+        written = json.loads((out / "epsilon_report.json").read_text())
+        del written["header"]
+        assert json.dumps(written, sort_keys=True) == \
+            json.dumps(expected, sort_keys=True)
+    calls.clear()
+    assert run(["simulate", "--graph", str(graph_file),
+                "--schemes", "bbga,ubga1,classic", "--epsilon", "auto-optimal",
+                "--trials", "1", "--threshold", "1e-3",
+                "--out", str(tmp_path / "sim")]) == EXIT_OK
+    assert calls == [8]
+    calls.clear()
+    assert run(["simulate", "--graph", str(graph_file), "--schemes", "bbga",
+                "--epsilon", "0.4", "--trials", "1", "--threshold", "1e-3",
+                "--out", str(tmp_path / "literal")]) == EXIT_OK
+    assert calls == []
+
+
 def test_analyze_rejects_bad_config(graph_file, tmp_path):
     base = ["analyze", "--graph", str(graph_file), "--out", str(tmp_path)]
     assert run(base + ["--scheme", "nosuch"]) == EXIT_CONFIG
