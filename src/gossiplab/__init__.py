@@ -38,7 +38,8 @@ from .analysis import (
 )
 from .sim import (
     InitKind, MonteCarloResult, SweepPoint, TrialRecord, aggregate_series,
-    epsilon_sweep, first_crossing, init_values, monte_carlo, run_trial,
+    campaigns, epsilon_sweep, first_crossing, init_values, monte_carlo,
+    run_trial,
 )
 
 __all__ = [
@@ -66,6 +67,6 @@ __all__ = [
     "indegree_laplacian", "epsilon_report",
     # sim
     "InitKind", "TrialRecord", "MonteCarloResult", "SweepPoint",
-    "init_values", "run_trial", "monte_carlo", "epsilon_sweep",
+    "init_values", "run_trial", "monte_carlo", "campaigns", "epsilon_sweep",
     "first_crossing", "aggregate_series",
 ]

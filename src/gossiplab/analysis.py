@@ -177,21 +177,7 @@ def classify_expectation(scheme: ParamScheme) -> SpectralReport:
     n = scheme.n
     wbar = expected_matrix(scheme).w
     spectrum = spectra.eigenvalues(wbar)
-    near_one = np.abs(spectrum - 1.0) <= UNIT_BAND
-    unit_count = int(near_one.sum())
-    if unit_count >= 1:
-        candidates = np.flatnonzero(near_one)
-        unit_idx = int(candidates[np.argmin(np.abs(spectrum[candidates] - 1.0))])
-    else:
-        unit_idx = int(np.argmin(np.abs(spectrum - 1.0)))
-    others = np.delete(spectrum, unit_idx)
-    is_simple = unit_count == 1 and bool(np.all(np.abs(others) < 1.0 - UNIT_MARGIN))
-
-    moduli = np.abs(others)
-    # deterministic tie-break: largest modulus, then largest real, then imag
-    order = np.lexsort((others.imag, others.real, moduli))
-    second = complex(others[order[-1]])
-
+    unit_idx, is_simple, second = _split_spectrum(spectrum)
     w1 = w2 = None
     if is_simple:
         mask = np.concatenate([np.ones(n), np.zeros(n)])
@@ -211,6 +197,33 @@ def classify_expectation(scheme: ParamScheme) -> SpectralReport:
         w1=w1,
         w2=w2,
     )
+
+
+def _split_spectrum(spectrum: np.ndarray) -> tuple:
+    """The index of the eigenvalue taken as the unit one, whether it is
+    simple (the only one within UNIT_BAND of 1, every other modulus below
+    1 - UNIT_MARGIN), and the second largest eigenvalue."""
+    near_one = np.abs(spectrum - 1.0) <= UNIT_BAND
+    unit_count = int(near_one.sum())
+    if unit_count >= 1:
+        candidates = np.flatnonzero(near_one)
+        unit_idx = int(candidates[np.argmin(np.abs(spectrum[candidates] - 1.0))])
+    else:
+        unit_idx = int(np.argmin(np.abs(spectrum - 1.0)))
+    others = np.delete(spectrum, unit_idx)
+    is_simple = unit_count == 1 and bool(np.all(np.abs(others) < 1.0 - UNIT_MARGIN))
+
+    moduli = np.abs(others)
+    # deterministic tie-break: largest modulus, then largest real, then imag
+    order = np.lexsort((others.imag, others.real, moduli))
+    return unit_idx, is_simple, complex(others[order[-1]])
+
+
+def second_largest_modulus(scheme: ParamScheme) -> float:
+    """The second largest eigenvalue modulus of the expected update, as
+    classify_expectation reports it, without the left eigenvector."""
+    spectrum = spectra.eigenvalues(expected_matrix(scheme).w)
+    return float(np.abs(_split_spectrum(spectrum)[2]))
 
 
 def predicted_consensus(report: SpectralReport, x0) -> float:

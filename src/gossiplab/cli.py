@@ -302,11 +302,7 @@ def cmd_sweep(cfg: ExperimentConfig, svg: bool) -> int:
     points = sim.epsilon_sweep(kind, g, grid, cfg.trials, cfg.threshold,
                                cfg.max_iters, cfg.seed, gamma=cfg.gamma,
                                init=cfg.init, workers=cfg.workers)
-    analytic = [
-        analysis.classify_expectation(build_scheme(kind, g, eps, cfg.gamma))
-        .second_largest_modulus
-        for eps in grid
-    ]
+    analytic = [analysis.second_largest_modulus(p.scheme) for p in points]
     out = _outdir(cfg)
     header = make_header("sweep", cfg, extras)
     sim.write_text(out / "sweep.csv", sim.sweep_csv(points, analytic=analytic),
@@ -344,9 +340,10 @@ def cmd_simulate(cfg: ExperimentConfig, per_trial: bool, svg: bool) -> int:
     kinds = [parse_scheme(tok) for tok in tokens if tok.strip()]
     if not kinds:
         raise ConfigError("no schemes given")
-    out = _outdir(cfg)
-    any_failures = False
-    curves = []
+    # resolve, build and classify every scheme before any trial runs or
+    # any file is written; the k-th scheme's files echo the couplings
+    # resolved up to it
+    epsilons, schemes, w1s, headers = [], [], [], []
     eps_report = epsilon_reports(g)
     for kind in kinds:
         eps, note = resolve_epsilon(cfg.epsilon, g, kind, eps_report)
@@ -357,20 +354,28 @@ def cmd_simulate(cfg: ExperimentConfig, per_trial: bool, svg: bool) -> int:
             rep = analysis.classify_expectation(scheme)
             if rep.is_simple_one:
                 w1 = rep.w1
-        res = sim.monte_carlo(scheme, g, cfg.init, cfg.trials, cfg.threshold,
-                              cfg.max_iters, cfg.seed, workers=cfg.workers,
-                              keep_series=True, w1=w1)
-        header = make_header("simulate", cfg, extras)
+        epsilons.append(eps)
+        schemes.append(scheme)
+        w1s.append(w1)
+        headers.append(make_header("simulate", cfg, extras))
+    out = _outdir(cfg)
+    results = sim.campaigns(schemes, g, cfg.init, cfg.trials, cfg.threshold,
+                            cfg.max_iters, cfg.seed, workers=cfg.workers,
+                            keep_series=True, w1s=w1s)
+    any_failures = False
+    curves = []
+    for kind, eps, header, res in zip(kinds, epsilons, headers, results):
         if res.records:
+            series = sim.aggregate_series(res.records)
             sim.write_text(out / f"trajectory_{kind.value}.csv",
-                           sim.aggregate_csv(res.records), header_lines=header)
+                           sim.aggregate_csv(res.records, series),
+                           header_lines=header)
             if per_trial:
                 for rec in res.records:
                     sim.write_text(
                         out / f"trial_{kind.value}_{rec.seed - cfg.seed}.csv",
                         sim.trial_csv(rec), header_lines=header)
-            grid_t, mean_r, _ = sim.aggregate_series(res.records)
-            curves.append((kind.value, grid_t, mean_r))
+            curves.append((kind.value, series[0], series[1]))
         print(f"scheme={kind.value} epsilon={eps:.17g} "
               f"mean_broadcasts={res.mean_broadcasts:.17g} "
               f"mean_r_final={res.mean_r_final:.17g} "

@@ -23,9 +23,10 @@ broadcast sequence, so results do not depend on the worker count.
 One kernel runs every trial.  It advances E lockstep rows, each with its
 own scheme, its own x0 and its own broadcaster stream: a lone trial
 (run_trial) is one row, a campaign runs all its trials as one call (one
-per chunk of seeds with a process pool), and a coupling sweep runs grid x
-trials rows, the rows of trial i sharing its stream at every grid point
-so that the sweep stays paired.  Broadcasters are drawn in blocks, which
+per chunk of seeds with a process pool), campaigns over several schemes
+run schemes x trials rows, and a coupling sweep runs grid x trials rows;
+the rows of trial i share its stream at every scheme or grid point, so
+the comparison stays paired.  Broadcasters are drawn in blocks, which
 gives the same sequence as one draw at a time.  A row leaves when it
 converges, hits max_iters, or fails the mass check; a failure ends only
 that row, and the others run on unchanged.  Every row reproduces the
@@ -36,7 +37,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
@@ -54,6 +55,7 @@ STEP_CHUNK = 16_384          # row-steps of broadcaster indices prepared at once
 SCREEN_RTOL = 1e-6           # relative slack of the stopping-statistic screen
 SCREEN_FLOOR = 1e-290        # padded sums up to here always get the exact check
 LOG_SPLIT = 256              # recorded iterations logged per series split
+RQ_BLOCK = 32                # recorded states whose r and q are taken at once
 THREADS_ENV = "GOSSIPLAB_THREADS"
 
 
@@ -112,8 +114,12 @@ class MonteCarloResult:
 
 @dataclass(frozen=True)
 class SweepPoint:
+    """One coupling of a sweep: its campaign and the scheme it ran."""
+
     epsilon: float
     result: MonteCarloResult
+    scheme: ParamScheme | None = field(default=None, compare=False,
+                                       repr=False)
 
     @property
     def mean_broadcasts(self) -> float:
@@ -180,25 +186,26 @@ def _rq(xs: np.ndarray, mu0: np.ndarray) -> tuple:
 
 def _padded_tables(schemes, n: int, pad: int) -> tuple:
     """One table row per (scheme s, broadcaster k), at s*n + k: the
-    hearers' positions j, the coefficients 1-a, a, eps*d, 1-eps*d, b, and
-    the hearer count.  Rows are padded to the largest count D with the
-    exact identity 1, 0, 0, 1, 0 on position `pad`; real entries come
-    first, so a broadcast's changes are a contiguous prefix.  The
-    arithmetic mirrors protocol.local_update, so a replay through
+    hearers' positions j, the coefficients 1-a, a, eps*d, 1-eps*d, b
+    (stored per table row, so a broadcast gathers one contiguous
+    (5, D) block), and the hearer count.  Rows are padded to the largest
+    count D with the exact identity 1, 0, 0, 1, 0 on position `pad`; real
+    entries come first, so a broadcast's changes are a contiguous prefix.
+    The arithmetic mirrors protocol.local_update, so a replay through
     protocol.step reproduces every trial's states bit for bit."""
     parts = [np.nonzero(s.a.T) for s in schemes]    # k's hearers, sorted
     counts = np.concatenate([np.bincount(k, minlength=n) for k, _ in parts])
     width = max(1, int(counts.max()))
     recv = np.full((len(schemes) * n, width), pad, dtype=np.intp)
-    coef = np.zeros((5, len(schemes) * n, width))
-    coef[[0, 3]] = 1.0
+    coef = np.zeros((len(schemes) * n, 5, width))
+    coef[:, [0, 3]] = 1.0
     for i, (s, (k, j)) in enumerate(zip(schemes, parts)):
         slot = np.arange(k.size) - np.searchsorted(k, k)
         at = i * n + k
         a = s.a[j, k]
         ed = s.epsilon * s.d[j, k]
         recv[at, slot] = j
-        coef[:, at, slot] = (1.0 - a, a, ed, 1.0 - ed, s.b[j, k])
+        coef[at, :, slot] = np.stack((1.0 - a, a, ed, 1.0 - ed, s.b[j, k]), 1)
     return recv, coef, counts
 
 
@@ -272,7 +279,7 @@ def _lockstep(rows, threshold: float, max_iters: int, *, stride: int = 1,
     drift_max = np.zeros(E)
     check_mass = bool(unbiased.any())
     out = [None] * E
-    log = _SeriesLog(*_rq(ZZ[0], mu0), full_series) if keep_series else None
+    log = _SeriesLog(ZZ[0], mu0, full_series) if keep_series else None
     next_thin = int(math.ceil(FULL_RECORD_LIMIT * THIN_FACTOR))
 
     t = 0
@@ -296,7 +303,7 @@ def _lockstep(rows, threshold: float, max_iters: int, *, stride: int = 1,
                 tb += 1
                 g = recv[tk]
                 g += base
-                oma, a, ed, omed, b = coef[:, tk]
+                oma, a, ed, omed, b = coef[tk].transpose(1, 0, 2)
                 xr = X[g]
                 yr = Y[g]
                 xk = X[kp][:, None]
@@ -349,18 +356,14 @@ def _lockstep(rows, threshold: float, max_iters: int, *, stride: int = 1,
                         next_thin = max(next_thin + 1,
                                         int(next_thin * THIN_FACTOR))
                 if scheduled:
-                    r, q = _rq(X2, mu0)
-                    log.add(t, idl, r, q, *(stat,) if full_series else ())
+                    log.add(t, X2, mu0, idl, stat if full_series else None)
                 if not (failed or done):
                     continue
 
                 if log is not None:
-                    log.split(idl)
+                    log.split(idl, mu0)
                 if done:
-                    if scheduled:
-                        r, q = r[done], q[done]
-                    else:
-                        r, q = _rq(X2[done], mu0[done])
+                    r, q = _rq(X2[done], mu0[done])
                     hits = set(hit)
                     for p, rf, qf in zip(done, r.tolist(), q.tolist()):
                         i = idl[p]
@@ -407,28 +410,62 @@ def _exact_stat(dx: np.ndarray, dy: np.ndarray, yk: np.ndarray,
 
 class _SeriesLog:
     """The r, q and (with full_series) stopping-statistic series of the
-    rows of a lockstep call.  Every recorded iteration logs one vector of
-    each over the running rows; the logged vectors are handed to the rows
-    every LOG_SPLIT iterations and whenever rows leave, so a value costs
-    8 bytes."""
+    rows of a lockstep call.  Every recorded iteration copies the running
+    rows' values into a snapshot block; r and q of up to RQ_BLOCK
+    snapshots are then taken in one _rq call over the contiguous
+    (snapshots x rows, n) block, whose row reductions give each row's
+    bits.  The logged values are handed to the rows every LOG_SPLIT
+    iterations and whenever rows leave (the running rows stay the same in
+    between), so a value costs 8 bytes."""
 
-    def __init__(self, r0: np.ndarray, q0: np.ndarray, full: bool):
+    def __init__(self, x0: np.ndarray, mu0: np.ndarray, full: bool):
+        r0, q0 = _rq(x0, mu0)
+        self.snaps = np.empty((RQ_BLOCK * x0.shape[0], x0.shape[1]))
+        self.pending = 0       # snapshots whose r and q are not taken yet
+        self.stats = []        # their stopping statistics (full series)
         self.times = [0]
-        self.logged = []
+        self.logged = []       # (r, q[, stat]) blocks, iterations x rows
+        self.count = 0         # iterations in self.logged
         start = (np.empty(0),) if full else ()
         self.parts = [[(r, q) + start] for r, q in zip(r0[:, None], q0[:, None])]
 
-    def add(self, t: int, ids: list, *values) -> None:
+    def add(self, t: int, x: np.ndarray, mu0: np.ndarray, ids: list,
+            stat=None) -> None:
+        """Record iteration t: the values x of the running rows `ids`
+        and, with full series, their stopping statistic."""
+        live = x.shape[0]
+        self.snaps[self.pending * live:(self.pending + 1) * live] = x
+        self.pending += 1
         self.times.append(t)
-        self.logged.append(values)
-        if len(self.logged) == LOG_SPLIT:
-            self.split(ids)
+        if stat is not None:
+            self.stats.append(stat)
+        if self.pending == RQ_BLOCK:
+            self._flush(mu0)
+            if self.count >= LOG_SPLIT:
+                self.split(ids, mu0)
 
-    def split(self, ids: list) -> None:
-        """Hand the logged vectors to the running rows `ids`, in slot order."""
+    def _flush(self, mu0: np.ndarray) -> None:
+        """Take r and q of the pending snapshots against the rows' mu0."""
+        k, live = self.pending, mu0.size
+        if not k:
+            return
+        r, q = _rq(self.snaps[:k * live], np.tile(mu0, k))
+        block = (r.reshape(k, live), q.reshape(k, live))
+        if self.stats:
+            block += (np.array(self.stats),)
+        self.logged.append(block)
+        self.count += k
+        self.pending = 0
+        self.stats = []
+
+    def split(self, ids: list, mu0: np.ndarray) -> None:
+        """Hand everything recorded so far to the running rows `ids`, in
+        slot order; mu0 is theirs."""
+        self._flush(mu0)
         if self.logged:
-            cols = [np.array(v) for v in zip(*self.logged)]
+            cols = [np.concatenate(c) for c in zip(*self.logged)]
             self.logged = []
+            self.count = 0
             for p, i in enumerate(ids):
                 self.parts[i].append(tuple(c[:, p] for c in cols))
 
@@ -498,9 +535,11 @@ def run_trial(scheme: ParamScheme, x0, threshold: float, max_iters: int,
 def _trial_block(payload) -> list:
     """Trials `seeds` at every scheme, as one lockstep call: trial i
     draws its x0 and then its broadcasters from generator seeds[i], which
-    its rows at every scheme share.  Returns per (seed, scheme), seed
-    major, a TrialRecord or the failure message of a rejected trial."""
-    schemes, g, init, seeds, w1, threshold, max_iters, opts = payload
+    its rows at every scheme share.  w1s holds per scheme the w1 whose
+    w1 . x0 its records predict, or None.  Returns per (seed, scheme),
+    seed major, a TrialRecord or the failure message of a rejected
+    trial."""
+    schemes, g, init, seeds, w1s, threshold, max_iters, opts = payload
     outcomes = []      # per (seed, scheme): a failure message or a row
     rows = []
     for seed in seeds:
@@ -510,8 +549,8 @@ def _trial_block(payload) -> list:
         except GossipLabError as exc:
             outcomes += [_failure(exc)] * len(schemes)
             continue
-        predicted = None if w1 is None else float(np.asarray(w1) @ x0)
-        for s in schemes:
+        for s, w1 in zip(schemes, w1s):
+            predicted = None if w1 is None else float(np.asarray(w1) @ x0)
             outcomes.append(len(rows))
             rows.append(Row(s, x0, rng, seed, predicted))
     ran = _lockstep(rows, threshold, max_iters, **opts) if rows else []
@@ -519,11 +558,12 @@ def _trial_block(payload) -> list:
     return [o if isinstance(o, str) else ran[o] for o in outcomes]
 
 
-def _run_trials(schemes, g, init, trials: int, base_seed: int, w1,
+def _run_trials(schemes, g, init, trials: int, base_seed: int, w1s,
                 threshold: float, max_iters: int, workers, **opts) -> list:
-    """Trials base_seed + i at every scheme: one lockstep call, or one
-    per contiguous chunk of seeds when a process pool is used.  Returns
-    the per-trial outcome lists of every scheme, in trial order."""
+    """Trials base_seed + i at every scheme, scheme j's records
+    predicting w1s[j] . x0 (None: no prediction): one lockstep call, or
+    one per contiguous chunk of seeds when a process pool is used.
+    Returns the per-trial outcome lists of every scheme, in trial order."""
     if trials < 1:
         raise ValueError("need at least one trial")
     if isinstance(init, str):
@@ -532,7 +572,7 @@ def _run_trials(schemes, g, init, trials: int, base_seed: int, w1,
     nwork = min(resolve_workers(workers), trials)
     payloads = [(schemes, g, init, seeds[c * trials // nwork:
                                          (c + 1) * trials // nwork],
-                 w1, threshold, max_iters, opts) for c in range(nwork)]
+                 w1s, threshold, max_iters, opts) for c in range(nwork)]
     if nwork > 1:
         with ProcessPoolExecutor(max_workers=nwork) as pool:
             blocks = list(pool.map(_trial_block, payloads))
@@ -586,13 +626,35 @@ def monte_carlo(scheme: ParamScheme, g: DiGraph, init, trials: int,
     collected per trial instead of aborting the campaign.  Passing w1
     attaches the predicted consensus w1 . x0 to every record.
     keep_series=False strips the stored series to keep large campaigns
-    small; the finals survive.
+    small; the finals survive.  This is campaigns() with one scheme.
     """
-    (outcomes,) = _run_trials(
-        [scheme], g, init, trials, base_seed, w1, threshold, max_iters,
+    (result,) = campaigns(
+        [scheme], g, init, trials, threshold, max_iters, base_seed,
+        workers=workers, keep_series=keep_series, full_series=full_series,
+        w1s=[w1], stride=stride, stop_rule=stop_rule)
+    return result
+
+
+def campaigns(schemes, g: DiGraph, init, trials: int, threshold: float,
+              max_iters: int, base_seed: int, *, workers: int | None = None,
+              keep_series: bool = True, full_series: bool = False, w1s=None,
+              stride: int = 1, stop_rule: str = "change") -> list:
+    """One monte_carlo campaign per scheme, all of them run as the rows
+    of one lockstep call (one per chunk of seeds with a process pool).
+    Trial i's rows share generator base_seed + i, which draws their x0 and
+    then the broadcaster stream each scheme's lone campaign draws, so
+    every result equals monte_carlo(schemes[j], ..., w1=w1s[j])."""
+    schemes = list(schemes)
+    if not schemes:
+        raise ValueError("need at least one scheme")
+    w1s = [None] * len(schemes) if w1s is None else list(w1s)
+    if len(w1s) != len(schemes):
+        raise ValueError("need one w1 (or None) per scheme")
+    per_scheme = _run_trials(
+        schemes, g, init, trials, base_seed, w1s, threshold, max_iters,
         workers, stride=stride, keep_series=keep_series,
         full_series=full_series, stop_rule=stop_rule)
-    return _campaign_result(outcomes, max_iters)
+    return [_campaign_result(o, max_iters) for o in per_scheme]
 
 
 def epsilon_sweep(kind: SchemeKind, g: DiGraph, grid, trials: int,
@@ -614,11 +676,13 @@ def epsilon_sweep(kind: SchemeKind, g: DiGraph, grid, trials: int,
         raise ValueError("empty epsilon grid")
     # building every scheme first validates the whole grid up front
     schemes = [build_scheme(kind, g, eps, gamma) for eps in grid]
-    per_point = _run_trials(schemes, g, init, trials, base_seed, None,
-                            threshold, max_iters, workers, stride=stride,
-                            keep_series=False, stop_rule=stop_rule)
-    return [SweepPoint(epsilon=eps, result=_campaign_result(o, max_iters))
-            for eps, o in zip(grid, per_point)]
+    per_point = _run_trials(schemes, g, init, trials, base_seed,
+                            [None] * len(schemes), threshold, max_iters,
+                            workers, stride=stride, keep_series=False,
+                            stop_rule=stop_rule)
+    return [SweepPoint(epsilon=eps, result=_campaign_result(o, max_iters),
+                       scheme=s)
+            for eps, s, o in zip(grid, schemes, per_point)]
 
 
 def first_crossing(record: TrialRecord, level: float) -> int | None:
@@ -694,8 +758,12 @@ def trial_csv(record: TrialRecord) -> str:
                        record.q_series)
 
 
-def aggregate_csv(records) -> str:
-    return _series_csv("t,mean_r,mean_q", *aggregate_series(records))
+def aggregate_csv(records, series=None) -> str:
+    """The mean r and q curves of the records; `series` is their
+    aggregate_series when the caller has it already."""
+    if series is None:
+        series = aggregate_series(records)
+    return _series_csv("t,mean_r,mean_q", *series)
 
 
 def write_text(path, text: str, header_lines=()) -> None:

@@ -1,14 +1,16 @@
 """Command line front end: files, headers, exit codes, reproducibility."""
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from gossiplab import analysis, graph, sim
+from gossiplab import analysis, cli, graph, sim, spectra
 from gossiplab.cli import (
     DEFAULT_GRID, EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_RETRY,
     ConfigError, load_config_file, main, parse_grid, resolve_epsilon,
 )
+from gossiplab.protocol import SchemeKind, build_scheme
 
 
 @pytest.fixture(scope="module")
@@ -170,11 +172,19 @@ def test_resolve_epsilon_variants(graph_file):
         resolve_epsilon("auto-eta-fraction:x", g, SchemeKind.BBGA)
 
 
-def test_sweep(graph_file, tmp_path, capsys):
+def test_sweep(graph_file, tmp_path, capsys, monkeypatch):
+    # the analytic column reuses the sweep's schemes and reads only the
+    # spectrum: no scheme is built twice, no left eigenvector is solved
+    def refuse(*args, **kwargs):
+        raise AssertionError("not needed by sweep")
+
+    monkeypatch.setattr(cli, "build_scheme", refuse)
+    monkeypatch.setattr(spectra, "left_eigenvector", refuse)
     code = run(["sweep", "--graph", str(graph_file), "--scheme", "bbga",
                 "--grid", "0.3,0.5", "--trials", "2", "--threshold", "1e-3",
                 "--out", str(tmp_path), "--svg"])
     assert code == EXIT_OK
+    monkeypatch.undo()
     printed = capsys.readouterr().out
     assert "best_epsilon=" in printed
     assert "failures=0 censored=0" in printed
@@ -182,6 +192,11 @@ def test_sweep(graph_file, tmp_path, capsys):
     data = [ln for ln in text.splitlines() if not ln.startswith("#")]
     assert data[0].endswith(",analytic_lambda2")
     assert len(data) == 3
+    g = graph.load_graph(graph_file)
+    for line, eps in zip(data[1:], (0.3, 0.5)):
+        rep = analysis.classify_expectation(
+            build_scheme(SchemeKind.BBGA, g, eps))
+        assert line.split(",")[-1] == sim._fmt(rep.second_largest_modulus)
     svg = (tmp_path / "sweep.svg").read_text()
     assert svg.startswith("<!-- gossiplab 0.1.0 -->\n")
     assert "<svg " in svg
@@ -261,6 +276,71 @@ def test_simulate_outputs(graph_file, tmp_path, capsys):
     assert run(argv) == EXIT_OK
     after = {p.name: p.read_bytes() for p in out.iterdir()}
     assert before == after
+
+
+# sha256 of every file of the run below, headers included, as written
+# before simulate ran its schemes as one lockstep call
+SIMULATE_DIGESTS = {
+    "trajectories.svg": "665c11c63a0d000e46fac969d90099a63895d5eb00b5e0fc6ec05c025b70ecb3",
+    "trajectory_bbga.csv": "37471d32ae06b00c3454c4264b01cf3271ca0d19e7c62e9393301919861d9b2a",
+    "trajectory_classic.csv": "6747e1f8bdcb0a7afb45d60f6efc2b0af4f2cc19b487cfe8c08e60d050b4c6f9",
+    "trajectory_ubga1.csv": "d199d191d8b7075e4d7f96416628329cd15ee2a602dd077ed6d3d5a7a5843e53",
+    "trial_bbga_0.csv": "26432cbb7976c59d52c617046dd511d311514c9736c4b550c2f9e9836a89e517",
+    "trial_bbga_1.csv": "40fb8a14816511729a3cca4713c6dc628344cf9e3968689a8d2f3cc739a2e376",
+    "trial_bbga_2.csv": "a9a0335428c564bd53c0c65fcfaac81ac9bc41be4d3eb4a7e691988e45fa5dae",
+    "trial_classic_0.csv": "61157aeaa9296d8a11cbcda954f7377eaa50500e1612f71fd611b21281cd3b17",
+    "trial_classic_1.csv": "9623a32136c4afb0c8787ded4c144f6a775510819c7ce04f8f14231b5ad56456",
+    "trial_classic_2.csv": "421ef9383b8258c9113c7fd6d90ece771c48f9ffea56934088a16b332a3aef03",
+    "trial_ubga1_0.csv": "293dde77b58e50bf3a20314d6f109951dc65a9e0533e63881318a8da3e4759fa",
+    "trial_ubga1_1.csv": "d7a516fdddfd94878c8242b463551b99eefe528cf5ea3387c0523adcb07e5422",
+    "trial_ubga1_2.csv": "16269913eb276f702cf982914bcef8a03f3399924813ccaff6829ffac4fbc7b0",
+}
+
+
+def test_simulate_files_and_lines_are_pinned(tmp_path, monkeypatch, capsys):
+    # relative paths keep the headers free of the temporary directory
+    monkeypatch.chdir(tmp_path)
+    assert run(["generate", "--n", "8", "--seed", "3", "--out", "."]) == EXIT_OK
+    capsys.readouterr()
+    assert run(["simulate", "--graph", "graph.txt", "--schemes",
+                "bbga,ubga1,classic", "--epsilon", "0.5", "--trials", "3",
+                "--threshold", "1e-3", "--out", "out", "--per-trial",
+                "--svg"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines() == [
+        "scheme=bbga epsilon=0.5 mean_broadcasts=68.666666666666671 "
+        "mean_r_final=0.00031198283879826542 "
+        "mean_q_final=1.2051328277861477e-05 failures=0 censored=0",
+        "scheme=ubga1 epsilon=0.5 mean_broadcasts=38.666666666666664 "
+        "mean_r_final=0.00086288560011340382 "
+        "mean_q_final=0.00018411847052293955 failures=0 censored=0",
+        "scheme=classic epsilon=0 mean_broadcasts=17 "
+        "mean_r_final=0.047779038750446513 "
+        "mean_q_final=6.211713876359959e-08 failures=0 censored=0",
+        "wrote 3 trajectory file(s) in out",
+    ]
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in (tmp_path / "out").iterdir()}
+    assert written == SIMULATE_DIGESTS
+    # the k-th scheme's files echo the couplings resolved up to it
+    ubga1 = (tmp_path / "out" / "trial_ubga1_0.csv").read_text()
+    assert "epsilon_bbga=0.5 epsilon_ubga1=0.5 gamma" in ubga1
+
+
+def test_simulate_validates_every_scheme_before_running(graph_file, tmp_path,
+                                                        capsys):
+    # classic builds at epsilon 0, bbga then rejects it: the run stops
+    # with exit 2 before any trial runs or any file is written
+    out = tmp_path / "never"
+    code = run(["simulate", "--graph", str(graph_file), "--schemes",
+                "classic,bbga", "--epsilon", "0", "--trials", "2",
+                "--out", str(out)])
+    assert code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: companion coupling needs epsilon > 0" in captured.err
+    assert not out.exists()
 
 
 def test_simulate_reports_numerical_failures(graph_file, tmp_path, capsys):

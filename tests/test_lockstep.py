@@ -349,3 +349,148 @@ def test_monte_carlo_rows_equal_one_row_calls_for_any_worker_count(
         else:
             assert drifts == [None] * 5 and serial.max_drift is None
     assert seen_failure
+
+
+# ---- r and q taken in blocks of recorded states ----
+
+def references(cases, threshold, max_iters, **opts):
+    """Each (scheme, x0, seed) row's reference record, or the
+    MassConservationError its reference trial raises."""
+    refs = []
+    for s, x0, seed in cases:
+        try:
+            ref, _, _ = reference_trial(s, x0, threshold, max_iters,
+                                        np.random.default_rng(seed), **opts)
+        except MassConservationError as exc:
+            refs.append(exc)
+        else:
+            refs.append(replace(ref, seed=seed))
+    return refs
+
+
+def leave_time(ref):
+    """The iteration at which a row leaves: its stop or max_iters, or its
+    mass failure."""
+    if isinstance(ref, MassConservationError):
+        return int(str(ref).rsplit(" ", 1)[1])
+    return int(ref.t_series[-1])
+
+
+def assert_rows_match(cases, refs, threshold, max_iters, **opts):
+    """One lockstep call over the rows (rows with one seed share its
+    stream); every row must equal its reference."""
+    streams = {seed: np.random.default_rng(seed) for _, _, seed in cases}
+    lock = _lockstep([Row(s, x0, streams[seed], seed) for s, x0, seed in cases],
+                     threshold, max_iters, **opts)
+    for ref, row in zip(refs, lock):
+        assert_same(row, ref)
+    return lock
+
+
+def block_cases(g, with_failure):
+    kinds = [(SchemeKind.UBGA1, 0.5, 1), (SchemeKind.BBGA, 0.5, 3),
+             (SchemeKind.CLASSIC, 0.0, 4), (SchemeKind.UBGA2, 0.4, 2)]
+    if with_failure:
+        # far past the stability window: fails the mass check at t=20
+        kinds.append((SchemeKind.UBGA1, 50.0, 2))
+    return [(build_scheme(kind, g, eps), np.random.default_rng(seed).random(16),
+             seed) for kind, eps, seed in kinds]
+
+
+@pytest.mark.parametrize("with_failure", [False, True])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("split_every_block", [False, True])
+@pytest.mark.parametrize("full_series", [False, True])
+def test_rows_leaving_at_a_block_flush_keep_their_series(
+        graph16, monkeypatch, with_failure, offset, split_every_block,
+        full_series):
+    # The first row to leave (a stop at t=58, or a mass failure at t=20)
+    # does so one iteration after a flush of the r/q block (offset -1),
+    # on the iteration whose snapshot fills the block (0), or one before
+    # (1); the other rows leave later at other points of their blocks.
+    cases = block_cases(graph16, with_failure)
+    refs = references(cases, 1e-5, 5000, full_series=full_series)
+    times = [leave_time(ref) for ref in refs]
+    first = min(times)
+    assert first == (20 if with_failure else 58)
+    assert sorted(times)[1] > first
+    monkeypatch.setattr(sim, "RQ_BLOCK", first + offset)
+    monkeypatch.setattr(sim, "LOG_SPLIT",
+                        first + offset if split_every_block else sim.LOG_SPLIT)
+    lock = assert_rows_match(cases, refs, 1e-5, 5000, full_series=full_series)
+    assert isinstance(lock[-1], MassConservationError) == with_failure
+
+
+@pytest.mark.parametrize("block", [1, 2, 5, 32])
+def test_blocked_series_match_for_every_block_size(graph16, digraph16,
+                                                   monkeypatch, block):
+    # stops spread over many block positions, streams shared and not,
+    # a LOG_SPLIT that is not a multiple of the block
+    monkeypatch.setattr(sim, "RQ_BLOCK", block)
+    monkeypatch.setattr(sim, "LOG_SPLIT", 3 * block + 1)
+    cases = []
+    for i, kind in enumerate(SchemeKind):
+        for g in (graph16, digraph16):
+            eps = 0.0 if kind is SchemeKind.CLASSIC else 0.3 + 0.1 * i
+            cases.append((build_scheme(kind, g, eps),
+                          np.random.default_rng(50 + len(cases)).random(16),
+                          i % 3))
+    refs = references(cases, 1e-4, 3000)
+    assert len({leave_time(ref) for ref in refs}) > 5
+    assert_rows_match(cases, refs, 1e-4, 3000)
+    assert_rows_match(cases[:4], references(cases[:4], 1e-4, 3000,
+                                            full_series=True),
+                      1e-4, 3000, full_series=True)
+
+
+@pytest.mark.parametrize("full_series", [False, True])
+def test_blocked_series_match_past_the_dense_record_limit(graph16,
+                                                          monkeypatch,
+                                                          full_series):
+    # one row stops in the thinned range, others stop early or run to
+    # max_iters; blocks then span many unrecorded iterations
+    monkeypatch.setattr(sim, "RQ_BLOCK", 7)
+    monkeypatch.setattr(sim, "LOG_SPLIT", 20)
+    kinds = [(SchemeKind.UBGA1, 0.02, 3), (SchemeKind.CLASSIC, 0.0, 4),
+             (SchemeKind.BBGA, 0.01, 3), (SchemeKind.BBGA, 0.5, 5)]
+    cases = [(build_scheme(kind, graph16, eps),
+              np.random.default_rng(seed).random(16), seed)
+             for kind, eps, seed in kinds]
+    horizon = FULL_RECORD_LIMIT + 6000
+    refs = references(cases, 1e-12, horizon, full_series=full_series)
+    times = [leave_time(ref) for ref in refs]
+    assert FULL_RECORD_LIMIT < times[0] < horizon == times[2]
+    lock = assert_rows_match(cases, refs, 1e-12, horizon,
+                             full_series=full_series)
+    assert lock[0].converged_at == times[0]
+    assert (lock[2].t_series.size == horizon + 1) == full_series
+
+
+def test_campaigns_equal_one_campaign_per_scheme(graph16, monkeypatch):
+    # schemes x trials rows in one call; each scheme's result must equal
+    # its lone monte_carlo campaign field for field, for any worker count
+    monkeypatch.delenv("GOSSIPLAB_THREADS", raising=False)
+    schemes = [build_scheme(SchemeKind.BBGA, graph16, 0.5),
+               build_scheme(SchemeKind.UBGA1, graph16, 0.5),
+               build_scheme(SchemeKind.UBGA3, graph16, 50.0),
+               build_scheme(SchemeKind.CLASSIC, graph16, 0.0)]
+    w1s = [np.full(16, 1.0 / 16), np.linspace(0.0, 0.125, 16), None, None]
+    lone = [monte_carlo(s, graph16, InitKind.UNIFORM, 5, 1e-4, 20_000,
+                        base_seed=6, w1=w1, workers=1)
+            for s, w1 in zip(schemes, w1s)]
+    assert lone[2].failures and lone[0].records[0].predicted is not None
+    for workers in (1, 2):
+        joint = sim.campaigns(schemes, graph16, InitKind.UNIFORM, 5, 1e-4,
+                              20_000, base_seed=6, w1s=w1s, workers=workers)
+        assert len(joint) == len(schemes)
+        for a, b in zip(joint, lone):
+            assert a.failures == b.failures
+            assert len(a.records) == len(b.records)
+            for ra, rb in zip(a.records, b.records):
+                assert_same(ra, rb)
+            for f in ("mean_broadcasts", "median_broadcasts", "mean_r_final",
+                      "mean_q_final", "trials", "censored", "max_drift"):
+                assert str(getattr(a, f)) == str(getattr(b, f)), f
+    with pytest.raises(ValueError):
+        sim.campaigns(schemes, graph16, InitKind.UNIFORM, 5, 1e-4, 100,
+                      base_seed=6, w1s=w1s[:2])
