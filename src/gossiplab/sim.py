@@ -51,9 +51,9 @@ FULL_RECORD_LIMIT = 10_000   # record every iteration up to here
 THIN_FACTOR = 1.05           # then sample on a geometric grid
 MASS_RTOL = 1e-9
 DRAW_BLOCK = 1024            # broadcasters drawn per generator call
-STEP_CHUNK = 16_384          # row-steps of broadcaster indices prepared at once
+ENTRY_CHUNK = 16_384         # hearer entries of the steps laid out at once
 SCREEN_RTOL = 1e-6           # relative slack of the stopping-statistic screen
-SCREEN_FLOOR = 1e-290        # padded sums up to here always get the exact check
+SCREEN_FLOOR = 1e-290        # segment sums up to here always get the exact check
 LOG_SPLIT = 256              # recorded iterations logged per series split
 RQ_BLOCK = 32                # recorded states whose r and q are taken at once
 THREADS_ENV = "GOSSIPLAB_THREADS"
@@ -184,29 +184,53 @@ def _rq(xs: np.ndarray, mu0: np.ndarray) -> tuple:
     return np.add.reduce(d, 1) / n, np.add.reduce(m, 1) / n
 
 
-def _padded_tables(schemes, n: int, pad: int) -> tuple:
-    """One table row per (scheme s, broadcaster k), at s*n + k: the
-    hearers' positions j, the coefficients 1-a, a, eps*d, 1-eps*d, b
-    (stored per table row, so a broadcast gathers one contiguous
-    (5, D) block), and the hearer count.  Rows are padded to the largest
-    count D with the exact identity 1, 0, 0, 1, 0 on position `pad`; real
-    entries come first, so a broadcast's changes are a contiguous prefix.
-    The arithmetic mirrors protocol.local_update, so a replay through
-    protocol.step reproduces every trial's states bit for bit."""
+def _hearer_tables(schemes, n: int) -> tuple:
+    """CSR hearer tables with one segment per (scheme s, broadcaster k),
+    at s*n + k: its first entry and its hearer count, and per entry the
+    hearer's position relative to k (j - k) and the coefficients 1-a, a,
+    eps*d, b as one row of an (entries, 4) table (np.take copies 32-byte
+    rows much faster than 40-byte ones; 1-eps*d is taken per chunk).
+    Hearers are sorted within a segment.  The arithmetic mirrors
+    protocol.local_update, so a replay through protocol.step reproduces
+    every trial's states bit for bit."""
     parts = [np.nonzero(s.a.T) for s in schemes]    # k's hearers, sorted
     counts = np.concatenate([np.bincount(k, minlength=n) for k, _ in parts])
-    width = max(1, int(counts.max()))
-    recv = np.full((len(schemes) * n, width), pad, dtype=np.intp)
-    coef = np.zeros((len(schemes) * n, 5, width))
-    coef[:, [0, 3]] = 1.0
-    for i, (s, (k, j)) in enumerate(zip(schemes, parts)):
-        slot = np.arange(k.size) - np.searchsorted(k, k)
-        at = i * n + k
+    rel = np.concatenate([j - k for k, j in parts])
+    coef = []
+    for s, (k, j) in zip(schemes, parts):
         a = s.a[j, k]
-        ed = s.epsilon * s.d[j, k]
-        recv[at, slot] = j
-        coef[at, :, slot] = np.stack((1.0 - a, a, ed, 1.0 - ed, s.b[j, k]), 1)
-    return recv, coef, counts
+        coef.append(np.stack((1.0 - a, a, s.epsilon * s.d[j, k], s.b[j, k]), 1))
+    return np.cumsum(counts) - counts, counts, rel, np.concatenate(coef)
+
+
+def _prepare(tables, ks: np.ndarray, toff: np.ndarray, n: int) -> tuple:
+    """The real hearer entries of a chunk of steps; ks holds the
+    broadcasters (steps x running rows) and toff each row's table offset.
+    Step c's entries are off[c]:off[c+1], one contiguous segment per row
+    in slot order starting at seg[c] within the step, of cnt[c] entries:
+    their flat slots g, their broadcaster's slot kg and their coefficient
+    columns co (1-a, a, eps*d, 1-eps*d, b).  kp holds the broadcasters'
+    slots."""
+    starts, counts, rel, coef = tables
+    steps, live = ks.shape
+    tk = (ks + toff).ravel()
+    kp = ks + np.arange(0, live * n, n)
+    cnt = counts[tk]
+    end = np.cumsum(cnt)
+    first = end - cnt
+    # one repeat gives every entry its table position (less the running
+    # entry number) and its broadcaster's slot
+    shift = np.repeat(np.array((starts[tk] - first, kp.ravel())), cnt, axis=1)
+    idx = shift[0]
+    idx += np.arange(idx.size)
+    kg = shift[1]
+    g = rel.take(idx)
+    g += kg
+    oma, a, ed, b = coef.take(idx, axis=0).T
+    off = np.concatenate(([0], end[live - 1::live]))
+    seg = first.reshape(steps, live) - off[:-1, None]
+    return (g, kg, (oma, a, ed, 1.0 - ed, b), kp, off.tolist(), seg,
+            cnt.reshape(steps, live))
 
 
 def _index(items) -> tuple:
@@ -224,18 +248,23 @@ def _lockstep(rows, threshold: float, max_iters: int, *, stride: int = 1,
     """Advance every row's trial in lockstep, one broadcast per row per
     iteration, each row on its own scheme, x0 and broadcaster stream.
 
-    Rows sit back to back in the first E*n slots of flat value and
-    companion vectors, the rows still running always at the front; the
-    slots behind them take the writes of padded table entries.  Each
-    iteration gathers every running row's hearers and coefficients from
-    the padded tables at once.  The stopping statistic is screened with
-    padded row sums, which are not the bits of a lone trial; only the
-    exact per-row BLAS dots on the unpadded prefix decide, and only for
-    rows the screen puts near or under the threshold.  A row leaves when
-    its stopping rule fires, at max_iters, or when its mass drifts
-    (unbiased schemes); the rest are then packed to the front.  Returns
-    per row its TrialRecord or the MassConservationError it failed with.
-    Without keep_series, r and q are computed only at the stop.
+    Rows sit back to back in flat value and companion vectors, the rows
+    still running always at the front.  Once per chunk of steps (about
+    ENTRY_CHUNK hearer entries) the real entries of every step are laid
+    out from the CSR hearer tables: their slots and coefficients, one
+    contiguous segment per row.  Each iteration then gathers, updates and
+    scatters only those entries with flat ufuncs.  The stopping statistic
+    is screened with segment sums, which are not the bits of a lone
+    trial; only the exact per-row BLAS dots on a row's segment decide,
+    and only for rows the screen puts near or under the threshold.  A row
+    leaves when its stopping rule fires, at max_iters, or when its mass
+    drifts (unbiased schemes).  Its slots are then zeroed and carried
+    along unchecked until the chunk ends or a quarter of the chunk's rows
+    have left, so a leave rarely wastes the chunk's layout; the running
+    rows are then packed to the front and the next chunk is laid out for
+    them.  Returns per row its TrialRecord or the MassConservationError
+    it failed with.  Without keep_series, r and q are computed only at
+    the stop.
     """
     if stop_rule not in ("change", "spread"):
         raise ValueError("stop_rule must be 'change' or 'spread'")
@@ -256,21 +285,23 @@ def _lockstep(rows, threshold: float, max_iters: int, *, stride: int = 1,
     rngs, srow = _index([r.rng for r in rows])
     full_series = full_series and keep_series
     spread = stop_rule == "spread"
-    # a padded sum above this cannot belong to a statistic <= threshold
+    # a segment sum above this cannot belong to a statistic <= threshold
     screen = max(threshold * threshold * (1.0 + SCREEN_RTOL), SCREEN_FLOOR)
 
-    recv, coef, counts = _padded_tables(schemes, n, E * n)
-    Z = np.zeros((2, 2 * E * n))      # values, then companions
-    Z[0, :E * n] = np.concatenate(x0)
+    tables = _hearer_tables(schemes, n)
+    per_row = max(1.0, float(tables[1].mean()))   # mean hearers per broadcast
+    Z = np.zeros((2, E * n))          # values, then companions
+    Z[0] = np.concatenate(x0)
     X, Y = Z
-    ZZ = Z[:, :E * n].reshape(2, E, n)
+    ZZ = Z.reshape(2, E, n)
 
     # per running row, in slot order
     ids = np.arange(E)
     idl = ids.tolist()
     toff = scheme_of * n
-    mu0 = np.array([x.mean() for x in x0])
-    total0 = np.array([x.sum() for x in x0])
+    # row sums of the C-contiguous block: the bits of x.sum() and x.mean()
+    total0 = np.add.reduce(ZZ[0], 1)
+    mu0 = total0 / n
     unbiased = np.array([s.kind.is_unbiased for s in schemes])[scheme_of]
     # drift tolerance on the total of values plus companions; infinite
     # for biased rows, which are not checked
@@ -286,34 +317,41 @@ def _lockstep(rows, threshold: float, max_iters: int, *, stride: int = 1,
     while t < max_iters:
         size = min(DRAW_BLOCK, max_iters - t)
         block = np.empty((size, len(rngs)), dtype=np.intp)
-        for s in np.unique(srow).tolist():
+        for s in sorted(set(srow.tolist())):
             block[:, s] = rngs[s].integers(1, n + 1, size=size) - 1
         tb = 0
         while tb < size:
-            # broadcasters of the next steps as table rows and flat slots
             live = len(ids)
-            base = np.arange(live) * n
-            ks = block[tb:tb + max(1, STEP_CHUNK // live), srow]
-            tks = ks + toff
-            kps = ks + base
-            base = base[:, None]
+            steps = min(size - tb, max(1, int(ENTRY_CHUNK / (live * per_row))))
+            g, kg, (c_oma, c_a, c_ed, c_omed, c_b), kps, off, seg, cnt = (
+                _prepare(tables, block[tb:tb + steps, srow], toff, n))
+            # reduceat cannot sum an empty segment; pad the step's sums
+            # with a zero and clear the empty rows' sums
+            empty = cnt == 0 if not cnt.all() else None
             X2 = ZZ[0]
-            for tk, kp in zip(tks, kps):
+            left = 0           # rows that left during this chunk
+            for c in range(steps):
                 t += 1
                 tb += 1
-                g = recv[tk]
-                g += base
-                oma, a, ed, omed, b = coef[tk].transpose(1, 0, 2)
-                xr = X[g]
-                yr = Y[g]
-                xk = X[kp][:, None]
+                e0, e1 = off[c], off[c + 1]
+                gc = g[e0:e1]
+                kc = kg[e0:e1]
+                oma = c_oma[e0:e1]
+                a = c_a[e0:e1]
+                ed = c_ed[e0:e1]
+                omed = c_omed[e0:e1]
+                b = c_b[e0:e1]
+                kp = kps[c]
+                xr = X[gc]
+                yr = Y[gc]
+                xk = X[kc]
                 yk = Y[kp]
                 new_x = oma * xr + a * xk + ed * yr
-                new_y = a * (xr - xk) + omed * yr + b * yk[:, None]
+                new_y = a * (xr - xk) + omed * yr + b * Y[kc]
                 dx = new_x - xr
                 dy = new_y - yr
-                X[g] = new_x
-                Y[g] = new_y
+                X[gc] = new_x
+                Y[gc] = new_y
                 Y[kp] = 0.0
 
                 failed = []
@@ -332,20 +370,31 @@ def _lockstep(rows, threshold: float, max_iters: int, *, stride: int = 1,
                 check = t % stride == 0
                 hit = []
                 if full_series:
-                    stat = _exact_stat(dx, dy, yk, counts[tk], np.arange(live))
+                    stat = _exact_stat(dx, dy, yk, seg[c], cnt[c], range(live))
                     if check and not spread:
                         hit = np.flatnonzero(stat <= threshold).tolist()
                 elif check and not spread:
                     sq = dx * dx
                     sq += dy * dy
-                    near = ~(np.add.reduce(sq, 1) + yk * yk > screen)
-                    if np.count_nonzero(near):
-                        near = np.flatnonzero(near)
-                        stat = _exact_stat(dx, dy, yk, counts[tk], near)
+                    if empty is None:
+                        sums = np.add.reduceat(sq, seg[c])
+                    else:
+                        sums = np.add.reduceat(np.append(sq, 0.0), seg[c])
+                        sums[empty[c]] = 0.0
+                    if left:
+                        sums[gone] = np.inf
+                    # yk * yk >= 0 only adds to a sum already over the screen
+                    if not np.minimum.reduce(sums) > screen:
+                        near = np.flatnonzero(~(sums + yk * yk > screen))
+                        stat = _exact_stat(dx, dy, yk, seg[c], cnt[c], near)
                         hit = near[stat <= threshold].tolist()
                 if check and spread:
                     hit = np.flatnonzero(_rq(X2, mu0)[1] <= threshold).tolist()
-                done = list(range(live)) if t == max_iters else hit
+                if left:
+                    hit = [p for p in hit if idl[p] is not None]
+                done = hit
+                if t == max_iters:
+                    done = [p for p, i in enumerate(idl) if i is not None]
                 if failed:
                     done = [p for p in done if p not in failed]
 
@@ -363,46 +412,62 @@ def _lockstep(rows, threshold: float, max_iters: int, *, stride: int = 1,
                 if log is not None:
                     log.split(idl, mu0)
                 if done:
-                    r, q = _rq(X2[done], mu0[done])
+                    xs = X2[done]
+                    r, q = _rq(xs, mu0[done])
+                    means = np.add.reduce(xs, 1) / n
                     hits = set(hit)
-                    for p, rf, qf in zip(done, r.tolist(), q.tolist()):
+                    for p, rf, qf, mean in zip(done, r.tolist(), q.tolist(),
+                                               means.tolist()):
                         i = idl[p]
                         series = None if log is None else log.series(
                             i, t, None if scheduled else (rf, qf))
                         out[i] = _trial_record(
                             series, t if p in hits else None,
-                            float(X2[p].mean()), rf, qf, rows[i].seed,
+                            mean, rf, qf, rows[i].seed,
                             rows[i].predicted,
                             float(drift_max[p]) if unbiased[p] else None)
-                gone = set(failed) | set(done)
-                keep = np.array([p for p in range(live) if p not in gone],
-                                dtype=np.intp)
-                if not keep.size:
+                for p in failed + done:
+                    idl[p] = None
+                left += len(failed) + len(done)
+                if left == live:
                     return out
-                # pack the running rows to the front; clear the padded
-                # entries' slots, which a leaving row may have left non-finite
+                # rows that left stay in their slots, zeroed (so their
+                # entries change nothing) and never checked, until the chunk
+                # ends or a quarter of its rows have left; the steps are
+                # then laid out again without them
+                gone = np.array([p for p, i in enumerate(idl) if i is None])
+                ZZ[:, gone] = 0.0
+                mass_tol[gone] = np.inf
+                if 4 * left >= live:
+                    break
+            if left:
+                if log is not None:
+                    log.split(idl, mu0)
+                # pack the running rows to the front
+                keep = np.array([p for p, i in enumerate(idl) if i is not None],
+                                dtype=np.intp)
                 moved = ZZ[:, keep].reshape(2, -1)
                 Z[:, :moved.shape[1]] = moved
-                Z[:, E * n::n] = 0.0
                 ZZ = Z[:, :moved.shape[1]].reshape(2, keep.size, n)
                 ids, srow, toff, mu0, total0, mass_tol, drift_max, unbiased = (
                     v[keep] for v in (ids, srow, toff, mu0, total0, mass_tol,
                                       drift_max, unbiased))
                 idl = ids.tolist()
                 check_mass = bool(unbiased.any())
-                break
     return out
 
 
 def _exact_stat(dx: np.ndarray, dy: np.ndarray, yk: np.ndarray,
-                counts: np.ndarray, slots) -> np.ndarray:
+                seg: np.ndarray, cnt: np.ndarray, slots) -> np.ndarray:
     """The stopping statistic of the given slots: the BLAS dots of the
-    change vectors' unpadded, contiguous prefixes, the bits a lone trial
-    computes."""
+    change vectors' contiguous segments (row p's starts at seg[p] and has
+    cnt[p] entries), the bits a lone trial computes."""
+    seg = seg.tolist()
+    cnt = cnt.tolist()
     sums = []
     for p in slots:
-        u = dx[p, :counts[p]]
-        v = dy[p, :counts[p]]
+        u = dx[seg[p]:seg[p] + cnt[p]]
+        v = dy[seg[p]:seg[p] + cnt[p]]
         sums.append(u.dot(u) + v.dot(v))
     yk = yk[slots]
     return np.sqrt(np.array(sums) + yk * yk)
@@ -459,15 +524,16 @@ class _SeriesLog:
         self.stats = []
 
     def split(self, ids: list, mu0: np.ndarray) -> None:
-        """Hand everything recorded so far to the running rows `ids`, in
-        slot order; mu0 is theirs."""
+        """Hand everything recorded so far to the rows `ids`, in slot
+        order (None for a row that has left); mu0 is theirs."""
         self._flush(mu0)
         if self.logged:
             cols = [np.concatenate(c) for c in zip(*self.logged)]
             self.logged = []
             self.count = 0
             for p, i in enumerate(ids):
-                self.parts[i].append(tuple(c[:, p] for c in cols))
+                if i is not None:
+                    self.parts[i].append(tuple(c[:, p] for c in cols))
 
     def series(self, i: int, t: int, last) -> tuple:
         """Row i's t, r, q and stat arrays at its stop at iteration t;
@@ -593,7 +659,11 @@ def _campaign_result(outcomes: list, max_iters: int) -> MonteCarloResult:
             r.converged_at if r.converged_at is not None else max_iters
             for r in records], dtype=float)
         mean_b = float(counts.mean())
-        median_b = float(np.median(counts))
+        # the bits of np.median, which would import numpy.ma
+        counts.sort()
+        half = counts.size // 2
+        median_b = float(counts[half] if counts.size % 2
+                         else (counts[half - 1] + counts[half]) / 2)
         mean_r = float(np.mean([r.r_final for r in records]))
         mean_q = float(np.mean([r.q_final for r in records]))
     else:
@@ -703,7 +773,9 @@ def aggregate_series(records) -> tuple:
     records = [r for r in records if r.t_series.size]
     if not records:
         raise ValueError("no records with stored series")
-    grid = np.unique(np.concatenate([r.t_series for r in records]))
+    # the sorted distinct iterations; np.unique would import numpy.ma
+    ts = np.sort(np.concatenate([r.t_series for r in records]))
+    grid = ts[np.append(True, ts[1:] != ts[:-1])]
     mean_r = np.zeros(grid.size)
     mean_q = np.zeros(grid.size)
     for rec in records:
@@ -747,10 +819,13 @@ def sweep_csv(points, analytic=None) -> str:
 
 
 def _series_csv(header: str, t, r, q) -> str:
-    """One t,r,q line per point, formatted from Python ints and floats."""
-    lines = [header]
-    lines += [_T_R_Q % row for row in zip(t.tolist(), r.tolist(), q.tolist())]
-    return "\n".join(lines) + "\n"
+    """One t,r,q line per point, formatted from Python ints and floats
+    with one % over the whole body."""
+    values = [None] * (3 * len(t))
+    values[0::3] = t.tolist()
+    values[1::3] = r.tolist()
+    values[2::3] = q.tolist()
+    return header + "\n" + ((_T_R_Q + "\n") * len(t)) % tuple(values)
 
 
 def trial_csv(record: TrialRecord) -> str:

@@ -3,13 +3,23 @@
 The three session graphs are frozen by seed and reused across test
 modules; regenerating them is cheap but keeping one instance avoids
 recomputing cached adjacency structures everywhere.
+
+HYPOTHESIS_PROFILE=ci selects the profile CI runs with: a falsifying
+example it finds is printed with the blob that reproduces it
+(@reproduce_failure).
 """
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from gossiplab.graph import (
     connectivity_radius, directify, random_geometric_graph,
 )
+
+settings.register_profile("ci", print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

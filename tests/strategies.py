@@ -14,3 +14,13 @@ def strong_digraphs(draw, max_n):
     pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
     edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=2 * n)))
     return DiGraph(n, edges)
+
+
+@st.composite
+def star_digraphs(draw, max_n):
+    """A two-way star on 2..max_n nodes: the hub is heard by every other
+    node, and each of them only by the hub."""
+    n = draw(st.integers(2, max_n))
+    hub = draw(st.integers(1, n))
+    return DiGraph(n, {e for j in range(1, n + 1) if j != hub
+                       for e in ((hub, j), (j, hub))})

@@ -1,10 +1,15 @@
 """Command line front end: files, headers, exit codes, reproducibility."""
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gossiplab
 from gossiplab import analysis, cli, graph, sim, spectra
 from gossiplab.cli import (
     DEFAULT_GRID, EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_RETRY,
@@ -421,3 +426,26 @@ def test_workers_env_cap(graph_file, tmp_path, monkeypatch):
     t2 = (out2 / "trajectory_bbga.csv").read_text()
     strip = lambda s: [ln for ln in s.splitlines() if not ln.startswith("#")]
     assert strip(t1) == strip(t2)
+
+
+def test_sweep_and_simulate_leave_numpy_ma_unimported(graph_file, tmp_path):
+    # numpy imports numpy.ma on the first np.unique or np.median call,
+    # 10-15 ms of every CLI process; sweep and simulate need neither
+    script = f"""
+import sys
+from gossiplab import cli
+g, out = {str(graph_file)!r}, {str(tmp_path)!r}
+assert cli.main(["sweep", "--graph", g, "--scheme", "ubga1", "--trials",
+                 "3", "--grid", "0.3,0.6", "--svg", "--out", out + "/s"]) == 0
+assert cli.main(["simulate", "--graph", g, "--schemes", "bbga,ubga1,classic",
+                 "--epsilon", "0.5", "--trials", "3", "--per-trial",
+                 "--svg", "--out", out + "/m"]) == 0
+print("numpy.ma imported:", "numpy.ma" in sys.modules)
+"""
+    src = str(Path(gossiplab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "numpy.ma imported: False"

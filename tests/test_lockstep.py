@@ -6,6 +6,7 @@ replaced, kept in reference_engine.py), and the reference's final state
 must equal a replay through protocol.step.
 """
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -22,7 +23,7 @@ from gossiplab.sim import (
     monte_carlo, run_trial,
 )
 from reference_engine import reference_trial
-from strategies import strong_digraphs
+from strategies import star_digraphs, strong_digraphs
 
 FIELDS = ("converged_at", "consensus_value", "r_final", "q_final", "seed",
           "predicted", "max_drift")
@@ -100,7 +101,8 @@ def test_lockstep_rows_match_lone_runs_reference_and_replay(
                 stride=stride, full_series=full_series, stop_rule=stop_rule)
         except MassConservationError as exc:
             assert_same(alone, exc)
-            with pytest.raises(MassConservationError, match=str(exc)):
+            with pytest.raises(MassConservationError,
+                               match=re.escape(str(exc))):
                 run_trial(s, x0, threshold, max_iters,
                           np.random.default_rng(seed), stride=stride,
                           stop_rule=stop_rule)
@@ -118,6 +120,23 @@ def test_lockstep_rows_match_lone_runs_reference_and_replay(
             state, _k = step(state, s, walker)
         assert np.array_equal(state.x, x_end, equal_nan=True)
         assert np.array_equal(state.y, y_end, equal_nan=True)
+
+
+def test_mass_failure_message_is_matched_literally():
+    # a drift of 1 prints as 1.000e+00, whose "+" a regex would read as a
+    # quantifier: the failure's text must match itself literally
+    g = DiGraph(2, {(1, 2), (2, 1)})
+    s = build_scheme(SchemeKind.UBGA2, g, 2.0)
+    x0 = np.array([1.0, 0.0])
+    with pytest.raises(MassConservationError) as ref:
+        reference_trial(s, x0, 0.01, 73, np.random.default_rng(0))
+    assert str(ref.value) == "mass drifted by 1.000e+00 at iteration 73"
+    assert re.search(str(ref.value), str(ref.value)) is None
+    with pytest.raises(MassConservationError,
+                       match=re.escape(str(ref.value))):
+        run_trial(s, x0, 0.01, 73, np.random.default_rng(0))
+    (row,) = lockstep([s], x0, 0.01, 73, np.random.default_rng(0))
+    assert_same(row, ref.value)
 
 
 def test_lockstep_rows_match_past_the_dense_record_limit(graph16):
@@ -267,8 +286,8 @@ def test_exact_dot_decides_a_threshold_equal_to_the_statistic(graph16,
                                                               digraph16):
     # The threshold is a statistic the reference computes exactly, at the
     # first iteration it is reached; one ulp below it, the trial must run
-    # on.  Padded rows of other schemes and streams sit alongside, so the
-    # screen's padded sums are not the bits that decide.
+    # on.  Rows of other schemes and streams sit alongside, and the
+    # screen's segment sums are not the bits that decide.
     schemes = [build_scheme(SchemeKind.BBGA, graph16, 0.3),
                build_scheme(SchemeKind.UBGA1, digraph16, 0.5),
                build_scheme(SchemeKind.UBGA3, graph16, 0.8),
@@ -494,3 +513,118 @@ def test_campaigns_equal_one_campaign_per_scheme(graph16, monkeypatch):
     with pytest.raises(ValueError):
         sim.campaigns(schemes, graph16, InitKind.UNIFORM, 5, 1e-4, 100,
                       base_seed=6, w1s=w1s[:2])
+
+
+# ---- hearer entries laid out per chunk of steps ----
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), g=star_digraphs(14), rows=st.integers(1, 6),
+       chunk=st.sampled_from([1, 40, sim.ENTRY_CHUNK]),
+       stride=st.integers(1, 3),
+       stop_rule=st.sampled_from(["change", "spread"]),
+       threshold=st.sampled_from([1e-2, 1e-4, 1e-7]),
+       max_iters=st.integers(1, 1500), keep_series=st.booleans(),
+       full_series=st.booleans())
+def test_star_rows_match_the_reference(data, g, rows, chunk, stride,
+                                       stop_rule, threshold, max_iters,
+                                       keep_series, full_series):
+    # the hub has n-1 hearers and every other node one, the widest spread
+    # of segment lengths a step can mix; chunks of every size
+    cases = []
+    for _ in range(rows):
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        x0 = np.random.default_rng(seed).random(g.n)
+        if data.draw(st.booleans()):
+            x0 = np.zeros(g.n)
+            x0[seed % g.n] = 1.0
+        cases.append((data.draw(row_schemes(g)), x0, seed))
+    opts = dict(stride=stride, stop_rule=stop_rule, full_series=full_series)
+    refs = [ref if keep_series or isinstance(ref, MassConservationError)
+            else stripped(ref)
+            for ref in references(cases, threshold, max_iters, **opts)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "ENTRY_CHUNK", chunk)
+        assert_rows_match(cases, refs, threshold, max_iters,
+                          keep_series=keep_series, **opts)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, sim.ENTRY_CHUNK])
+def test_broadcasters_without_hearers_match_the_reference(graph16,
+                                                          monkeypatch, chunk):
+    # schemes whose a has all-zero columns: those broadcasters reach no
+    # one, so their rows have empty segments, and on the two-node graph a
+    # whole step can have no entry at all
+    monkeypatch.setattr(sim, "ENTRY_CHUNK", chunk)
+
+    def silenced(scheme, *nodes):
+        a = np.array(scheme.a)
+        a[:, list(nodes)] = 0.0
+        return replace(scheme, a=a)
+
+    cases = []
+    for i, (kind, eps) in enumerate([(SchemeKind.BBGA, 0.5),
+                                     (SchemeKind.CLASSIC, 0.0),
+                                     (SchemeKind.UBGA1, 0.5)]):
+        s = build_scheme(kind, graph16, eps)
+        assert all(len(r) for r in s.receivers)
+        for dropped in ((0,), (3, 7, 15)):
+            cases.append((silenced(s, *dropped),
+                          np.random.default_rng(i).random(16), 10 + i))
+        cases.append((s, np.random.default_rng(i).random(16), 10 + i))
+    for full_series in (False, True):
+        refs = references(cases, 1e-5, 3000, full_series=full_series)
+        assert any(isinstance(r, MassConservationError) for r in refs)
+        assert sum(isinstance(r, TrialRecord) for r in refs) >= 6
+        assert_rows_match(cases, refs, 1e-5, 3000, full_series=full_series)
+
+    pair = DiGraph(2, {(1, 2), (2, 1)})
+    mute = silenced(build_scheme(SchemeKind.BBGA, pair, 0.5), 0)
+    assert [len(r) for r in mute.receivers] == [0, 1]
+    cases = [(mute, np.array([1.0, 0.0]), seed) for seed in range(4)]
+    for stop_rule in ("change", "spread"):
+        refs = references(cases, 1e-6, 500, stop_rule=stop_rule)
+        assert_rows_match(cases, refs, 1e-6, 500, stop_rule=stop_rule)
+    # all rows on one stream: every row's broadcaster is mute at once
+    assert_rows_match([(mute, np.array([0.3, 0.9]), 1)] * 3,
+                      references([(mute, np.array([0.3, 0.9]), 1)] * 3,
+                                 1e-6, 500), 1e-6, 500)
+
+
+CHUNK_ROWS = [(SchemeKind.CLASSIC, 0.0, 1), (SchemeKind.CLASSIC, 0.0, 5),
+              (SchemeKind.CLASSIC, 0.0, 2), (SchemeKind.UBGA1, 0.5, 2),
+              (SchemeKind.UBGA2, 0.4, 3), (SchemeKind.BBGA, 0.5, 3)]
+
+
+@pytest.mark.parametrize("steps, block", [
+    (5, 1024),      # t=36 is the first step of a chunk
+    (10, 1024),     # the sixth of ten
+    (6, 1024),      # the last of a chunk
+    (1000, 36),     # the last step of a draw block
+    (1000, 35),     # the first step of the next block
+])
+@pytest.mark.parametrize("full_series", [False, True])
+def test_rows_leaving_at_any_step_of_a_chunk(graph16, monkeypatch, steps,
+                                             block, full_series):
+    # The first row leaves at t=36, the next at 37 and 42.  With six rows
+    # the first leave keeps its chunk running (the row that left is only
+    # carried along); the next two lay the steps out again.
+    cases = [(build_scheme(kind, graph16, eps),
+              np.random.default_rng(seed).random(16), seed)
+             for kind, eps, seed in CHUNK_ROWS]
+    refs = references(cases, 1e-4, 5000, full_series=full_series)
+    assert sorted(leave_time(ref) for ref in refs)[:3] == [36, 37, 42]
+    shapes = []
+    prepare = sim._prepare
+
+    def spy(tables, ks, *args):
+        shapes.append(ks.shape)
+        return prepare(tables, ks, *args)
+
+    monkeypatch.setattr(sim, "_prepare", spy)
+    per_row = graph16.adjacency().sum() / graph16.n
+    monkeypatch.setattr(sim, "ENTRY_CHUNK", (steps + 0.5) * 6 * per_row)
+    monkeypatch.setattr(sim, "DRAW_BLOCK", block)
+    assert_rows_match(cases, refs, 1e-4, 5000, full_series=full_series)
+    assert shapes[0] == (min(steps, block), 6)
+    assert shapes[1][0] == min(steps, block)
