@@ -43,7 +43,7 @@ for kind in SchemeKind:
 scheme = build_scheme(SchemeKind.BBGA, g, eps)
 xi = np.sort(eigenvalues(indegree_laplacian(g)).real)
 closed = bbga_closed_eigs(xi, eps, n)
-numeric = eigenvalues(expected_matrix(scheme).w)
+numeric = eigenvalues(expected_matrix(scheme))
 print(f"closed form vs numeric spectrum: multiset distance "
       f"{multiset_distance(closed, numeric):.2e}")
 

@@ -30,11 +30,10 @@ from .protocol import (
     local_update, step,
 )
 from .analysis import (
-    EpsilonReport, ExpectedMatrix, MonotonicityReport, SpectralReport,
-    bbga_closed_eigs, classify_expectation, epsilon_report, eta_bound,
-    eta_practical, expected_matrix, indegree_laplacian, monotonicity_check,
-    optimal_epsilon, predicted_consensus, second_moment_matrix,
-    stationary_vector,
+    EpsilonReport, SpectralReport, bbga_closed_eigs, classify_expectation,
+    epsilon_report, eta_bound, eta_practical, expected_matrix,
+    indegree_laplacian, optimal_epsilon, predicted_consensus,
+    second_moment_matrix, stationary_vector,
 )
 from .sim import (
     InitKind, MonteCarloResult, SweepPoint, TrialRecord, aggregate_series,
@@ -60,11 +59,10 @@ __all__ = [
     "SchemeKind", "ParamScheme", "GossipState", "build_scheme",
     "local_update", "assemble_Wk", "step",
     # analysis
-    "ExpectedMatrix", "SpectralReport", "EpsilonReport", "MonotonicityReport",
-    "expected_matrix", "classify_expectation", "predicted_consensus",
-    "stationary_vector", "second_moment_matrix", "bbga_closed_eigs",
-    "eta_bound", "eta_practical", "optimal_epsilon", "monotonicity_check",
-    "indegree_laplacian", "epsilon_report",
+    "SpectralReport", "EpsilonReport", "expected_matrix",
+    "classify_expectation", "predicted_consensus", "stationary_vector",
+    "second_moment_matrix", "bbga_closed_eigs", "eta_bound", "eta_practical",
+    "optimal_epsilon", "indegree_laplacian", "epsilon_report",
     # sim
     "InitKind", "TrialRecord", "MonteCarloResult", "SweepPoint",
     "init_values", "run_trial", "monte_carlo", "campaigns", "epsilon_sweep",

@@ -21,7 +21,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -29,7 +28,7 @@ from . import spectra
 from .errors import BadStationaryVector, BadXi, NotSimple, SizeOverflow, XiOutOfRange
 from .graph import DiGraph, laplacian
 from .protocol import ParamScheme, SchemeKind, assemble_Wk
-from .sim import _fmt
+from .sim import fmt
 
 # An eigenvalue counts as the unit eigenvalue within this distance, and
 # the rest must stay below 1 - UNIT_MARGIN in modulus for a clean
@@ -38,43 +37,6 @@ UNIT_BAND = 1e-8
 UNIT_MARGIN = 1e-10
 # Laplacian spectra are treated as real below this imaginary magnitude.
 REAL_SPECTRUM_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class ExpectedMatrix:
-    """Averaged update map w with its structural blocks, w = w0 + eps*e.
-
-    Only w is stored; the blocks are built from the weight matrices on
-    first use.
-    """
-
-    w: np.ndarray
-    scheme: ParamScheme
-
-    @cached_property
-    def lbar(self) -> np.ndarray:
-        return laplacian(self.scheme.a) / self.scheme.n
-
-    @cached_property
-    def dbar(self) -> np.ndarray:
-        return np.diag(self.scheme.d.sum(axis=1)) / self.scheme.n
-
-    @cached_property
-    def sbar(self) -> np.ndarray:
-        n = self.scheme.n
-        return (1.0 - 1.0 / n) * np.eye(n) + self.scheme.b / n
-
-    @cached_property
-    def w0(self) -> np.ndarray:
-        n = self.scheme.n
-        eye, zero = np.eye(n), np.zeros((n, n))
-        return np.block([[eye - self.lbar, zero], [self.lbar, self.sbar]])
-
-    @cached_property
-    def e(self) -> np.ndarray:
-        n = self.scheme.n
-        zero = np.zeros((n, n))
-        return np.block([[zero, self.dbar], [zero, -self.dbar]])
 
 
 @dataclass(frozen=True)
@@ -101,25 +63,8 @@ class EpsilonReport:
     spectrum_real: bool
 
 
-@dataclass(frozen=True)
-class MonotonicityReport:
-    """Outcome of the closed-form branch monotonicity checks."""
-
-    lower_strictly_decreasing: bool
-    upper_nondecreasing: bool
-    upper_strict_for_positive_xi: bool
-    nonincreasing_in_xi: bool
-    branch_order: bool
-    stable_unit_branch: bool
-    violations: tuple
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def expected_matrix(scheme: ParamScheme) -> ExpectedMatrix:
-    """Average the per-broadcaster maps W_k in O(n^2).
+def expected_matrix(scheme: ParamScheme) -> np.ndarray:
+    """The (2n, 2n) average of the per-broadcaster maps W_k, in O(n^2).
 
     Off its four block diagonals W_k is nonzero only in column k, so each
     off-diagonal entry of sum_k W_k has a single nonzero term: a_ij top
@@ -129,8 +74,6 @@ def expected_matrix(scheme: ParamScheme) -> ExpectedMatrix:
     dense assemble_Wk matrices one after another does; then w /= n.  So w
     equals that per-k sum bit for bit.  (Written as 0.0 - a, not -a, so
     that zeros stay +0.0; a pairwise np.sum would round differently.)
-    The (w0, e) blocks are built independently from the weight matrices,
-    so `w` vs `w0 + eps*e` cross-checks the assembly.
     """
     n = scheme.n
     a, b, d = scheme.a, scheme.b, scheme.d
@@ -161,7 +104,7 @@ def expected_matrix(scheme: ParamScheme) -> ExpectedMatrix:
     w[n + diag, diag] = sums[2]
     w[n + diag, n + diag] = sums[3]
     w /= n
-    return ExpectedMatrix(w=w, scheme=scheme)
+    return w
 
 
 def classify_expectation(scheme: ParamScheme) -> SpectralReport:
@@ -175,7 +118,7 @@ def classify_expectation(scheme: ParamScheme) -> SpectralReport:
     companion half w2.
     """
     n = scheme.n
-    wbar = expected_matrix(scheme).w
+    wbar = expected_matrix(scheme)
     spectrum = spectra.eigenvalues(wbar)
     unit_idx, is_simple, second = _split_spectrum(spectrum)
     w1 = w2 = None
@@ -222,7 +165,7 @@ def _split_spectrum(spectrum: np.ndarray) -> tuple:
 def second_largest_modulus(scheme: ParamScheme) -> float:
     """The second largest eigenvalue modulus of the expected update, as
     classify_expectation reports it, without the left eigenvector."""
-    spectrum = spectra.eigenvalues(expected_matrix(scheme).w)
+    spectrum = spectra.eigenvalues(expected_matrix(scheme))
     return float(np.abs(_split_spectrum(spectrum)[2]))
 
 
@@ -326,67 +269,6 @@ def optimal_epsilon(xi2: float, n: int) -> tuple:
     return xi2 / 2.0, 1.0 - xi2 / (2.0 * n)
 
 
-def monotonicity_check(xi_values, eps_grid) -> MonotonicityReport:
-    """Check the qualitative behavior of the closed-form branches on a
-    grid: the lower branch falls strictly in eps, the upper branch never
-    falls (strictly rises for positive xi), both branches fall as xi
-    grows at fixed eps, the lower branch never exceeds the upper one,
-    and the xi = 0 upper branch stays pinned at 1.
-    """
-    xi = np.sort(np.asarray(xi_values, dtype=float))
-    if np.any(xi < 0.0):
-        raise ValueError("xi values must be nonnegative")
-    eps = np.sort(np.asarray(eps_grid, dtype=float))
-    if eps.size < 2:
-        raise ValueError("need at least two grid points")
-    m, p = xi.size, eps.size
-    lower = np.empty((m, p))
-    upper = np.empty((m, p))
-    n_ref = max(m, 2)
-    for j, e in enumerate(eps):
-        root = np.sqrt(e * xi + e * e / 4.0)
-        base = 1.0 - xi / n_ref - e / (2.0 * n_ref)
-        lower[:, j] = base - root / n_ref
-        upper[:, j] = base + root / n_ref
-
-    violations = []
-    slack = 1e-12
-    d_lower = np.diff(lower, axis=1)
-    d_upper = np.diff(upper, axis=1)
-    lower_strict = bool(np.all(d_lower < 0.0))
-    if not lower_strict:
-        violations.append("lower branch not strictly decreasing in eps")
-    upper_nondec = bool(np.all(d_upper >= -slack))
-    if not upper_nondec:
-        violations.append("upper branch decreases in eps")
-    pos = xi > 0.0
-    upper_strict = bool(np.all(d_upper[pos] > 0.0)) if pos.any() else True
-    if not upper_strict:
-        violations.append("upper branch not strictly increasing for positive xi")
-    xi_lower = np.diff(lower, axis=0)
-    xi_upper = np.diff(upper, axis=0)
-    xi_mono = bool(np.all(xi_lower <= slack) and np.all(xi_upper <= slack))
-    if not xi_mono:
-        violations.append("a branch increases with xi at fixed eps")
-    order = bool(np.all(lower <= upper + slack))
-    if not order:
-        violations.append("lower branch exceeds upper branch")
-    stable = True
-    if pos.size and not pos[0]:
-        stable = bool(np.all(np.abs(upper[0] - 1.0) <= 1e-12))
-        if not stable:
-            violations.append("xi = 0 upper branch leaves 1")
-    return MonotonicityReport(
-        lower_strictly_decreasing=lower_strict,
-        upper_nondecreasing=upper_nondec,
-        upper_strict_for_positive_xi=upper_strict,
-        nonincreasing_in_xi=xi_mono,
-        branch_order=order,
-        stable_unit_branch=stable,
-        violations=tuple(violations),
-    )
-
-
 def indegree_laplacian(g: DiGraph) -> np.ndarray:
     """Laplacian of the in-degree weighted adjacency (each row of the
     adjacency scaled by 1/in_degree), the matrix whose spectrum drives
@@ -432,11 +314,11 @@ def analysis_csv_rows(points) -> str:
     lines = ["epsilon,second_largest_modulus,is_simple_one,eta,epsilon_star"]
     for eps, report, eta, eps_star in points:
         lines.append(",".join([
-            _fmt(eps),
-            _fmt(report.second_largest_modulus),
+            fmt(eps),
+            fmt(report.second_largest_modulus),
             "true" if report.is_simple_one else "false",
-            _fmt(eta),
-            _fmt(eps_star),
+            fmt(eta),
+            fmt(eps_star),
         ]))
     return "\n".join(lines) + "\n"
 

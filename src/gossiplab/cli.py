@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import functools
 import sys
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,9 +21,8 @@ import numpy as np
 
 from . import __version__, analysis, graph, sim, spectra, svgplot
 from .errors import (
-    BadStationaryVector, BadXi, GossipLabError, InvalidEpsilon,
-    MassConservationError, MissingCoords, NoConvergence, NotSimple,
-    NotStronglyConnected, RetryExhausted, SizeOverflow, XiOutOfRange,
+    GossipLabError, InvalidEpsilon, MissingCoords, NotStronglyConnected,
+    RetryExhausted,
 )
 from .protocol import SchemeKind, build_scheme
 
@@ -36,6 +36,15 @@ DEFAULT_GRID = [i / 50.0 for i in range(1, 51)]   # 0.02 .. 1.0 in 0.02 steps
 
 class ConfigError(GossipLabError):
     """Invalid or inconsistent configuration."""
+
+
+# the exit code of an error is that of the first entry it is an instance of
+EXIT_CODES = (
+    (RetryExhausted, EXIT_RETRY),
+    ((ConfigError, InvalidEpsilon, NotStronglyConnected, MissingCoords,
+      ValueError), EXIT_CONFIG),
+    (GossipLabError, EXIT_NUMERIC),
+)
 
 
 @dataclass
@@ -61,12 +70,14 @@ class ExperimentConfig:
     workers: int | None = None
 
 
-_PARSERS = {
-    "graph": str, "n": int, "radius": float, "p_asym": float,
-    "scheme": str, "schemes": str, "epsilon": str, "gamma": float,
-    "init": str, "trials": int, "threshold": float, "max_iters": int,
-    "seed": int, "out": str, "grid": str, "workers": int,
-}
+def _field_type(tp):
+    """int for `int | None`; any other type as it is."""
+    return next((t for t in typing.get_args(tp) if t is not type(None)), tp)
+
+
+# a config key is parsed with its field's type
+_PARSERS = {name: _field_type(tp)
+            for name, tp in typing.get_type_hints(ExperimentConfig).items()}
 
 
 def load_config_file(path) -> dict:
@@ -102,6 +113,8 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         val = getattr(args, key, None)
         if val is not None:
             setattr(cfg, key, val)
+    if cfg.workers is not None and cfg.workers < 1:
+        raise ConfigError(f"workers must be at least 1, got {cfg.workers}")
     return cfg
 
 
@@ -111,7 +124,7 @@ def config_echo(cfg: ExperimentConfig, extras: dict) -> str:
         val = getattr(cfg, f.name)
         if val is None:
             continue
-        pairs[f.name] = format(val, ".17g") if isinstance(val, float) else str(val)
+        pairs[f.name] = sim.fmt(val) if isinstance(val, float) else str(val)
     pairs.update({k: str(v) for k, v in extras.items()})
     return " ".join(f"{k}={pairs[k]}" for k in sorted(pairs))
 
@@ -139,9 +152,9 @@ def obtain_graph(cfg: ExperimentConfig) -> tuple:
     rng = np.random.default_rng(cfg.seed)
     radius = cfg.radius if cfg.radius is not None else graph.connectivity_radius(cfg.n)
     g = graph.random_geometric_graph(cfg.n, radius, rng)
-    if cfg.p_asym > 0.0:
+    if cfg.p_asym != 0.0:
         g = graph.directify(g, cfg.p_asym, rng)
-    return g, {"radius_resolved": format(radius, ".17g")}
+    return g, {"radius_resolved": sim.fmt(radius)}
 
 
 def parse_scheme(token: str) -> SchemeKind:
@@ -247,9 +260,8 @@ def cmd_analyze(cfg: ExperimentConfig, check: str | None) -> int:
     kind = parse_scheme(cfg.scheme)
     eps_report = epsilon_reports(g)
     eps, note = resolve_epsilon(cfg.epsilon, g, kind, eps_report)
-    extras["epsilon_resolved"] = format(eps, ".17g")
+    extras["epsilon_resolved"] = sim.fmt(eps)
     scheme = build_scheme(kind, g, eps, cfg.gamma)
-    out = _outdir(cfg)
     header = make_header("analyze", cfg, extras)
 
     report = analysis.classify_expectation(scheme)
@@ -266,6 +278,7 @@ def cmd_analyze(cfg: ExperimentConfig, check: str | None) -> int:
         print(f"rho<1: {verdict} (rho={rho:.17g})")
         sdict["second_moment_rho"] = rho
 
+    out = _outdir(cfg)
     sdict["header"] = header
     analysis.save_report_json(sdict, out / "spectral_report.json")
 
@@ -348,7 +361,7 @@ def cmd_simulate(cfg: ExperimentConfig, per_trial: bool, svg: bool) -> int:
     for kind in kinds:
         eps, note = resolve_epsilon(cfg.epsilon, g, kind, eps_report)
         scheme = build_scheme(kind, g, eps, cfg.gamma)
-        extras[f"epsilon_{kind.value}"] = format(eps, ".17g")
+        extras[f"epsilon_{kind.value}"] = sim.fmt(eps)
         w1 = None
         if kind is not SchemeKind.CLASSIC:
             rep = analysis.classify_expectation(scheme)
@@ -358,10 +371,10 @@ def cmd_simulate(cfg: ExperimentConfig, per_trial: bool, svg: bool) -> int:
         schemes.append(scheme)
         w1s.append(w1)
         headers.append(make_header("simulate", cfg, extras))
-    out = _outdir(cfg)
     results = sim.campaigns(schemes, g, cfg.init, cfg.trials, cfg.threshold,
                             cfg.max_iters, cfg.seed, workers=cfg.workers,
                             keep_series=True, w1s=w1s)
+    out = _outdir(cfg)
     any_failures = False
     curves = []
     for kind, eps, header, res in zip(kinds, epsilons, headers, results):
@@ -410,8 +423,8 @@ def _add_common(p: argparse.ArgumentParser, with_scheme: bool = True):
                    help="probability a link becomes one-directional")
     p.add_argument("--seed", type=int, help="master seed (default 0)")
     p.add_argument("--out", help="output directory (default .)")
-    p.add_argument("--workers", type=int, help="parallel workers "
-                   "(capped by GOSSIPLAB_THREADS)")
+    p.add_argument("--workers", type=int, help="parallel worker processes, "
+                   "at least 1 (capped by GOSSIPLAB_THREADS)")
     if with_scheme:
         p.add_argument("--scheme", help="ubga1|ubga2|ubga3|bbga|classic")
         p.add_argument("--epsilon", help="number | auto-optimal | "
@@ -471,17 +484,9 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return cmd_sweep(cfg, args.svg)
         return cmd_simulate(cfg, args.per_trial, args.svg)
-    except (ConfigError, InvalidEpsilon, NotStronglyConnected, MissingCoords,
-            ValueError) as exc:
+    except (GossipLabError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except RetryExhausted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RETRY
-    except (NoConvergence, NotSimple, SizeOverflow, BadStationaryVector,
-            XiOutOfRange, BadXi, MassConservationError, GossipLabError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return next(code for cls, code in EXIT_CODES if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

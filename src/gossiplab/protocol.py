@@ -24,6 +24,7 @@ memoryless broadcast rule: eps = 0, B = 0, d = 0, a_jk = gamma.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -105,10 +106,10 @@ def build_scheme(kind: SchemeKind, g: DiGraph, epsilon: float,
     """Assemble the weight matrices of a named scheme on a strongly
     connected digraph.
 
-    epsilon must be positive for companion-coupled kinds and exactly 0
-    for CLASSIC; gamma in (0, 1] is the CLASSIC mixing weight.  An
-    explicit ``a_matrix`` overrides the kind's mixing rule; it must match
-    the graph's zero pattern with entries in (0, 1].
+    epsilon must be positive and finite for companion-coupled kinds and
+    exactly 0 for CLASSIC; gamma in (0, 1] is the CLASSIC mixing weight.
+    An explicit ``a_matrix`` overrides the kind's mixing rule; it must
+    match the graph's zero pattern with entries in (0, 1].
     """
     if isinstance(kind, str):
         kind = SchemeKind(kind.lower())
@@ -121,6 +122,9 @@ def build_scheme(kind: SchemeKind, g: DiGraph, epsilon: float,
             raise InvalidEpsilon("classic broadcast gossip runs with epsilon = 0")
     elif not epsilon > 0.0:
         raise InvalidEpsilon("companion coupling needs epsilon > 0")
+    elif not math.isfinite(epsilon):
+        raise InvalidEpsilon(f"companion coupling needs a finite epsilon, "
+                             f"got {epsilon}")
 
     n = g.n
     adj = g.adjacency()

@@ -15,10 +15,10 @@ and the running mean:
     q(t) = mean((x(t) - mean(x(t)))^2) spread around the current mean
 
 Storage is dense up to 10^4 iterations, then geometrically thinned; the
-stopping rule itself always runs at the configured stride regardless of
-what is stored.  Trials are reproducible: trial i of a campaign uses
-generator seed base_seed + i for both its initial values and its
-broadcast sequence, so results do not depend on the worker count.
+stopping rule itself runs at every iteration regardless of what is
+stored.  Trials are reproducible: trial i of a campaign uses generator
+seed base_seed + i for both its initial values and its broadcast
+sequence, so results do not depend on the worker count.
 
 One kernel runs every trial.  It advances E lockstep rows, each with its
 own scheme, its own x0 and its own broadcaster stream: a lone trial
@@ -242,7 +242,7 @@ def _index(items) -> tuple:
     return uniq, np.array(pos, dtype=np.intp)
 
 
-def _lockstep(rows, threshold: float, max_iters: int, *, stride: int = 1,
+def _lockstep(rows, threshold: float, max_iters: int, *,
               keep_series: bool = True, full_series: bool = False,
               stop_rule: str = "change") -> list:
     """Advance every row's trial in lockstep, one broadcast per row per
@@ -272,8 +272,6 @@ def _lockstep(rows, threshold: float, max_iters: int, *, stride: int = 1,
         raise ValueError("threshold must be positive")
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
-    if stride < 1:
-        raise ValueError("stride must be at least 1")
     E = len(rows)
     schemes, scheme_of = _index([r.scheme for r in rows])
     n = schemes[0].n
@@ -367,13 +365,12 @@ def _lockstep(rows, threshold: float, max_iters: int, *, stride: int = 1,
                                 f"mass drifted by {drift[p]:.3e} "
                                 f"at iteration {t}")
 
-                check = t % stride == 0
                 hit = []
                 if full_series:
                     stat = _exact_stat(dx, dy, yk, seg[c], cnt[c], range(live))
-                    if check and not spread:
+                    if not spread:
                         hit = np.flatnonzero(stat <= threshold).tolist()
-                elif check and not spread:
+                elif not spread:
                     sq = dx * dx
                     sq += dy * dy
                     if empty is None:
@@ -388,7 +385,7 @@ def _lockstep(rows, threshold: float, max_iters: int, *, stride: int = 1,
                         near = np.flatnonzero(~(sums + yk * yk > screen))
                         stat = _exact_stat(dx, dy, yk, seg[c], cnt[c], near)
                         hit = near[stat <= threshold].tolist()
-                if check and spread:
+                if spread:
                     hit = np.flatnonzero(_rq(X2, mu0)[1] <= threshold).tolist()
                 if left:
                     hit = [p for p in hit if idl[p] is not None]
@@ -563,23 +560,21 @@ def _trial_record(series, converged_at, consensus, r_final, q_final, seed,
 
 
 def run_trial(scheme: ParamScheme, x0, threshold: float, max_iters: int,
-              rng: np.random.Generator, *, stride: int = 1,
-              full_series: bool = False, predicted: float | None = None,
-              seed: int | None = None, stop_rule: str = "change",
+              rng: np.random.Generator, *, full_series: bool = False,
+              predicted: float | None = None, seed: int | None = None,
+              stop_rule: str = "change",
               keep_series: bool = True) -> TrialRecord:
     """Run one trial until the stacked state settles or max_iters is hit.
 
-    The default stopping rule fires at the first iteration (multiple of
-    `stride`) whose state change has norm at most `threshold`; a stride
-    above 1 can only delay the declaration, never produce a spurious one.
-    stop_rule="spread" stops on q(t) <= threshold instead, which is the
-    meaningful criterion for localized initializations (a spike leaves
-    most broadcasts changing nothing at all, so any state-change
-    threshold fires vacuously at t=1).  For sum-preserving schemes the
-    engine recomputes the total of values plus companions every iteration
-    and raises MassConservationError on relative drift beyond 1e-9; the
-    record's max_drift is the largest drift it saw (None for biased
-    schemes).
+    The default stopping rule fires at the first iteration whose state
+    change has norm at most `threshold`.  stop_rule="spread" stops on
+    q(t) <= threshold instead, which is the meaningful criterion for
+    localized initializations (a spike leaves most broadcasts changing
+    nothing at all, so any state-change threshold fires vacuously at
+    t=1).  For sum-preserving schemes the engine recomputes the total of
+    values plus companions every iteration and raises
+    MassConservationError on relative drift beyond 1e-9; the record's
+    max_drift is the largest drift it saw (None for biased schemes).
 
     keep_series=False records no r/q series (nor stat series) and
     computes r and q only at the stop; the finals are the same.
@@ -591,7 +586,7 @@ def run_trial(scheme: ParamScheme, x0, threshold: float, max_iters: int,
     one block past the last draw the trial used.
     """
     (res,) = _lockstep([Row(scheme, x0, rng, seed, predicted)], threshold,
-                       max_iters, stride=stride, keep_series=keep_series,
+                       max_iters, keep_series=keep_series,
                        full_series=full_series, stop_rule=stop_rule)
     if isinstance(res, GossipLabError):
         raise res
@@ -685,7 +680,7 @@ def _campaign_result(outcomes: list, max_iters: int) -> MonteCarloResult:
 def monte_carlo(scheme: ParamScheme, g: DiGraph, init, trials: int,
                 threshold: float, max_iters: int, base_seed: int, *,
                 workers: int | None = None, keep_series: bool = True,
-                full_series: bool = False, w1=None, stride: int = 1,
+                full_series: bool = False, w1=None,
                 stop_rule: str = "change") -> MonteCarloResult:
     """Run `trials` independent trials with seeds base_seed + i.
 
@@ -701,14 +696,14 @@ def monte_carlo(scheme: ParamScheme, g: DiGraph, init, trials: int,
     (result,) = campaigns(
         [scheme], g, init, trials, threshold, max_iters, base_seed,
         workers=workers, keep_series=keep_series, full_series=full_series,
-        w1s=[w1], stride=stride, stop_rule=stop_rule)
+        w1s=[w1], stop_rule=stop_rule)
     return result
 
 
 def campaigns(schemes, g: DiGraph, init, trials: int, threshold: float,
               max_iters: int, base_seed: int, *, workers: int | None = None,
               keep_series: bool = True, full_series: bool = False, w1s=None,
-              stride: int = 1, stop_rule: str = "change") -> list:
+              stop_rule: str = "change") -> list:
     """One monte_carlo campaign per scheme, all of them run as the rows
     of one lockstep call (one per chunk of seeds with a process pool).
     Trial i's rows share generator base_seed + i, which draws their x0 and
@@ -722,15 +717,15 @@ def campaigns(schemes, g: DiGraph, init, trials: int, threshold: float,
         raise ValueError("need one w1 (or None) per scheme")
     per_scheme = _run_trials(
         schemes, g, init, trials, base_seed, w1s, threshold, max_iters,
-        workers, stride=stride, keep_series=keep_series,
-        full_series=full_series, stop_rule=stop_rule)
+        workers, keep_series=keep_series, full_series=full_series,
+        stop_rule=stop_rule)
     return [_campaign_result(o, max_iters) for o in per_scheme]
 
 
 def epsilon_sweep(kind: SchemeKind, g: DiGraph, grid, trials: int,
                   threshold: float, max_iters: int, base_seed: int, *,
                   gamma: float = 0.5, init=InitKind.UNIFORM,
-                  workers: int | None = None, stride: int = 1,
+                  workers: int | None = None,
                   stop_rule: str = "change") -> list:
     """One Monte Carlo campaign per coupling strength on `grid`.
 
@@ -748,8 +743,7 @@ def epsilon_sweep(kind: SchemeKind, g: DiGraph, grid, trials: int,
     schemes = [build_scheme(kind, g, eps, gamma) for eps in grid]
     per_point = _run_trials(schemes, g, init, trials, base_seed,
                             [None] * len(schemes), threshold, max_iters,
-                            workers, stride=stride, keep_series=False,
-                            stop_rule=stop_rule)
+                            workers, keep_series=False, stop_rule=stop_rule)
     return [SweepPoint(epsilon=eps, result=_campaign_result(o, max_iters),
                        scheme=s)
             for eps, s, o in zip(grid, schemes, per_point)]
@@ -794,7 +788,8 @@ NUMBER = "%.17g"
 _T_R_Q = f"%d,{NUMBER},{NUMBER}"
 
 
-def _fmt(x: float) -> str:
+def fmt(x: float) -> str:
+    """x with 17 significant digits, the bits of format(x, ".17g")."""
     return NUMBER % float(x)
 
 
@@ -809,11 +804,11 @@ def sweep_csv(points, analytic=None) -> str:
     lines = [cols]
     for i, pt in enumerate(points):
         res = pt.result
-        row = [_fmt(pt.epsilon), _fmt(res.mean_broadcasts),
-               _fmt(res.median_broadcasts), _fmt(res.mean_q_final),
-               _fmt(res.mean_r_final), str(res.trials)]
+        row = [fmt(pt.epsilon), fmt(res.mean_broadcasts),
+               fmt(res.median_broadcasts), fmt(res.mean_q_final),
+               fmt(res.mean_r_final), str(res.trials)]
         if analytic is not None:
-            row.append(_fmt(analytic[i]))
+            row.append(fmt(analytic[i]))
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 

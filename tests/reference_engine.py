@@ -16,7 +16,7 @@ from gossiplab.errors import MassConservationError
 from gossiplab.sim import FULL_RECORD_LIMIT, THIN_FACTOR, TrialRecord
 
 
-def reference_trial(scheme, x0, threshold, max_iters, rng, *, stride=1,
+def reference_trial(scheme, x0, threshold, max_iters, rng, *,
                     full_series=False, stop_rule="change"):
     n = scheme.n
     x = np.array(x0, dtype=float)
@@ -75,9 +75,7 @@ def reference_trial(scheme, x0, threshold, max_iters, rng, *, stride=1,
         stat = math.sqrt(delta2)
         if full_series:
             stats.append(stat)
-        if t % stride != 0:
-            hit = False
-        elif stop_rule == "spread":
+        if stop_rule == "spread":
             hit = float(np.var(x)) <= threshold
         else:
             hit = stat <= threshold

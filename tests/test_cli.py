@@ -1,13 +1,20 @@
 """Command line front end: files, headers, exit codes, reproducibility."""
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import gossiplab
 from gossiplab import analysis, cli, graph, sim, spectra
@@ -201,7 +208,7 @@ def test_sweep(graph_file, tmp_path, capsys, monkeypatch):
     for line, eps in zip(data[1:], (0.3, 0.5)):
         rep = analysis.classify_expectation(
             build_scheme(SchemeKind.BBGA, g, eps))
-        assert line.split(",")[-1] == sim._fmt(rep.second_largest_modulus)
+        assert line.split(",")[-1] == sim.fmt(rep.second_largest_modulus)
     svg = (tmp_path / "sweep.svg").read_text()
     assert svg.startswith("<!-- gossiplab 0.1.0 -->\n")
     assert "<svg " in svg
@@ -449,3 +456,147 @@ print("numpy.ma imported:", "numpy.ma" in sys.modules)
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "numpy.ma imported: False"
+
+
+def test_non_finite_coupling_exits_2_before_any_trial(graph_file, tmp_path,
+                                                      capsys, monkeypatch):
+    # an infinite coupling used to run every trial on a nan state up to
+    # max_iters before the analytic column failed
+    def refuse(*args, **kwargs):
+        raise AssertionError("the trial engine ran")
+
+    monkeypatch.setattr(sim, "_lockstep", refuse)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for argv in (["sweep", "--grid", "inf", "--trials", "2"],
+                     ["sweep", "--grid", "0.5,inf"],
+                     ["analyze", "--epsilon", "inf"],
+                     ["simulate", "--epsilon", "inf", "--trials", "2"]):
+            out = tmp_path / argv[0]
+            code = run(argv + ["--graph", str(graph_file), "--out", str(out)])
+            assert code == EXIT_CONFIG
+            captured = capsys.readouterr()
+            assert captured.err == \
+                "error: companion coupling needs a finite epsilon, got inf\n"
+            assert not out.exists()
+    assert caught == []
+
+
+class Bad(NamedTuple):
+    """One bad setting, the exit code it must give and the commands whose
+    run reads it (None: every command that can)."""
+
+    key: str
+    value: str
+    code: int
+    commands: tuple | None = None
+    flags: tuple = ()
+
+
+# the keys that describe a generated graph, and the commands that read each
+GRAPH_KEYS = ("n", "radius", "p_asym")
+ALL = ("generate", "analyze", "sweep", "simulate")
+READS = dict.fromkeys(GRAPH_KEYS + ("workers", "wibble"), ALL)
+READS.update(dict.fromkeys(("scheme", "gamma"), ALL[1:]))
+READS.update(dict.fromkeys(("trials", "init", "threshold", "max_iters"),
+                           ("sweep", "simulate")))
+READS.update(epsilon=("analyze", "simulate"), grid=("sweep",),
+             schemes=("simulate",))
+
+BAD_INPUTS = [
+    Bad("wibble", "3", EXIT_CONFIG),
+    Bad("n", "x", EXIT_CONFIG), Bad("n", "1", EXIT_CONFIG),
+    Bad("n", "-4", EXIT_CONFIG),
+    # the second-moment lift of 23 nodes is over its entry cap
+    Bad("n", "23", EXIT_NUMERIC, ("analyze",), ("--check", "second-moment")),
+    Bad("radius", "0", EXIT_CONFIG), Bad("radius", "nan", EXIT_CONFIG),
+    Bad("radius", "0.01", EXIT_RETRY),
+    Bad("p_asym", "-0.5", EXIT_CONFIG), Bad("p_asym", "1", EXIT_CONFIG),
+    Bad("p_asym", "nan", EXIT_CONFIG),
+    Bad("gamma", "0", EXIT_CONFIG), Bad("gamma", "1.5", EXIT_CONFIG),
+    Bad("gamma", "nan", EXIT_CONFIG), Bad("gamma", "half", EXIT_CONFIG),
+    Bad("epsilon", "0", EXIT_CONFIG), Bad("epsilon", "-1", EXIT_CONFIG),
+    Bad("epsilon", "inf", EXIT_CONFIG), Bad("epsilon", "nan", EXIT_CONFIG),
+    Bad("epsilon", "fast", EXIT_CONFIG),
+    Bad("epsilon", "auto-eta-fraction:2", EXIT_CONFIG),
+    Bad("grid", "inf", EXIT_CONFIG), Bad("grid", "0.5,-0.5", EXIT_CONFIG),
+    Bad("grid", "nan", EXIT_CONFIG), Bad("grid", "a,b", EXIT_CONFIG),
+    Bad("grid", ",", EXIT_CONFIG),
+    Bad("trials", "0", EXIT_CONFIG), Bad("trials", "-2", EXIT_CONFIG),
+    Bad("trials", "soon", EXIT_CONFIG),
+    Bad("threshold", "0", EXIT_CONFIG), Bad("threshold", "-1e-3", EXIT_CONFIG),
+    Bad("threshold", "nan", EXIT_CONFIG),
+    Bad("max_iters", "0", EXIT_CONFIG), Bad("max_iters", "1.5", EXIT_CONFIG),
+    Bad("workers", "0", EXIT_CONFIG), Bad("workers", "-3", EXIT_CONFIG),
+    Bad("workers", "two", EXIT_CONFIG),
+    Bad("scheme", "nosuch", EXIT_CONFIG),
+    Bad("scheme", "classic", EXIT_CONFIG, ("sweep",)),
+    # the classic scheme has no companion matrix to certify
+    Bad("scheme", "classic", EXIT_CONFIG, ("analyze",),
+        ("--check", "second-moment")),
+    Bad("schemes", "bbga,nosuch", EXIT_CONFIG),
+    Bad("schemes", ",", EXIT_CONFIG),
+    Bad("init", "nosuch", EXIT_CONFIG),
+]
+
+
+def run_captured(argv) -> tuple:
+    """main's exit code (argparse's too) and what it wrote to stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("bad", BAD_INPUTS,
+                         ids=[f"{b.key}={b.value}" for b in BAD_INPUTS])
+@settings(max_examples=3, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_bad_input_exits_with_one_error_line(graph_file, bad, data):
+    # the bad setting comes in a config file or as a flag, next to valid
+    # settings that are drawn the same way; whichever way, the command
+    # exits with the code of EXIT_CODES and says why on one line
+    command = data.draw(st.sampled_from(bad.commands or READS[bad.key]))
+    values = {}
+    if bad.key in GRAPH_KEYS or command == "generate":
+        values["n"] = data.draw(st.integers(3, 30))
+    else:
+        values["graph"] = str(graph_file)
+    if command in ("sweep", "simulate"):
+        values["trials"] = data.draw(st.integers(1, 3))
+        values["max_iters"] = data.draw(st.integers(1, 2000))
+        values["threshold"] = data.draw(st.sampled_from(["1e-3", "0.01"]))
+    if command == "sweep":
+        values["grid"] = data.draw(st.sampled_from(["0.5", "0.3,0.6"]))
+    values[bad.key] = bad.value
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        argv = [command, "--out", str(out), *bad.flags]
+        lines = []
+        for key, value in values.items():
+            if data.draw(st.booleans(), label=f"{key} in the config file"):
+                lines.append(f"{key} = {value}\n")
+            else:
+                argv.append(f"--{key.replace('_', '-')}={value}")
+        if lines:
+            cfg = Path(tmp) / "run.cfg"
+            cfg.write_text("".join(lines))
+            argv += ["--config", str(cfg)]
+        code, err = run_captured(argv)
+        # a rejected configuration writes nothing
+        assert code != EXIT_CONFIG or not out.exists()
+    assert code == bad.code, err
+    assert "Traceback" not in err
+    errors = [ln for ln in err.splitlines() if "error:" in ln]
+    assert len(errors) == 1, err
+    if errors[0].startswith("error: "):
+        # main's own report: the error line is all there is
+        assert err == errors[0] + "\n"
+    else:
+        # argparse's: usage lines, then "gossiplab <command>: error: ..."
+        assert err.splitlines()[-1] == errors[0]

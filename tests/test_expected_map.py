@@ -1,6 +1,6 @@
 """The O(n^2) expected map against the per-broadcaster sum it replaced.
 
-expected_matrix(s).w must equal reference_analysis.reference_expected_w(s)
+expected_matrix(s) must equal reference_analysis.reference_expected_w(s)
 byte for byte: every spectrum, verdict and report the package writes is
 computed from it.
 """
@@ -17,12 +17,12 @@ from gossiplab.graph import (
     connectivity_radius, directify, random_geometric_graph,
 )
 from gossiplab.protocol import ParamScheme, SchemeKind, build_scheme
-from reference_analysis import reference_expected_w
+from reference_analysis import expected_blocks, reference_expected_w
 from strategies import strong_digraphs
 
 
 def assert_bitwise(scheme):
-    assert expected_matrix(scheme).w.tobytes() == \
+    assert expected_matrix(scheme).tobytes() == \
         reference_expected_w(scheme).tobytes()
 
 
@@ -82,5 +82,7 @@ def test_classify_expectation_never_assembles_per_broadcaster_maps(
     for kind in (SchemeKind.BBGA, SchemeKind.UBGA1):
         report = classify_expectation(build_scheme(kind, digraph16, 0.3))
         assert report.is_simple_one
-        em = expected_matrix(build_scheme(kind, digraph16, 0.3))
-        assert np.max(np.abs(em.w - (em.w0 + 0.3 * em.e))) < 1e-13
+        scheme = build_scheme(kind, digraph16, 0.3)
+        em = expected_blocks(scheme)
+        assert np.max(np.abs(expected_matrix(scheme)
+                             - (em.w0 + 0.3 * em.e))) < 1e-13

@@ -72,20 +72,20 @@ def row_schemes(draw, g):
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data(), g=strong_digraphs(12), rows=st.integers(1, 6),
-       seed=st.integers(0, 2**32 - 1), stride=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1),
        stop_rule=st.sampled_from(["change", "spread"]),
        threshold=st.sampled_from([1e-2, 1e-4, 1e-7]),
        max_iters=st.integers(1, 1500), keep_series=st.booleans(),
        full_series=st.booleans(), spike=st.booleans())
 def test_lockstep_rows_match_lone_runs_reference_and_replay(
-        data, g, rows, seed, stride, stop_rule, threshold, max_iters,
-        keep_series, full_series, spike):
+        data, g, rows, seed, stop_rule, threshold, max_iters, keep_series,
+        full_series, spike):
     schemes = [data.draw(row_schemes(g)) for _ in range(rows)]
     x0 = np.random.default_rng(seed).random(g.n)
     if spike:
         x0 = np.zeros(g.n)
         x0[seed % g.n] = 1.0
-    opts = dict(stride=stride, stop_rule=stop_rule, keep_series=keep_series,
+    opts = dict(stop_rule=stop_rule, keep_series=keep_series,
                 full_series=full_series, seed=seed)
     lock = lockstep(schemes, x0, threshold, max_iters,
                     np.random.default_rng(seed), **opts)
@@ -98,19 +98,18 @@ def test_lockstep_rows_match_lone_runs_reference_and_replay(
         try:
             ref, x_end, y_end = reference_trial(
                 s, x0, threshold, max_iters, np.random.default_rng(seed),
-                stride=stride, full_series=full_series, stop_rule=stop_rule)
+                full_series=full_series, stop_rule=stop_rule)
         except MassConservationError as exc:
             assert_same(alone, exc)
             with pytest.raises(MassConservationError,
                                match=re.escape(str(exc))):
                 run_trial(s, x0, threshold, max_iters,
-                          np.random.default_rng(seed), stride=stride,
-                          stop_rule=stop_rule)
+                          np.random.default_rng(seed), stop_rule=stop_rule)
             continue
         ref = replace(ref, seed=seed)
         assert_same(alone, ref if keep_series else stripped(ref))
         assert_same(run_trial(s, x0, threshold, max_iters,
-                              np.random.default_rng(seed), stride=stride,
+                              np.random.default_rng(seed),
                               full_series=full_series, stop_rule=stop_rule,
                               seed=seed), ref)
 
@@ -206,14 +205,13 @@ def test_monte_carlo_without_series_equals_the_stripped_series_run(graph16):
     # The cases converge, run out of iterations, and fail on mass drift.
     w1 = np.full(16, 1.0 / 16)
     seen = {"failed": False, "censored": False}
-    for scheme, full_series, stride, max_iters in [
-            (build_scheme(SchemeKind.BBGA, graph16, 0.5), False, 1, 20_000),
-            (build_scheme(SchemeKind.UBGA1, graph16, 0.5), True, 3, 20_000),
-            (build_scheme(SchemeKind.UBGA2, graph16, 0.5), False, 1, 60),
-            (build_scheme(SchemeKind.UBGA3, graph16, 50.0), False, 1, 20_000),
-            (build_scheme(SchemeKind.CLASSIC, graph16, 0.0), False, 2, 20_000)]:
-        opts = dict(base_seed=30, w1=w1, full_series=full_series,
-                    stride=stride)
+    for scheme, full_series, max_iters in [
+            (build_scheme(SchemeKind.BBGA, graph16, 0.5), False, 20_000),
+            (build_scheme(SchemeKind.UBGA1, graph16, 0.5), True, 20_000),
+            (build_scheme(SchemeKind.UBGA2, graph16, 0.5), False, 60),
+            (build_scheme(SchemeKind.UBGA3, graph16, 50.0), False, 20_000),
+            (build_scheme(SchemeKind.CLASSIC, graph16, 0.0), False, 20_000)]:
+        opts = dict(base_seed=30, w1=w1, full_series=full_series)
         kept = monte_carlo(scheme, graph16, InitKind.UNIFORM, 3, 1e-4,
                            max_iters, **opts)
         bare = monte_carlo(scheme, graph16, InitKind.UNIFORM, 3, 1e-4,
@@ -235,13 +233,12 @@ def test_monte_carlo_without_series_equals_the_stripped_series_run(graph16):
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data(), g=strong_digraphs(10), rows=st.integers(1, 7),
-       stride=st.integers(1, 3),
        stop_rule=st.sampled_from(["change", "spread"]),
        threshold=st.sampled_from([1e-2, 1e-4, 1e-7]),
        max_iters=st.integers(1, 1500), keep_series=st.booleans(),
        full_series=st.booleans())
 def test_independent_rows_match_the_reference(
-        data, g, rows, stride, stop_rule, threshold, max_iters, keep_series,
+        data, g, rows, stop_rule, threshold, max_iters, keep_series,
         full_series):
     # rows of one call mix graphs (g and a relabelled copy), kinds, shared
     # and distinct schemes, x0 vectors and broadcaster streams
@@ -262,21 +259,21 @@ def test_independent_rows_match_the_reference(
             x0[seed % g.n] = 1.0
         cases.append((scheme, x0, seed))
     lock = _lockstep([Row(s, x0, streams[seed], seed) for s, x0, seed in cases],
-                     threshold, max_iters, stride=stride, stop_rule=stop_rule,
+                     threshold, max_iters, stop_rule=stop_rule,
                      keep_series=keep_series, full_series=full_series)
     assert len(lock) == rows
     for (s, x0, seed), row in zip(cases, lock):
         try:
             ref, _, _ = reference_trial(
                 s, x0, threshold, max_iters, np.random.default_rng(seed),
-                stride=stride, full_series=full_series, stop_rule=stop_rule)
+                full_series=full_series, stop_rule=stop_rule)
         except MassConservationError as exc:
             assert_same(row, exc)
             continue
         ref = replace(ref, seed=seed)
         assert_same(row, ref if keep_series else stripped(ref))
         assert_same(run_trial(s, x0, threshold, max_iters,
-                              np.random.default_rng(seed), stride=stride,
+                              np.random.default_rng(seed),
                               full_series=full_series, stop_rule=stop_rule,
                               seed=seed, keep_series=keep_series),
                     ref if keep_series else stripped(ref))
@@ -521,14 +518,13 @@ def test_campaigns_equal_one_campaign_per_scheme(graph16, monkeypatch):
           suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data(), g=star_digraphs(14), rows=st.integers(1, 6),
        chunk=st.sampled_from([1, 40, sim.ENTRY_CHUNK]),
-       stride=st.integers(1, 3),
        stop_rule=st.sampled_from(["change", "spread"]),
        threshold=st.sampled_from([1e-2, 1e-4, 1e-7]),
        max_iters=st.integers(1, 1500), keep_series=st.booleans(),
        full_series=st.booleans())
-def test_star_rows_match_the_reference(data, g, rows, chunk, stride,
-                                       stop_rule, threshold, max_iters,
-                                       keep_series, full_series):
+def test_star_rows_match_the_reference(data, g, rows, chunk, stop_rule,
+                                       threshold, max_iters, keep_series,
+                                       full_series):
     # the hub has n-1 hearers and every other node one, the widest spread
     # of segment lengths a step can mix; chunks of every size
     cases = []
@@ -539,7 +535,7 @@ def test_star_rows_match_the_reference(data, g, rows, chunk, stride,
             x0 = np.zeros(g.n)
             x0[seed % g.n] = 1.0
         cases.append((data.draw(row_schemes(g)), x0, seed))
-    opts = dict(stride=stride, stop_rule=stop_rule, full_series=full_series)
+    opts = dict(stop_rule=stop_rule, full_series=full_series)
     refs = [ref if keep_series or isinstance(ref, MassConservationError)
             else stripped(ref)
             for ref in references(cases, threshold, max_iters, **opts)]

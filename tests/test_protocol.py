@@ -36,6 +36,9 @@ def test_build_scheme_validates_input():
         build_scheme(SchemeKind.BBGA, K2, 0.0)
     with pytest.raises(InvalidEpsilon):
         build_scheme(SchemeKind.UBGA1, K2, -0.5)
+    for eps in (float("inf"), float("nan"), float("-inf")):
+        with pytest.raises(InvalidEpsilon):
+            build_scheme(SchemeKind.BBGA, K2, eps)
     with pytest.raises(InvalidEpsilon):
         build_scheme(SchemeKind.CLASSIC, K2, 0.5)
     with pytest.raises(ValueError):

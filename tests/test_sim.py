@@ -59,8 +59,6 @@ def test_run_trial_validates_arguments(graph16):
     with pytest.raises(ValueError):
         run_trial(s, x0, 1e-5, 0, rng)
     with pytest.raises(ValueError):
-        run_trial(s, x0, 1e-5, 100, rng, stride=0)
-    with pytest.raises(ValueError):
         run_trial(s, x0, 1e-5, 100, rng, stop_rule="sideways")
     with pytest.raises(ValueError):
         run_trial(s, np.zeros(7), 1e-5, 100, rng)
@@ -78,16 +76,6 @@ def test_run_trial_is_deterministic(graph16):
     assert np.array_equal(a.q_series, b.q_series)
     assert a.converged_at is not None
     assert a.r_final < a.r_series[0]
-
-
-def test_stride_only_delays_stopping(graph16):
-    s = build_scheme(SchemeKind.BBGA, graph16, 0.5)
-    x0 = np.random.default_rng(3).random(16)
-    base = run_trial(s, x0, 1e-4, 100_000, np.random.default_rng(8))
-    strided = run_trial(s, x0, 1e-4, 100_000, np.random.default_rng(8),
-                        stride=7)
-    assert strided.converged_at % 7 == 0
-    assert strided.converged_at >= base.converged_at
 
 
 def test_series_recording_and_thinning(graph16):
