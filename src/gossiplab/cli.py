@@ -115,6 +115,9 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
             setattr(cfg, key, val)
     if cfg.workers is not None and cfg.workers < 1:
         raise ConfigError(f"workers must be at least 1, got {cfg.workers}")
+    # every trial would "converge" at its first step
+    if not np.isfinite(cfg.threshold):
+        raise ConfigError(f"threshold must be finite, got {cfg.threshold}")
     return cfg
 
 

@@ -34,9 +34,9 @@ record of the same trial run alone, bit for bit.
 """
 from __future__ import annotations
 
+import functools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
@@ -268,8 +268,8 @@ def _lockstep(rows, threshold: float, max_iters: int, *,
     """
     if stop_rule not in ("change", "spread"):
         raise ValueError("stop_rule must be 'change' or 'spread'")
-    if not threshold > 0.0:
-        raise ValueError("threshold must be positive")
+    if not 0.0 < threshold < math.inf:
+        raise ValueError("threshold must be positive and finite")
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
     E = len(rows)
@@ -635,6 +635,9 @@ def _run_trials(schemes, g, init, trials: int, base_seed: int, w1s,
                                          (c + 1) * trials // nwork],
                  w1s, threshold, max_iters, opts) for c in range(nwork)]
     if nwork > 1:
+        # imported here: it pulls in multiprocessing, which a serial run
+        # does not need
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=nwork) as pool:
             blocks = list(pool.map(_trial_block, payloads))
     else:
@@ -813,14 +816,199 @@ def sweep_csv(points, analytic=None) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The t,r,q series are written by a numpy kernel that gives exactly the
+# bytes of _T_R_Q % (t, r, q).  A value x with decimal exponent k has the
+# 17 digits D = round(|x| * 10**s), s = 16 - k, 10**16 <= D < 10**17.
+# The product is Dekker's exact product of |x| with 10**s held as a
+# double-double, so the fraction that decides the rounding is off by less
+# than 1e-13.  Where that fraction lies at least _TIE_SLACK from 1/2, D is
+# the correctly rounded result % gives (as in Gay 1990); a nearer value,
+# exact ties included (% rounds them half to even), is not certified.  A
+# line with a value the kernel does not certify (0, -0, inf, nan,
+# |x| < 1e-280, |x| >= 1e17, a near tie) or with t outside [0, 10**12)
+# is formatted with _T_R_Q.
+#
+# A line is laid out as ten 8-byte words, NUL where nothing is printed,
+# and the NULs are dropped once per block:
+#   bytes  0-15  t as three 4-digit groups, leading zeros NUL, 4 NULs
+#   bytes 16-47  the r field, bytes 48-79 the q field, each of
+#     0-7    ",", "-" for a set sign bit, "0." and zeros for -4 <= k <= -1,
+#            the leading digit, and "." if the point follows it
+#     8-23   the other 16 digits, trailing zeros NUL
+#     24-31  "e-XX" for k < -4; the q field ends the line with "\n"
+# Fixed notation with k >= 1 moves the point in after digit k and keeps
+# the zeros of the integer digits.
+
+_EMIT_BLOCK = 2048     # lines per kernel call
+_EMIT_SCALES = 298     # s = 16 - k for k from 16 down to -281
+_EMIT_WORDS = 10       # 8-byte words per line
+_TIE_SLACK = 1e-9
+
+
+def _words(texts) -> np.ndarray:
+    """Byte strings of at most 8 bytes, NUL-padded, as uint64 words."""
+    return np.frombuffer(b"".join(x.ljust(8, b"\0") for x in texts),
+                         np.uint64)
+
+
+@functools.cache
+def _emit_tables() -> tuple:
+    """The kernel's lookup tables, built on first use."""
+    hi = np.array([float(10 ** s) for s in range(_EMIT_SCALES)])
+    lo = np.array([float(10 ** s - int(float(10 ** s)))
+                   for s in range(_EMIT_SCALES)])
+    split = 134217729.0 * hi            # Dekker's split, 2**27 + 1
+    hh = split - (split - hi)
+    quad = (np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+            + 48).astype(np.uint8)      # "0000" .. "9999"
+    nz = quad != 48
+    # t groups: as is, leading zeros NUL, leading zeros NUL but "0" kept
+    lead_nul = quad * np.logical_or.accumulate(nz, axis=1)
+    one_zero = lead_nul.copy()
+    one_zero[0, 3] = 48
+    tgroups = np.concatenate([quad, lead_nul, one_zero]).view(np.uint32)
+    # digit groups: as is, trailing zeros NUL
+    trail_nul = quad * np.logical_or.accumulate(nz[:, ::-1], axis=1)[:, ::-1]
+    dgroups = np.concatenate([quad, trail_nul]).view(np.uint32)
+    # head word by lead digit + 10 * prefix + 50 * sign + 100 * point
+    heads = _words([(b"," + sign + pre + bytes([48 + d]) + point)[:8]
+                    for point in (b"", b".") for sign in (b"", b"-")
+                    for pre in (b"", b"0.", b"0.0", b"0.00", b"0.000")
+                    for d in range(10)])
+    s = np.arange(_EMIT_SCALES)
+    prefix = np.where((s > 16) & (s <= 20), 10 * (s - 16), 0)
+    # exponent word by s, for r and then for q
+    exp = [b"e-%02d" % (v - 16) if v > 20 else b"" for v in s.tolist()]
+    exps = _words(exp + [e.ljust(7, b"\0") + b"\n" for e in exp])
+    return (hi, hh, hi - hh, lo, tgroups.ravel(), dgroups.ravel(), heads,
+            prefix, exps)
+
+
+def _scaled(ax: np.ndarray, s: np.ndarray) -> tuple:
+    """floor(ax * 10**s) as int64 and the fraction it drops."""
+    hi, hh, hl, lo = (tab[s] for tab in _emit_tables()[:4])
+    p = ax * hi
+    split = 134217729.0 * ax
+    xh = split - (split - ax)
+    xl = ax - xh
+    err = ((xh * hh - p) + xh * hl + xl * hh) + xl * hl   # ax * hi - p
+    c = err + ax * lo
+    floor = np.floor(c)
+    return p.astype(np.int64) + floor.astype(np.int64), c - floor
+
+
+def _decimal(x: np.ndarray) -> tuple:
+    """17 significant digits D, scale s = 16 - k and the certified mask
+    of the values x."""
+    ax = np.abs(x)
+    ok = (ax >= 1e-280) & (ax < 1e17)
+    ax[~ok] = 1.0
+    s = 16 - np.floor(np.log10(ax)).astype(np.int64)
+    np.clip(s, 0, _EMIT_SCALES - 2, out=s)      # s + 1 stays in the tables
+    f, frac = _scaled(ax, s)
+    # log10 may miss k by one next to a power of ten: test the floor
+    off = np.nonzero((f < 10 ** 16) | (f >= 10 ** 17))
+    if off[0].size:
+        s[off] += np.where(f[off] < 10 ** 16, 1, -1)
+        f[off], frac[off] = _scaled(ax[off], s[off])
+    d = f + (frac > 0.5)
+    top = d == 10 ** 17                  # rounded up to 10**16 at k + 1
+    d[top] = 10 ** 16
+    s -= top
+    ok &= ((np.abs(frac - 0.5) >= _TIE_SLACK) & (d >= 10 ** 16)
+           & (d < 10 ** 17) & (s >= 0))
+    # the layout of an uncertified value (that of 1) stays in the tables
+    d[~ok] = 10 ** 16
+    s[~ok] = 16
+    return d, s, ok
+
+
+def _lines(t: np.ndarray, r: np.ndarray, q: np.ndarray) -> tuple:
+    """The (n, _EMIT_WORDS) uint64 layout of the lines t, r, q and the
+    mask of lines it certifies."""
+    _, _, _, _, tgroups, dgroups, heads, prefix, exps = _emit_tables()
+    n = t.size
+    w = np.empty((n, _EMIT_WORDS), np.uint64)
+    t_ok = (t >= 0) & (t < 10 ** 12)
+    tt = np.where(t_ok, t, 0)
+    a = tt // 10 ** 8
+    rest = tt - a * 10 ** 8
+    b = rest // 10_000
+    c = rest - b * 10_000
+    w32 = w.view(np.uint32)
+    w32[:, 0] = tgroups[a + 10_000]
+    w32[:, 1] = tgroups[b + 10_000 * (a == 0)]
+    w32[:, 2] = tgroups[c + 20_000 * ((a == 0) & (b == 0))]
+    w32[:, 3] = 0
+
+    x = np.stack([r, q], axis=-1)
+    d, s, ok = _decimal(x)
+    top8 = d // 10 ** 8
+    low8 = d - top8 * 10 ** 8
+    lead = top8 // 10 ** 8
+    mid8 = top8 - lead * 10 ** 8
+    g = np.empty((n, 2, 4), np.int64)
+    g[..., 0] = mid8 // 10_000
+    g[..., 1] = mid8 - g[..., 0] * 10_000
+    g[..., 2] = low8 // 10_000
+    g[..., 3] = low8 - g[..., 2] * 10_000
+    # a group drops its trailing zeros when every later group is zero
+    zero = g == 0
+    g[..., 3] += 10_000
+    g[..., 2] += 10_000 * zero[..., 3]
+    zero[..., 2] &= zero[..., 3]
+    g[..., 1] += 10_000 * zero[..., 2]
+    zero[..., 1] &= zero[..., 2]
+    g[..., 0] += 10_000 * zero[..., 1]
+    k = 16 - s
+    point = ~(zero[..., 0] & zero[..., 1]) & ((k == 0) | (k < -4))
+    fields = w[:, 2:].reshape(n, 2, 4)
+    fields[..., 0] = heads[lead + prefix[s] + 50 * np.signbit(x)
+                           + 100 * point]
+    fields[..., 1:3] = dgroups[g].view(np.uint64)
+    fields[..., 3] = exps[s + np.array([0, _EMIT_SCALES])]
+
+    big = np.flatnonzero(k >= 1)
+    if big.size:
+        # rewrite bytes 8-24 of the field (24 and 32 past the line's
+        # start) as digits 1..k, the point if a fraction digit follows,
+        # then the remaining digits
+        kb = k.ravel()[big][:, None]
+        j = np.arange(17)
+        pos = (big // 2 * 8 * _EMIT_WORDS + 24 + big % 2 * 32)[:, None] + j
+        flat = w.view(np.uint8).ravel()
+        cur = flat[pos]
+        new = np.where(j < kb, np.maximum(cur, 48), cur[:, j - 1])
+        new[j == kb] = 46 * (cur[np.arange(big.size), kb[:, 0]] != 0)
+        flat[pos] = new
+    return w, t_ok & ok.all(axis=1)
+
+
 def _series_csv(header: str, t, r, q) -> str:
-    """One t,r,q line per point, formatted from Python ints and floats
-    with one % over the whole body."""
-    values = [None] * (3 * len(t))
-    values[0::3] = t.tolist()
-    values[1::3] = r.tolist()
-    values[2::3] = q.tolist()
-    return header + "\n" + ((_T_R_Q + "\n") * len(t)) % tuple(values)
+    """One t,r,q line per point (t integer), the bytes of _T_R_Q: laid
+    out by _lines in blocks of _EMIT_BLOCK lines, and with _T_R_Q for the
+    lines _lines does not certify."""
+    t = np.asarray(t)
+    r = np.asarray(r, dtype=float)
+    q = np.asarray(q, dtype=float)
+    parts = [header.encode() + b"\n"]
+    for start in range(0, t.size, _EMIT_BLOCK):
+        stop = min(start + _EMIT_BLOCK, t.size)
+        w, good = _lines(t[start:stop], r[start:stop], q[start:stop])
+        bad = np.flatnonzero(~good)
+        w[bad] = 0
+        w[bad, 0] = 1               # a 0x01 byte marks each such line
+        text = w.tobytes().translate(None, b"\0")
+        if not bad.size:
+            parts.append(text)
+            continue
+        pieces = text.split(b"\x01")
+        bad += start
+        for piece, row in zip(pieces, zip(t[bad].tolist(), r[bad].tolist(),
+                                          q[bad].tolist())):
+            parts += (piece, (_T_R_Q % row).encode() + b"\n")
+        parts.append(pieces[-1])
+    return b"".join(parts).decode("ascii")
 
 
 def trial_csv(record: TrialRecord) -> str:

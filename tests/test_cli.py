@@ -458,6 +458,46 @@ print("numpy.ma imported:", "numpy.ma" in sys.modules)
     assert done.stdout.splitlines()[-1] == "numpy.ma imported: False"
 
 
+def test_importing_the_cli_loads_no_process_pool_and_no_formatter_tables():
+    # the pool is imported by the run that uses one (multiprocessing brings
+    # subprocess, socket and logging along), and the series formatter
+    # builds its tables on first use
+    script = """
+import sys
+import gossiplab.cli
+from gossiplab import sim
+print(sorted(m for m in sys.modules
+             if m.split(".")[0] in ("multiprocessing", "concurrent")))
+print(sim._emit_tables.cache_info().currsize)
+"""
+    src = str(Path(gossiplab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["[]", "0"]
+
+
+def test_infinite_threshold_exits_2_before_any_trial(graph_file, tmp_path,
+                                                     capsys, monkeypatch):
+    # every trial used to "converge" at its first broadcast: sweep printed
+    # mean_broadcasts=1 and exited 0
+    def refuse(*args, **kwargs):
+        raise AssertionError("the trial engine ran")
+
+    monkeypatch.setattr(sim, "_lockstep", refuse)
+    for argv in (["sweep", "--grid", "0.5", "--trials", "2"],
+                 ["simulate", "--epsilon", "0.5", "--trials", "2"]):
+        out = tmp_path / argv[0]
+        code = run(argv + ["--threshold", "inf", "--graph", str(graph_file),
+                           "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == \
+            "error: threshold must be finite, got inf\n"
+        assert not out.exists()
+
+
 def test_non_finite_coupling_exits_2_before_any_trial(graph_file, tmp_path,
                                                       capsys, monkeypatch):
     # an infinite coupling used to run every trial on a nan state up to
@@ -525,7 +565,7 @@ BAD_INPUTS = [
     Bad("trials", "0", EXIT_CONFIG), Bad("trials", "-2", EXIT_CONFIG),
     Bad("trials", "soon", EXIT_CONFIG),
     Bad("threshold", "0", EXIT_CONFIG), Bad("threshold", "-1e-3", EXIT_CONFIG),
-    Bad("threshold", "nan", EXIT_CONFIG),
+    Bad("threshold", "nan", EXIT_CONFIG), Bad("threshold", "inf", EXIT_CONFIG),
     Bad("max_iters", "0", EXIT_CONFIG), Bad("max_iters", "1.5", EXIT_CONFIG),
     Bad("workers", "0", EXIT_CONFIG), Bad("workers", "-3", EXIT_CONFIG),
     Bad("workers", "two", EXIT_CONFIG),

@@ -57,6 +57,8 @@ def test_run_trial_validates_arguments(graph16):
     with pytest.raises(ValueError):
         run_trial(s, x0, 0.0, 100, rng)
     with pytest.raises(ValueError):
+        run_trial(s, x0, np.inf, 100, rng)
+    with pytest.raises(ValueError):
         run_trial(s, x0, 1e-5, 0, rng)
     with pytest.raises(ValueError):
         run_trial(s, x0, 1e-5, 100, rng, stop_rule="sideways")
