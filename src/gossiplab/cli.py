@@ -237,6 +237,16 @@ def warn_censored(censored: int, trials: int, max_iters: int,
               f"averages count them as {max_iters}", file=sys.stderr)
 
 
+def warn_nonfinite(records, trials: int, where: str) -> None:
+    """Say on stderr when trials ended in a non-finite state (their
+    final mean, r or q is inf or nan); they count as censored."""
+    bad = sum(not np.isfinite((r.consensus_value, r.r_final, r.q_final)).all()
+              for r in records)
+    if bad:
+        print(f"warning: {where}{bad} of {trials} trials reached a "
+              f"non-finite state", file=sys.stderr)
+
+
 # ---- subcommands ----
 
 def cmd_generate(cfg: ExperimentConfig) -> int:
@@ -332,6 +342,8 @@ def cmd_sweep(cfg: ExperimentConfig, svg: bool) -> int:
             print(f"  epsilon={p.epsilon:.17g} trial {idx} failed: {msg}",
                   file=sys.stderr)
     warn_censored(censored, len(points) * cfg.trials, cfg.max_iters)
+    warn_nonfinite([r for p in points for r in p.result.records],
+                   len(points) * cfg.trials, f"scheme={kind.value}: ")
     # a point whose every trial failed has a nan mean and takes no part
     finite = [p for p in points if np.isfinite(p.result.mean_broadcasts)]
     if finite:
@@ -403,6 +415,7 @@ def cmd_simulate(cfg: ExperimentConfig, per_trial: bool, svg: bool) -> int:
                 print(f"  trial {idx} failed: {msg}", file=sys.stderr)
         warn_censored(res.censored, res.trials, cfg.max_iters,
                       f"scheme={kind.value}: ")
+        warn_nonfinite(res.records, res.trials, f"scheme={kind.value}: ")
     if svg and curves:
         safe = [(lbl, [t for t, r in zip(ts, rs) if r > 0],
                  [r for r in rs if r > 0]) for lbl, ts, rs in curves]

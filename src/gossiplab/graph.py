@@ -53,6 +53,14 @@ class DiGraph:
         a.setflags(write=False)
         return a
 
+    @cached_property
+    def _strong(self) -> bool:
+        """Whether every node reaches every other, checked once per graph."""
+        if self.n == 1:
+            return True
+        adj = self._adj
+        return bool(_reachable(adj, 0).all() and _reachable(adj.T, 0).all())
+
     def adjacency(self) -> np.ndarray:
         """0/1 matrix with entry (i, j) = 1 iff i receives from j."""
         return self._adj.astype(float)
@@ -101,11 +109,9 @@ def _reachable(adj: np.ndarray, start: int) -> np.ndarray:
 
 
 def is_strongly_connected(g: DiGraph) -> bool:
-    """Every node reaches every other along directed edges."""
-    if g.n == 1:
-        return True
-    adj = g._adj
-    return bool(_reachable(adj, 0).all() and _reachable(adj.T, 0).all())
+    """Every node reaches every other along directed edges (checked on a
+    graph's first call only: the graph is immutable)."""
+    return g._strong
 
 
 def random_geometric_graph(n: int, radius: float, rng: np.random.Generator,

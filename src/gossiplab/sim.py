@@ -29,11 +29,17 @@ the rows of trial i share its stream at every scheme or grid point, so
 the comparison stays paired.  Broadcasters are drawn in blocks, which
 gives the same sequence as one draw at a time.  A row leaves when it
 converges, hits max_iters, or fails the mass check; a failure ends only
-that row, and the others run on unchanged.  Every row reproduces the
+that row, and the others run on unchanged.  An iteration only updates
+the state and keeps a snapshot of it; the stopping rule, the mass check
+and r and q are evaluated for every iteration, but once per block of up
+to CHECK_BLOCK iterations, from the snapshots.  A row that ends inside a
+block is read from the snapshot of its last iteration, and the
+iterations it ran past it are discarded.  Every row reproduces the
 record of the same trial run alone, bit for bit.
 """
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import os
@@ -54,8 +60,8 @@ DRAW_BLOCK = 1024            # broadcasters drawn per generator call
 ENTRY_CHUNK = 16_384         # hearer entries of the steps laid out at once
 SCREEN_RTOL = 1e-6           # relative slack of the stopping-statistic screen
 SCREEN_FLOOR = 1e-290        # segment sums up to here always get the exact check
-LOG_SPLIT = 256              # recorded iterations logged per series split
-RQ_BLOCK = 32                # recorded states whose r and q are taken at once
+CHECK_BLOCK = 32             # steps whose rows are checked at once
+CHECK_VALUES = 65_536        # state values a check block's snapshots hold
 THREADS_ENV = "GOSSIPLAB_THREADS"
 
 
@@ -173,15 +179,16 @@ class Row(NamedTuple):
 
 
 def _rq(xs: np.ndarray, mu0: np.ndarray) -> tuple:
-    """r and q of each row of xs against its row's mu0.  Row reductions
-    of a C-contiguous block give the same bits as np.mean((x - mu0) ** 2)
-    and np.var(x) on each row vector."""
-    n = xs.shape[1]
-    d = xs - mu0[:, None]
+    """r and q of each row of xs (its last axis) against its row's mu0
+    (xs's shape without the last axis, or broadcast to it).  Row
+    reductions of a C-contiguous block give the same bits as
+    np.mean((x - mu0) ** 2) and np.var(x) on each row vector."""
+    n = xs.shape[-1]
+    d = xs - mu0[..., None]
     d *= d
-    m = xs - np.add.reduce(xs, 1, keepdims=True) / n
+    m = xs - np.add.reduce(xs, -1, keepdims=True) / n
     m *= m
-    return np.add.reduce(d, 1) / n, np.add.reduce(m, 1) / n
+    return np.add.reduce(d, -1) / n, np.add.reduce(m, -1) / n
 
 
 def _hearer_tables(schemes, n: int) -> tuple:
@@ -207,10 +214,10 @@ def _prepare(tables, ks: np.ndarray, toff: np.ndarray, n: int) -> tuple:
     """The real hearer entries of a chunk of steps; ks holds the
     broadcasters (steps x running rows) and toff each row's table offset.
     Step c's entries are off[c]:off[c+1], one contiguous segment per row
-    in slot order starting at seg[c] within the step, of cnt[c] entries:
-    their flat slots g, their broadcaster's slot kg and their coefficient
-    columns co (1-a, a, eps*d, 1-eps*d, b).  kp holds the broadcasters'
-    slots."""
+    in slot order: row p's starts at entry first[c, p] and has cnt[c, p]
+    entries.  Per entry: its flat slot g, its broadcaster's slot kg and
+    its coefficient columns co (1-a, a, eps*d, 1-eps*d, b).  kp holds the
+    broadcasters' slots."""
     starts, counts, rel, coef = tables
     steps, live = ks.shape
     tk = (ks + toff).ravel()
@@ -228,9 +235,8 @@ def _prepare(tables, ks: np.ndarray, toff: np.ndarray, n: int) -> tuple:
     g += kg
     oma, a, ed, b = coef.take(idx, axis=0).T
     off = np.concatenate(([0], end[live - 1::live]))
-    seg = first.reshape(steps, live) - off[:-1, None]
-    return (g, kg, (oma, a, ed, 1.0 - ed, b), kp, off.tolist(), seg,
-            cnt.reshape(steps, live))
+    return (g, kg, (oma, a, ed, 1.0 - ed, b), kp, off.tolist(),
+            first.reshape(steps, live), cnt.reshape(steps, live))
 
 
 def _index(items) -> tuple:
@@ -242,6 +248,23 @@ def _index(items) -> tuple:
     return uniq, np.array(pos, dtype=np.intp)
 
 
+def _recorded(t0: int, k: int, next_thin: int, full: bool) -> tuple:
+    """The iterations among t0+1 .. t0+k that the series record, as
+    positions in that span, and the next point of the thinned grid."""
+    if full or t0 + k <= FULL_RECORD_LIMIT:
+        return range(k), next_thin
+    pos = []
+    for j in range(k):
+        t = t0 + j + 1
+        if t <= FULL_RECORD_LIMIT or t >= next_thin:
+            pos.append(j)
+            while next_thin <= t:
+                next_thin = max(next_thin + 1, int(next_thin * THIN_FACTOR))
+    return pos, next_thin
+
+
+# a row run past its end, or a diverging scheme, may overflow
+@np.errstate(over="ignore", invalid="ignore")
 def _lockstep(rows, threshold: float, max_iters: int, *,
               keep_series: bool = True, full_series: bool = False,
               stop_rule: str = "change") -> list:
@@ -252,19 +275,29 @@ def _lockstep(rows, threshold: float, max_iters: int, *,
     still running always at the front.  Once per chunk of steps (about
     ENTRY_CHUNK hearer entries) the real entries of every step are laid
     out from the CSR hearer tables: their slots and coefficients, one
-    contiguous segment per row.  Each iteration then gathers, updates and
-    scatters only those entries with flat ufuncs.  The stopping statistic
-    is screened with segment sums, which are not the bits of a lone
-    trial; only the exact per-row BLAS dots on a row's segment decide,
-    and only for rows the screen puts near or under the threshold.  A row
-    leaves when its stopping rule fires, at max_iters, or when its mass
-    drifts (unbiased schemes).  Its slots are then zeroed and carried
+    contiguous segment per row.  A step only gathers, updates and
+    scatters those entries with flat ufuncs, writing their old and new
+    values into buffers of the chunk, and copies the state into a
+    snapshot.  The rows are checked once per block of steps (at most
+    CHECK_BLOCK steps and, unless one step holds more, CHECK_VALUES
+    snapshot values; never across a chunk), over the whole block at once:
+    the full-state mass check of unbiased schemes (row sums of the
+    snapshots, the bits of a per-step check), the stopping rule, and r
+    and q of the recorded steps.  The stopping statistic is screened with
+    one segment sum per (step, row), which is not the bits of a lone
+    trial; only the exact per-row BLAS dots on a segment decide, in step
+    order, and only for the steps the screen puts near or under the
+    threshold.  A row ends at its first mass failure, its first stop or
+    max_iters, a failure winning over a stop at the same step; the steps
+    it ran past its end are ignored and its record is read from the
+    snapshot of its end.  At the block's end it is zeroed and carried
     along unchecked until the chunk ends or a quarter of the chunk's rows
     have left, so a leave rarely wastes the chunk's layout; the running
     rows are then packed to the front and the next chunk is laid out for
-    them.  Returns per row its TrialRecord or the MassConservationError
-    it failed with.  Without keep_series, r and q are computed only at
-    the stop.
+    them.  Overflow in a row run past its end or in a diverging scheme
+    raises no warning.  Returns per row its TrialRecord or the
+    MassConservationError it failed with.  Without keep_series, r and q
+    are computed only at the stop.
     """
     if stop_rule not in ("change", "spread"):
         raise ValueError("stop_rule must be 'change' or 'spread'")
@@ -321,128 +354,178 @@ def _lockstep(rows, threshold: float, max_iters: int, *,
         while tb < size:
             live = len(ids)
             steps = min(size - tb, max(1, int(ENTRY_CHUNK / (live * per_row))))
-            g, kg, (c_oma, c_a, c_ed, c_omed, c_b), kps, off, seg, cnt = (
+            span = min(steps, CHECK_BLOCK,
+                       max(1, CHECK_VALUES // (2 * live * n)))
+            g, kg, (c_oma, c_a, c_ed, c_omed, c_b), kps, off, first, cnt = (
                 _prepare(tables, block[tb:tb + steps, srow], toff, n))
-            # reduceat cannot sum an empty segment; pad the step's sums
-            # with a zero and clear the empty rows' sums
+            # reduceat cannot sum an empty segment; pad a block's sums
+            # with a zero and clear the empty segments' sums
             empty = cnt == 0 if not cnt.all() else None
-            X2 = ZZ[0]
+            # the entries' old and new values; per block the state after
+            # each of its steps, and each broadcaster's slot in the
+            # snapshot before its step (before a block's first step the
+            # broadcasters' companions are read from the state, yk0)
+            XR, YR, NX, NY = np.empty((4, off[-1]))
+            snaps = np.empty((2, span, live, n))
+            sk = kps + ((np.arange(steps) % span - 1) * (live * n))[:, None]
+            running = np.ones(live, dtype=bool)
             left = 0           # rows that left during this chunk
-            for c in range(steps):
-                t += 1
-                tb += 1
-                e0, e1 = off[c], off[c + 1]
-                gc = g[e0:e1]
-                kc = kg[e0:e1]
-                oma = c_oma[e0:e1]
-                a = c_a[e0:e1]
-                ed = c_ed[e0:e1]
-                omed = c_omed[e0:e1]
-                b = c_b[e0:e1]
-                kp = kps[c]
-                xr = X[gc]
-                yr = Y[gc]
-                xk = X[kc]
-                yk = Y[kp]
-                new_x = oma * xr + a * xk + ed * yr
-                new_y = a * (xr - xk) + omed * yr + b * Y[kc]
-                dx = new_x - xr
-                dy = new_y - yr
-                X[gc] = new_x
-                Y[gc] = new_y
-                Y[kp] = 0.0
+            c = 0
+            while c < steps:
+                k = min(span, steps - c)
+                snap = snaps[:, :k]
+                yk0 = Y[kps[c]]
+                for j in range(c, c + k):
+                    e = slice(off[j], off[j + 1])
+                    gc = g[e]
+                    kc = kg[e]
+                    kp = kps[j]
+                    a = c_a[e]
+                    xr = XR[e]
+                    yr = YR[e]
+                    new_x = NX[e]
+                    new_y = NY[e]
+                    # mode="clip" writes into out without a buffer; the
+                    # slots are in range
+                    X.take(gc, out=xr, mode="clip")
+                    Y.take(gc, out=yr, mode="clip")
+                    xk = X[kc]
+                    np.multiply(c_oma[e], xr, out=new_x)
+                    new_x += a * xk
+                    new_x += c_ed[e] * yr
+                    np.subtract(xr, xk, out=new_y)
+                    new_y *= a
+                    new_y += c_omed[e] * yr
+                    new_y += c_b[e] * Y[kc]
+                    X[gc] = new_x
+                    Y[gc] = new_y
+                    Y[kp] = 0.0
+                    snap[:, j - c] = ZZ
+                t0 = t
+                t += k
 
-                failed = []
-                if check_mass:
-                    drift = np.abs(np.add.reduce(np.add.reduce(ZZ, 2), 0)
-                                   - total0)
-                    np.maximum(drift_max, drift, out=drift_max)
-                    bad = drift > mass_tol
-                    if np.count_nonzero(bad):
-                        failed = np.flatnonzero(bad).tolist()
-                        for p in failed:
-                            out[idl[p]] = MassConservationError(
-                                f"mass drifted by {drift[p]:.3e} "
-                                f"at iteration {t}")
-
-                hit = []
+                # the block's checks, on (step, slot) pairs flat in step
+                # major order
+                e = slice(off[c], off[c + k])
+                seg = first[c:c + k].ravel() - off[c]
+                stop = {}          # slot: step of its first stop
+                stat = rq = None
+                if full_series or not spread:
+                    # the entries' changes replace their new values, and
+                    # the squares their old ones
+                    dx = np.subtract(NX[e], XR[e], out=NX[e])
+                    dy = np.subtract(NY[e], YR[e], out=NY[e])
                 if full_series:
-                    stat = _exact_stat(dx, dy, yk, seg[c], cnt[c], range(live))
+                    yk = _block_yk(yk0, snap[1], sk[c + 1:c + k])
+                    stat = _exact_stat(dx, dy, yk, seg, cnt[c:c + k].ravel(),
+                                       range(k * live))
                     if not spread:
-                        hit = np.flatnonzero(stat <= threshold).tolist()
+                        stop = _first_stops(np.flatnonzero(stat <= threshold),
+                                            live, running)
                 elif not spread:
-                    sq = dx * dx
-                    sq += dy * dy
+                    sq = np.multiply(dx, dx, out=XR[e])
+                    sq += np.multiply(dy, dy, out=YR[e])
                     if empty is None:
-                        sums = np.add.reduceat(sq, seg[c])
+                        sums = np.add.reduceat(sq, seg)
                     else:
-                        sums = np.add.reduceat(np.append(sq, 0.0), seg[c])
-                        sums[empty[c]] = 0.0
+                        sums = np.add.reduceat(np.append(sq, 0.0), seg)
+                        sums[empty[c:c + k].ravel()] = 0.0
                     if left:
-                        sums[gone] = np.inf
+                        sums.reshape(k, live)[:, ~running] = np.inf
                     # yk * yk >= 0 only adds to a sum already over the screen
                     if not np.minimum.reduce(sums) > screen:
+                        yk = _block_yk(yk0, snap[1], sk[c + 1:c + k])
                         near = np.flatnonzero(~(sums + yk * yk > screen))
-                        stat = _exact_stat(dx, dy, yk, seg[c], cnt[c], near)
-                        hit = near[stat <= threshold].tolist()
+                        stop = _first_stops(near, live, running, (
+                            dx, dy, yk, seg, cnt[c:c + k].ravel(), threshold))
                 if spread:
-                    hit = np.flatnonzero(_rq(X2, mu0)[1] <= threshold).tolist()
-                if left:
-                    hit = [p for p in hit if idl[p] is not None]
-                done = hit
-                if t == max_iters:
-                    done = [p for p, i in enumerate(idl) if i is not None]
-                if failed:
-                    done = [p for p in done if p not in failed]
-
-                scheduled = keep_series and (
-                    full_series or t <= FULL_RECORD_LIMIT or t >= next_thin)
-                if scheduled and t >= next_thin:
-                    while next_thin <= t:
-                        next_thin = max(next_thin + 1,
-                                        int(next_thin * THIN_FACTOR))
-                if scheduled:
-                    log.add(t, X2, mu0, idl, stat if full_series else None)
-                if not (failed or done):
-                    continue
-
+                    rq = _rq(snap[0], mu0)
+                    stop = _first_stops(
+                        np.flatnonzero(rq[1].ravel() <= threshold), live,
+                        running)
+                fail = {}          # slot: step of its first mass failure
+                if check_mass:
+                    drift = np.abs(np.add.reduce(np.add.reduce(snap, 3), 0)
+                                   - total0)
+                    bad = drift > mass_tol
+                    if np.count_nonzero(bad):
+                        fail = {p: int(bad[:, p].argmax())
+                                for p in np.flatnonzero(bad.any(0)).tolist()}
                 if log is not None:
-                    log.split(idl, mu0)
-                if done:
-                    xs = X2[done]
-                    r, q = _rq(xs, mu0[done])
-                    means = np.add.reduce(xs, 1) / n
-                    hits = set(hit)
-                    for p, rf, qf, mean in zip(done, r.tolist(), q.tolist(),
-                                               means.tolist()):
-                        i = idl[p]
-                        series = None if log is None else log.series(
-                            i, t, None if scheduled else (rf, qf))
-                        out[i] = _trial_record(
-                            series, t if p in hits else None,
-                            mean, rf, qf, rows[i].seed,
-                            rows[i].predicted,
-                            float(drift_max[p]) if unbiased[p] else None)
-                for p in failed + done:
+                    rec, next_thin = _recorded(t0, k, next_thin, full_series)
+                    if len(rec) == k:
+                        r, q = _rq(snap[0], mu0) if rq is None else rq
+                    elif rec:
+                        r, q = _rq(snap[0][rec], mu0)
+                    if rec:
+                        log.add([t0 + j + 1 for j in rec], r, q,
+                                *(() if stat is None else
+                                  (stat.reshape(k, live),)))
+                if t == max_iters:
+                    ending = np.flatnonzero(running).tolist()
+                else:
+                    ending = sorted(stop.keys() | fail.keys())
+
+                if ending:
+                    if log is not None:
+                        log.split(idl)
+                    done = []
+                    for p in ending:
+                        last = min(stop.get(p, k - 1), fail.get(p, k - 1))
+                        if fail.get(p) == last:
+                            out[idl[p]] = MassConservationError(
+                                f"mass drifted by {drift[last, p]:.3e} "
+                                f"at iteration {t0 + last + 1}")
+                        else:
+                            done.append((p, last))
+                    if done:
+                        ps, lasts = (list(v) for v in zip(*done))
+                        xs = snap[0][lasts, ps]
+                        r, q = _rq(xs, mu0[ps])
+                        means = np.add.reduce(xs, 1) / n
+                        # the largest drift up to each row's end
+                        peak = [None] * len(ps)
+                        if check_mass:
+                            upto = np.maximum.accumulate(drift, 0)[lasts, ps]
+                            peak = np.maximum(drift_max[ps], upto).tolist()
+                        for (p, last), rf, qf, mean, drift_p in zip(
+                                done, r.tolist(), q.tolist(), means.tolist(),
+                                peak):
+                            i = idl[p]
+                            te = t0 + last + 1
+                            series = None if log is None else log.series(
+                                i, te, None if last in rec else (rf, qf))
+                            out[i] = _trial_record(
+                                series, te if stop.get(p) == last else None,
+                                mean, rf, qf, rows[i].seed, rows[i].predicted,
+                                drift_p if unbiased[p] else None)
+                if check_mass:
+                    np.maximum(drift_max, np.maximum.reduce(drift, 0),
+                               out=drift_max)
+                c += k
+                if not ending:
+                    continue
+                for p in ending:
                     idl[p] = None
-                left += len(failed) + len(done)
+                running[ending] = False
+                left += len(ending)
                 if left == live:
                     return out
                 # rows that left stay in their slots, zeroed (so their
-                # entries change nothing) and never checked, until the chunk
-                # ends or a quarter of its rows have left; the steps are
-                # then laid out again without them
-                gone = np.array([p for p, i in enumerate(idl) if i is None])
+                # entries change nothing) and never checked, until the
+                # chunk ends or a quarter of its rows have left; the
+                # steps are then laid out again without them
+                gone = ~running
                 ZZ[:, gone] = 0.0
                 mass_tol[gone] = np.inf
                 if 4 * left >= live:
                     break
+            tb += c
             if left:
                 if log is not None:
-                    log.split(idl, mu0)
+                    log.split(idl)
                 # pack the running rows to the front
-                keep = np.array([p for p, i in enumerate(idl) if i is not None],
-                                dtype=np.intp)
+                keep = np.flatnonzero(running)
                 moved = ZZ[:, keep].reshape(2, -1)
                 Z[:, :moved.shape[1]] = moved
                 ZZ = Z[:, :moved.shape[1]].reshape(2, keep.size, n)
@@ -454,11 +537,42 @@ def _lockstep(rows, threshold: float, max_iters: int, *,
     return out
 
 
+def _block_yk(yk0: np.ndarray, ys: np.ndarray, sk: np.ndarray) -> np.ndarray:
+    """The broadcasters' companions before each step of a block: yk0
+    before its first step, then read from the companions ys after each
+    step but the last at their slots sk."""
+    return np.concatenate((yk0, ys.reshape(-1)[sk.ravel()]))
+
+
+def _first_stops(pairs: np.ndarray, live: int, running: np.ndarray,
+                 exact=None) -> dict:
+    """Each running slot's first step among the (step, slot) pairs of a
+    block (flat, step major, ascending) that stop it: every pair, or with
+    exact = (dx, dy, yk, seg, cnt, threshold) a pair whose exact
+    statistic (the bits of _exact_stat) is at most threshold.  A slot's
+    pairs after its first stop are not checked."""
+    if exact is not None:
+        dx, dy, yk, seg, cnt, threshold = exact
+        seg, cnt, yk = seg.tolist(), cnt.tolist(), yk.tolist()
+    stop = {}
+    for f in pairs.tolist():
+        step, p = divmod(f, live)
+        if p in stop or not running[p]:
+            continue
+        if exact is not None:
+            u = dx[seg[f]:seg[f] + cnt[f]]
+            v = dy[seg[f]:seg[f] + cnt[f]]
+            if not math.sqrt(u.dot(u) + v.dot(v) + yk[f] * yk[f]) <= threshold:
+                continue
+        stop[p] = step
+    return stop
+
+
 def _exact_stat(dx: np.ndarray, dy: np.ndarray, yk: np.ndarray,
                 seg: np.ndarray, cnt: np.ndarray, slots) -> np.ndarray:
-    """The stopping statistic of the given slots: the BLAS dots of the
-    change vectors' contiguous segments (row p's starts at seg[p] and has
-    cnt[p] entries), the bits a lone trial computes."""
+    """The stopping statistic of the given segments: the BLAS dots of the
+    change vectors' contiguous segments (segment p starts at seg[p] and
+    has cnt[p] entries), the bits a lone trial computes."""
     seg = seg.tolist()
     cnt = cnt.tolist()
     sums = []
@@ -472,77 +586,49 @@ def _exact_stat(dx: np.ndarray, dy: np.ndarray, yk: np.ndarray,
 
 class _SeriesLog:
     """The r, q and (with full_series) stopping-statistic series of the
-    rows of a lockstep call.  Every recorded iteration copies the running
-    rows' values into a snapshot block; r and q of up to RQ_BLOCK
-    snapshots are then taken in one _rq call over the contiguous
-    (snapshots x rows, n) block, whose row reductions give each row's
-    bits.  The logged values are handed to the rows every LOG_SPLIT
-    iterations and whenever rows leave (the running rows stay the same in
-    between), so a value costs 8 bytes."""
+    rows of a lockstep call.  Each check block logs its recorded
+    iterations for every slot at once, as (iterations, slots) arrays.
+    They are handed to the rows whenever rows leave or the slots are
+    packed (the slots stay the same in between), so a value costs 8
+    bytes; a row that leaves inside a block drops what the block logged
+    past its end."""
 
     def __init__(self, x0: np.ndarray, mu0: np.ndarray, full: bool):
         r0, q0 = _rq(x0, mu0)
-        self.snaps = np.empty((RQ_BLOCK * x0.shape[0], x0.shape[1]))
-        self.pending = 0       # snapshots whose r and q are not taken yet
-        self.stats = []        # their stopping statistics (full series)
         self.times = [0]
-        self.logged = []       # (r, q[, stat]) blocks, iterations x rows
-        self.count = 0         # iterations in self.logged
+        self.blocks = []       # (r, q[, stat]) per check block
         start = (np.empty(0),) if full else ()
         self.parts = [[(r, q) + start] for r, q in zip(r0[:, None], q0[:, None])]
 
-    def add(self, t: int, x: np.ndarray, mu0: np.ndarray, ids: list,
-            stat=None) -> None:
-        """Record iteration t: the values x of the running rows `ids`
-        and, with full series, their stopping statistic."""
-        live = x.shape[0]
-        self.snaps[self.pending * live:(self.pending + 1) * live] = x
-        self.pending += 1
-        self.times.append(t)
-        if stat is not None:
-            self.stats.append(stat)
-        if self.pending == RQ_BLOCK:
-            self._flush(mu0)
-            if self.count >= LOG_SPLIT:
-                self.split(ids, mu0)
+    def add(self, times: list, *cols) -> None:
+        """Log the iterations `times`: per column an (iterations, slots)
+        array."""
+        self.times += times
+        self.blocks.append(cols)
 
-    def _flush(self, mu0: np.ndarray) -> None:
-        """Take r and q of the pending snapshots against the rows' mu0."""
-        k, live = self.pending, mu0.size
-        if not k:
-            return
-        r, q = _rq(self.snaps[:k * live], np.tile(mu0, k))
-        block = (r.reshape(k, live), q.reshape(k, live))
-        if self.stats:
-            block += (np.array(self.stats),)
-        self.logged.append(block)
-        self.count += k
-        self.pending = 0
-        self.stats = []
-
-    def split(self, ids: list, mu0: np.ndarray) -> None:
-        """Hand everything recorded so far to the rows `ids`, in slot
-        order (None for a row that has left); mu0 is theirs."""
-        self._flush(mu0)
-        if self.logged:
-            cols = [np.concatenate(c) for c in zip(*self.logged)]
-            self.logged = []
-            self.count = 0
+    def split(self, ids: list) -> None:
+        """Hand everything logged so far to the rows `ids`, in slot order
+        (None for a row that has left)."""
+        if self.blocks:
+            cols = [np.concatenate(c) for c in zip(*self.blocks)]
+            self.blocks = []
             for p, i in enumerate(ids):
                 if i is not None:
                     self.parts[i].append(tuple(c[:, p] for c in cols))
 
     def series(self, i: int, t: int, last) -> tuple:
-        """Row i's t, r, q and stat arrays at its stop at iteration t;
+        """Row i's t, r, q and stat arrays at its end at iteration t;
         `last` is the (r, q) of that iteration if it was not recorded."""
         parts, self.parts[i] = self.parts[i], None
-        times = self.times
-        if last is not None:
-            parts.append((np.array(last[:1]), np.array(last[1:])))
-            times = times + [t]
         cols = [np.concatenate(c) for c in zip(*parts)]
-        stats = cols[2] if len(cols) == 3 else None
-        return np.array(times, dtype=np.int64), cols[0], cols[1], stats
+        m = bisect.bisect_right(self.times, t)
+        times, r, q = self.times[:m], cols[0][:m], cols[1][:m]
+        if last is not None:
+            times.append(t)
+            r = np.append(r, last[0])
+            q = np.append(q, last[1])
+        stats = cols[2][:t] if len(cols) == 3 else None
+        return np.array(times, dtype=np.int64), r, q, stats
 
 
 def _trial_record(series, converged_at, consensus, r_final, q_final, seed,

@@ -374,6 +374,36 @@ def test_simulate_warns_about_censored_trials(graph_file, tmp_path, capsys):
     assert "warning: scheme=bbga: 2 of 2 trials hit max_iters=4" in captured.err
 
 
+def test_diverging_trials_warn_once_and_stay_censored(graph16, tmp_path,
+                                                      capsys):
+    # bbga far beyond its stability window: every trial overflows to a
+    # non-finite state and runs to max_iters.  Exit code, records and
+    # stdout are those of censored trials; stderr holds one censored and
+    # one non-finite line and no numpy warning escapes
+    path = tmp_path / "graph16.txt"
+    graph.save_graph(graph16, path)
+    calls = [
+        (["simulate", "--scheme", "bbga", "--epsilon", "60"],
+         "failures=0 censored=2", "scheme=bbga: "),
+        (["sweep", "--scheme", "bbga", "--grid", "60"],
+         "failures=0 censored=2", ""),
+    ]
+    for argv, out, where in calls:
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            code = run(argv + ["--graph", str(path), "--trials", "2",
+                               "--max-iters", "3000",
+                               "--out", str(tmp_path / argv[0])])
+        assert code == EXIT_OK
+        captured = capsys.readouterr()
+        assert out in captured.out
+        assert captured.err.splitlines() == [
+            f"warning: {where}2 of 2 trials hit max_iters=3000 without "
+            f"converging; the broadcast averages count them as 3000",
+            "warning: scheme=bbga: 2 of 2 trials reached a non-finite state"]
+        assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
+
+
 def test_config_file_resolution(graph_file, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(

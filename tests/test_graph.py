@@ -4,12 +4,15 @@ import math
 import numpy as np
 import pytest
 
+from gossiplab import graph, sim
+from gossiplab.cli import DEFAULT_GRID
 from gossiplab.errors import RetryExhausted
 from gossiplab.graph import (
     DiGraph, connectivity_radius, directify, graph_from_text, graph_to_text,
     is_strongly_connected, laplacian, load_graph, random_geometric_graph,
     save_graph,
 )
+from gossiplab.protocol import SchemeKind
 
 # 1 hears 2 and 3, 2 hears 3, 3 hears 1; strongly connected, asymmetric
 TRIANGLE_EDGES = frozenset({(1, 2), (2, 3), (3, 1), (1, 3)})
@@ -187,3 +190,22 @@ def test_save_and_load_with_headers(tmp_path, graph16):
     back = load_graph(path)
     assert back.edges == graph16.edges
     assert np.allclose(back.coords, graph16.coords)
+
+
+def test_strong_connectivity_is_checked_once_per_graph(graph16, monkeypatch):
+    # build_scheme checks every grid point's graph; the two searches run
+    # on the graph's first check only
+    g = DiGraph(graph16.n, graph16.edges, coords=graph16.coords)
+    calls = []
+    reachable = graph._reachable
+
+    def spy(adj, start):
+        calls.append(start)
+        return reachable(adj, start)
+
+    monkeypatch.setattr(graph, "_reachable", spy)
+    points = sim.epsilon_sweep(SchemeKind.BBGA, g, DEFAULT_GRID, 1, 1e-3, 50,
+                               base_seed=0)
+    assert len(points) == 50
+    assert len(calls) == 2
+    assert is_strongly_connected(g) and len(calls) == 2

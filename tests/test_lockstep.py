@@ -7,6 +7,7 @@ must equal a replay through protocol.step.
 """
 import math
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -367,7 +368,7 @@ def test_monte_carlo_rows_equal_one_row_calls_for_any_worker_count(
     assert seen_failure
 
 
-# ---- r and q taken in blocks of recorded states ----
+# ---- rows checked, and r and q taken, once per block of steps ----
 
 def references(cases, threshold, max_iters, **opts):
     """Each (scheme, x0, seed) row's reference record, or the
@@ -413,26 +414,37 @@ def block_cases(g, with_failure):
              seed) for kind, eps, seed in kinds]
 
 
+def chunk_entries(schemes, rows, steps):
+    """An ENTRY_CHUNK that lays out `steps` steps per chunk while `rows`
+    rows of these schemes run."""
+    uniq = list({id(s): s for s in schemes}.values())
+    per_row = max(1.0, float(sim._hearer_tables(uniq, uniq[0].n)[1].mean()))
+    return (steps + 0.5) * rows * per_row
+
+
 @pytest.mark.parametrize("with_failure", [False, True])
 @pytest.mark.parametrize("offset", [-1, 0, 1])
-@pytest.mark.parametrize("split_every_block", [False, True])
+@pytest.mark.parametrize("chunk_per_block", [False, True])
 @pytest.mark.parametrize("full_series", [False, True])
 def test_rows_leaving_at_a_block_flush_keep_their_series(
-        graph16, monkeypatch, with_failure, offset, split_every_block,
+        graph16, monkeypatch, with_failure, offset, chunk_per_block,
         full_series):
     # The first row to leave (a stop at t=58, or a mass failure at t=20)
-    # does so one iteration after a flush of the r/q block (offset -1),
-    # on the iteration whose snapshot fills the block (0), or one before
-    # (1); the other rows leave later at other points of their blocks.
+    # does so one iteration after the end of a check block (offset -1),
+    # on the block's last iteration (0), or one before (1); the other
+    # rows leave later at other points of their blocks.  With
+    # chunk_per_block every chunk is one check block, so the rows are
+    # packed and their series handed over right at the block's end.
     cases = block_cases(graph16, with_failure)
     refs = references(cases, 1e-5, 5000, full_series=full_series)
     times = [leave_time(ref) for ref in refs]
     first = min(times)
     assert first == (20 if with_failure else 58)
     assert sorted(times)[1] > first
-    monkeypatch.setattr(sim, "RQ_BLOCK", first + offset)
-    monkeypatch.setattr(sim, "LOG_SPLIT",
-                        first + offset if split_every_block else sim.LOG_SPLIT)
+    monkeypatch.setattr(sim, "CHECK_BLOCK", first + offset)
+    if chunk_per_block:
+        monkeypatch.setattr(sim, "ENTRY_CHUNK", chunk_entries(
+            [s for s, _, _ in cases], len(cases), first + offset))
     lock = assert_rows_match(cases, refs, 1e-5, 5000, full_series=full_series)
     assert isinstance(lock[-1], MassConservationError) == with_failure
 
@@ -441,9 +453,8 @@ def test_rows_leaving_at_a_block_flush_keep_their_series(
 def test_blocked_series_match_for_every_block_size(graph16, digraph16,
                                                    monkeypatch, block):
     # stops spread over many block positions, streams shared and not,
-    # a LOG_SPLIT that is not a multiple of the block
-    monkeypatch.setattr(sim, "RQ_BLOCK", block)
-    monkeypatch.setattr(sim, "LOG_SPLIT", 3 * block + 1)
+    # chunks whose length is not a multiple of the block
+    monkeypatch.setattr(sim, "CHECK_BLOCK", block)
     cases = []
     for i, kind in enumerate(SchemeKind):
         for g in (graph16, digraph16):
@@ -451,6 +462,8 @@ def test_blocked_series_match_for_every_block_size(graph16, digraph16,
             cases.append((build_scheme(kind, g, eps),
                           np.random.default_rng(50 + len(cases)).random(16),
                           i % 3))
+    monkeypatch.setattr(sim, "ENTRY_CHUNK", chunk_entries(
+        [s for s, _, _ in cases], len(cases), 3 * block + 1))
     refs = references(cases, 1e-4, 3000)
     assert len({leave_time(ref) for ref in refs}) > 5
     assert_rows_match(cases, refs, 1e-4, 3000)
@@ -465,13 +478,14 @@ def test_blocked_series_match_past_the_dense_record_limit(graph16,
                                                           full_series):
     # one row stops in the thinned range, others stop early or run to
     # max_iters; blocks then span many unrecorded iterations
-    monkeypatch.setattr(sim, "RQ_BLOCK", 7)
-    monkeypatch.setattr(sim, "LOG_SPLIT", 20)
     kinds = [(SchemeKind.UBGA1, 0.02, 3), (SchemeKind.CLASSIC, 0.0, 4),
              (SchemeKind.BBGA, 0.01, 3), (SchemeKind.BBGA, 0.5, 5)]
     cases = [(build_scheme(kind, graph16, eps),
               np.random.default_rng(seed).random(16), seed)
              for kind, eps, seed in kinds]
+    monkeypatch.setattr(sim, "CHECK_BLOCK", 7)
+    monkeypatch.setattr(sim, "ENTRY_CHUNK", chunk_entries(
+        [s for s, _, _ in cases], len(cases), 20))
     horizon = FULL_RECORD_LIMIT + 6000
     refs = references(cases, 1e-12, horizon, full_series=full_series)
     times = [leave_time(ref) for ref in refs]
@@ -624,3 +638,148 @@ def test_rows_leaving_at_any_step_of_a_chunk(graph16, monkeypatch, steps,
     assert_rows_match(cases, refs, 1e-4, 5000, full_series=full_series)
     assert shapes[0] == (min(steps, block), 6)
     assert shapes[1][0] == min(steps, block)
+
+
+# ---- rows checked once per block of steps ----
+
+POSITION_ROWS = [(SchemeKind.UBGA1, 0.5, 1), (SchemeKind.BBGA, 0.5, 3),
+                 (SchemeKind.CLASSIC, 0.0, 4), (SchemeKind.UBGA2, 0.4, 2)]
+
+
+@pytest.mark.parametrize("block", [1, 2, 5, 32])
+@pytest.mark.parametrize("position", ["first", "middle", "last"])
+def test_first_leave_at_any_step_of_a_check_block(graph16, monkeypatch,
+                                                  block, position):
+    # The first row stops at t=75.  Chunks, and so check blocks, restart
+    # with every draw block: a draw block of D = 74 - pos steps puts t=75
+    # at step pos of the second one's first check block.
+    cases = [(build_scheme(kind, graph16, eps),
+              np.random.default_rng(seed).random(16), seed)
+             for kind, eps, seed in POSITION_ROWS]
+    refs = references(cases, 1e-6, 5000)
+    times = sorted(leave_time(ref) for ref in refs)
+    assert times[0] == 75 and times[1] > 75
+    pos = {"first": 0, "middle": block // 2, "last": block - 1}[position]
+    draw = 74 - pos
+    assert draw >= block and 75 <= 2 * draw
+    shapes = []
+    prepare = sim._prepare
+
+    def spy(tables, ks, *args):
+        shapes.append(ks.shape)
+        return prepare(tables, ks, *args)
+
+    monkeypatch.setattr(sim, "_prepare", spy)
+    monkeypatch.setattr(sim, "CHECK_BLOCK", block)
+    monkeypatch.setattr(sim, "DRAW_BLOCK", draw)
+    assert_rows_match(cases, refs, 1e-6, 5000)
+    assert shapes[:2] == [(draw, 4), (draw, 4)]
+
+
+def relabelled(scheme):
+    """The scheme, mass-checked as if it were unbiased."""
+    return replace(scheme, kind=SchemeKind.UBGA1)
+
+
+@pytest.mark.parametrize("block", [1, 5, 8, 32])
+def test_mass_failure_wins_over_a_stop_at_the_same_step(graph16,
+                                                        monkeypatch, block):
+    # BBGA does not conserve x + y, so checked as unbiased it fails the
+    # mass check; with x0 scaled by 2**-27 (exactly) it first fails at
+    # t=8, where its statistic also falls to a new low.  With that
+    # statistic as the threshold the failure and the stop fall on the
+    # same step, and the failure wins; the plain scheme stops there.
+    s = build_scheme(SchemeKind.BBGA, graph16, 0.5)
+    x0 = np.random.default_rng(0).random(16) * 2.0 ** -27
+    with pytest.raises(MassConservationError, match="at iteration 8$"):
+        reference_trial(relabelled(s), x0, 1e-300, 100,
+                        np.random.default_rng(2))
+    ref, _, _ = reference_trial(s, x0, 1e-300, 8, np.random.default_rng(2),
+                                full_series=True)
+    stat = ref.stat_series
+    assert stat[7] < stat[:7].min()
+    threshold = float(stat[7])
+    cases = [(relabelled(s), x0, 2), (s, x0, 2),
+             (build_scheme(SchemeKind.UBGA1, graph16, 0.5),
+              np.random.default_rng(9).random(16), 2)]
+    refs = references(cases, threshold, 5000)
+    assert isinstance(refs[0], MassConservationError)
+    assert str(refs[0]).endswith("at iteration 8")
+    assert refs[1].converged_at == 8
+    monkeypatch.setattr(sim, "CHECK_BLOCK", block)
+    assert_rows_match(cases, refs, threshold, 5000)
+
+
+@pytest.mark.parametrize("threshold", [10.0, 1e-300])
+def test_rows_ending_before_their_state_overflows_in_the_block(
+        graph16, threshold):
+    # UBGA1 at eps=1e150 stops at t=1 (threshold 10) or fails the mass
+    # check at t=2 (threshold 1e-300); its state is no longer finite from
+    # t=4 on, inside the same check block.  The record must be read at
+    # its end: max_drift is the drift at t=1 (0.0), not nan, a failure
+    # reports the drift at t=2, and no floating-point warning escapes.
+    wild = build_scheme(SchemeKind.UBGA1, graph16, 1e150)
+    x0 = np.random.default_rng(1).random(16)
+    state = GossipState.initial(x0)
+    walker = np.random.default_rng(3)
+    finite = []
+    with np.errstate(all="ignore"):
+        for _ in range(4):
+            state, _k = step(state, wild, walker)
+            finite.append(bool(np.isfinite(state.stacked()).all()))
+    assert finite == [True, True, True, False]
+    cases = [(wild, x0, 3), (build_scheme(SchemeKind.UBGA1, graph16, 0.5),
+                             np.random.default_rng(5).random(16), 3)]
+    refs = references(cases[:1], threshold, 200)
+    if threshold == 10.0:
+        assert refs[0].converged_at == 1 and refs[0].max_drift == 0.0
+    else:
+        assert str(refs[0]) == "mass drifted by 8.271e+00 at iteration 2"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lock = _lockstep([Row(s, x, np.random.default_rng(seed), seed)
+                          for s, x, seed in cases], threshold, 200)
+    assert_same(lock[0], refs[0])
+    (alone,) = lockstep([cases[1][0]], cases[1][1], threshold, 200,
+                        np.random.default_rng(3), seed=3)
+    assert_same(lock[1], alone)
+
+
+def test_every_row_leaving_in_the_first_step_of_a_block(graph16,
+                                                        monkeypatch):
+    # Three rows run one trial on one stream and stop together at t=ts;
+    # with blocks of ts - 1 steps that is the first step of the second
+    # block.  The other rows are cut there by max_iters.  Blocks of any
+    # length start at t=1, where a huge threshold stops every row.
+    s = build_scheme(SchemeKind.CLASSIC, graph16, 0.0)
+    x0 = np.random.default_rng(6).random(16)
+    (ref,) = references([(s, x0, 6)], 1e-4, 5000)
+    ts = ref.converged_at
+    assert ts == 61
+    others = [(build_scheme(kind, graph16, eps),
+               np.random.default_rng(seed).random(16), seed)
+              for kind, eps, seed in POSITION_ROWS
+              if kind is not SchemeKind.CLASSIC]
+    cases = [(s, x0, 6)] * 3 + others
+    refs = references(cases, 1e-4, ts)
+    assert [r.converged_at for r in refs[:3]] == [ts] * 3
+    assert all(leave_time(r) == ts for r in refs)
+    monkeypatch.setattr(sim, "CHECK_BLOCK", ts - 1)
+    for full_series in (False, True):
+        assert_rows_match(cases, references(cases, 1e-4, ts,
+                                            full_series=full_series),
+                          1e-4, ts, full_series=full_series)
+    refs = references(cases, 1e3, 5000)
+    assert all(r.converged_at == 1 for r in refs)
+    assert_rows_match(cases, refs, 1e3, 5000)
+
+
+def test_a_stop_in_the_first_draw_block_draws_exactly_one_block(graph16):
+    s = build_scheme(SchemeKind.BBGA, graph16, 0.5)
+    x0 = np.random.default_rng(8).random(16)
+    rng = np.random.default_rng(12)
+    rec = run_trial(s, x0, 1e-4, 50_000, rng)
+    assert 0 < rec.converged_at < sim.DRAW_BLOCK
+    fresh = np.random.default_rng(12)
+    fresh.integers(1, 17, size=sim.DRAW_BLOCK)
+    assert rng.bit_generator.state == fresh.bit_generator.state
