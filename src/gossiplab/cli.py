@@ -368,27 +368,23 @@ def cmd_simulate(cfg: ExperimentConfig, per_trial: bool, svg: bool) -> int:
     kinds = [parse_scheme(tok) for tok in tokens if tok.strip()]
     if not kinds:
         raise ConfigError("no schemes given")
-    # resolve, build and classify every scheme before any trial runs or
-    # any file is written; the k-th scheme's files echo the couplings
-    # resolved up to it
-    epsilons, schemes, w1s, headers = [], [], [], []
+    # each scheme names its own files
+    for i, kind in enumerate(kinds):
+        if kind in kinds[:i]:
+            raise ConfigError(f"scheme {kind.value!r} given twice")
+    # resolve and build every scheme before any trial runs or any file is
+    # written; the k-th scheme's files echo the couplings resolved up to it
+    epsilons, schemes, headers = [], [], []
     eps_report = epsilon_reports(g)
     for kind in kinds:
-        eps, note = resolve_epsilon(cfg.epsilon, g, kind, eps_report)
-        scheme = build_scheme(kind, g, eps, cfg.gamma)
+        eps, _ = resolve_epsilon(cfg.epsilon, g, kind, eps_report)
+        schemes.append(build_scheme(kind, g, eps, cfg.gamma))
         extras[f"epsilon_{kind.value}"] = sim.fmt(eps)
-        w1 = None
-        if kind is not SchemeKind.CLASSIC:
-            rep = analysis.classify_expectation(scheme)
-            if rep.is_simple_one:
-                w1 = rep.w1
         epsilons.append(eps)
-        schemes.append(scheme)
-        w1s.append(w1)
         headers.append(make_header("simulate", cfg, extras))
     results = sim.campaigns(schemes, g, cfg.init, cfg.trials, cfg.threshold,
                             cfg.max_iters, cfg.seed, workers=cfg.workers,
-                            keep_series=True, w1s=w1s)
+                            keep_series=True)
     out = _outdir(cfg)
     any_failures = False
     curves = []

@@ -95,7 +95,6 @@ class TrialRecord:
     r_series: np.ndarray
     q_series: np.ndarray
     seed: int | None = None
-    predicted: float | None = None
     stat_series: np.ndarray | None = None
     max_drift: float | None = None
 
@@ -175,7 +174,6 @@ class Row(NamedTuple):
     x0: np.ndarray
     rng: np.random.Generator
     seed: int | None = None
-    predicted: float | None = None
 
 
 def _rq(xs: np.ndarray, mu0: np.ndarray) -> tuple:
@@ -436,8 +434,10 @@ def _lockstep(rows, threshold: float, max_iters: int, *,
                     if not np.minimum.reduce(sums) > screen:
                         yk = _block_yk(yk0, snap[1], sk[c + 1:c + k])
                         near = np.flatnonzero(~(sums + yk * yk > screen))
-                        stop = _first_stops(near, live, running, (
-                            dx, dy, yk, seg, cnt[c:c + k].ravel(), threshold))
+                        exact = _exact_stat(dx, dy, yk, seg,
+                                            cnt[c:c + k].ravel(), near)
+                        stop = _first_stops(near[exact <= threshold], live,
+                                            running)
                 if spread:
                     rq = _rq(snap[0], mu0)
                     stop = _first_stops(
@@ -497,7 +497,7 @@ def _lockstep(rows, threshold: float, max_iters: int, *,
                                 i, te, None if last in rec else (rf, qf))
                             out[i] = _trial_record(
                                 series, te if stop.get(p) == last else None,
-                                mean, rf, qf, rows[i].seed, rows[i].predicted,
+                                mean, rf, qf, rows[i].seed,
                                 drift_p if unbiased[p] else None)
                 if check_mass:
                     np.maximum(drift_max, np.maximum.reduce(drift, 0),
@@ -544,27 +544,14 @@ def _block_yk(yk0: np.ndarray, ys: np.ndarray, sk: np.ndarray) -> np.ndarray:
     return np.concatenate((yk0, ys.reshape(-1)[sk.ravel()]))
 
 
-def _first_stops(pairs: np.ndarray, live: int, running: np.ndarray,
-                 exact=None) -> dict:
+def _first_stops(pairs: np.ndarray, live: int, running: np.ndarray) -> dict:
     """Each running slot's first step among the (step, slot) pairs of a
-    block (flat, step major, ascending) that stop it: every pair, or with
-    exact = (dx, dy, yk, seg, cnt, threshold) a pair whose exact
-    statistic (the bits of _exact_stat) is at most threshold.  A slot's
-    pairs after its first stop are not checked."""
-    if exact is not None:
-        dx, dy, yk, seg, cnt, threshold = exact
-        seg, cnt, yk = seg.tolist(), cnt.tolist(), yk.tolist()
+    block (flat, step major, ascending) that stop it."""
     stop = {}
     for f in pairs.tolist():
         step, p = divmod(f, live)
-        if p in stop or not running[p]:
-            continue
-        if exact is not None:
-            u = dx[seg[f]:seg[f] + cnt[f]]
-            v = dy[seg[f]:seg[f] + cnt[f]]
-            if not math.sqrt(u.dot(u) + v.dot(v) + yk[f] * yk[f]) <= threshold:
-                continue
-        stop[p] = step
+        if p not in stop and running[p]:
+            stop[p] = step
     return stop
 
 
@@ -632,7 +619,7 @@ class _SeriesLog:
 
 
 def _trial_record(series, converged_at, consensus, r_final, q_final, seed,
-                  predicted, max_drift) -> TrialRecord:
+                  max_drift) -> TrialRecord:
     if series is None:
         empty = np.empty(0)
         ts, rs, qs, stats = np.empty(0, dtype=np.int64), empty, empty, None
@@ -641,14 +628,12 @@ def _trial_record(series, converged_at, consensus, r_final, q_final, seed,
     return TrialRecord(
         converged_at=converged_at, consensus_value=consensus,
         r_final=r_final, q_final=q_final, t_series=ts, r_series=rs,
-        q_series=qs, seed=seed, predicted=predicted, stat_series=stats,
-        max_drift=max_drift)
+        q_series=qs, seed=seed, stat_series=stats, max_drift=max_drift)
 
 
 def run_trial(scheme: ParamScheme, x0, threshold: float, max_iters: int,
               rng: np.random.Generator, *, full_series: bool = False,
-              predicted: float | None = None, seed: int | None = None,
-              stop_rule: str = "change",
+              seed: int | None = None, stop_rule: str = "change",
               keep_series: bool = True) -> TrialRecord:
     """Run one trial until the stacked state settles or max_iters is hit.
 
@@ -671,7 +656,7 @@ def run_trial(scheme: ParamScheme, x0, threshold: float, max_iters: int,
     sequence as single draws; the caller's `rng` may therefore end up to
     one block past the last draw the trial used.
     """
-    (res,) = _lockstep([Row(scheme, x0, rng, seed, predicted)], threshold,
+    (res,) = _lockstep([Row(scheme, x0, rng, seed)], threshold,
                        max_iters, keep_series=keep_series,
                        full_series=full_series, stop_rule=stop_rule)
     if isinstance(res, GossipLabError):
@@ -682,11 +667,9 @@ def run_trial(scheme: ParamScheme, x0, threshold: float, max_iters: int,
 def _trial_block(payload) -> list:
     """Trials `seeds` at every scheme, as one lockstep call: trial i
     draws its x0 and then its broadcasters from generator seeds[i], which
-    its rows at every scheme share.  w1s holds per scheme the w1 whose
-    w1 . x0 its records predict, or None.  Returns per (seed, scheme),
-    seed major, a TrialRecord or the failure message of a rejected
-    trial."""
-    schemes, g, init, seeds, w1s, threshold, max_iters, opts = payload
+    its rows at every scheme share.  Returns per (seed, scheme), seed
+    major, a TrialRecord or the failure message of a rejected trial."""
+    schemes, g, init, seeds, threshold, max_iters, opts = payload
     outcomes = []      # per (seed, scheme): a failure message or a row
     rows = []
     for seed in seeds:
@@ -696,20 +679,18 @@ def _trial_block(payload) -> list:
         except GossipLabError as exc:
             outcomes += [_failure(exc)] * len(schemes)
             continue
-        for s, w1 in zip(schemes, w1s):
-            predicted = None if w1 is None else float(np.asarray(w1) @ x0)
+        for s in schemes:
             outcomes.append(len(rows))
-            rows.append(Row(s, x0, rng, seed, predicted))
+            rows.append(Row(s, x0, rng, seed))
     ran = _lockstep(rows, threshold, max_iters, **opts) if rows else []
     ran = [o if isinstance(o, TrialRecord) else _failure(o) for o in ran]
     return [o if isinstance(o, str) else ran[o] for o in outcomes]
 
 
-def _run_trials(schemes, g, init, trials: int, base_seed: int, w1s,
+def _run_trials(schemes, g, init, trials: int, base_seed: int,
                 threshold: float, max_iters: int, workers, **opts) -> list:
-    """Trials base_seed + i at every scheme, scheme j's records
-    predicting w1s[j] . x0 (None: no prediction): one lockstep call, or
-    one per contiguous chunk of seeds when a process pool is used.
+    """Trials base_seed + i at every scheme: one lockstep call, or one
+    per contiguous chunk of seeds when a process pool is used.
     Returns the per-trial outcome lists of every scheme, in trial order."""
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -719,7 +700,7 @@ def _run_trials(schemes, g, init, trials: int, base_seed: int, w1s,
     nwork = min(resolve_workers(workers), trials)
     payloads = [(schemes, g, init, seeds[c * trials // nwork:
                                          (c + 1) * trials // nwork],
-                 w1s, threshold, max_iters, opts) for c in range(nwork)]
+                 threshold, max_iters, opts) for c in range(nwork)]
     if nwork > 1:
         # imported here: it pulls in multiprocessing, which a serial run
         # does not need
@@ -769,7 +750,7 @@ def _campaign_result(outcomes: list, max_iters: int) -> MonteCarloResult:
 def monte_carlo(scheme: ParamScheme, g: DiGraph, init, trials: int,
                 threshold: float, max_iters: int, base_seed: int, *,
                 workers: int | None = None, keep_series: bool = True,
-                full_series: bool = False, w1=None,
+                full_series: bool = False,
                 stop_rule: str = "change") -> MonteCarloResult:
     """Run `trials` independent trials with seeds base_seed + i.
 
@@ -777,37 +758,32 @@ def monte_carlo(scheme: ParamScheme, g: DiGraph, init, trials: int,
     seeds with a process pool); each record equals the trial run alone
     through run_trial.  Aggregates are computed over successful trials;
     engine-level failures (for example a mass-conservation violation) are
-    collected per trial instead of aborting the campaign.  Passing w1
-    attaches the predicted consensus w1 . x0 to every record.
+    collected per trial instead of aborting the campaign.
     keep_series=False strips the stored series to keep large campaigns
     small; the finals survive.  This is campaigns() with one scheme.
     """
     (result,) = campaigns(
         [scheme], g, init, trials, threshold, max_iters, base_seed,
         workers=workers, keep_series=keep_series, full_series=full_series,
-        w1s=[w1], stop_rule=stop_rule)
+        stop_rule=stop_rule)
     return result
 
 
 def campaigns(schemes, g: DiGraph, init, trials: int, threshold: float,
               max_iters: int, base_seed: int, *, workers: int | None = None,
-              keep_series: bool = True, full_series: bool = False, w1s=None,
+              keep_series: bool = True, full_series: bool = False,
               stop_rule: str = "change") -> list:
     """One monte_carlo campaign per scheme, all of them run as the rows
     of one lockstep call (one per chunk of seeds with a process pool).
     Trial i's rows share generator base_seed + i, which draws their x0 and
     then the broadcaster stream each scheme's lone campaign draws, so
-    every result equals monte_carlo(schemes[j], ..., w1=w1s[j])."""
+    every result equals monte_carlo(schemes[j], ...)."""
     schemes = list(schemes)
     if not schemes:
         raise ValueError("need at least one scheme")
-    w1s = [None] * len(schemes) if w1s is None else list(w1s)
-    if len(w1s) != len(schemes):
-        raise ValueError("need one w1 (or None) per scheme")
     per_scheme = _run_trials(
-        schemes, g, init, trials, base_seed, w1s, threshold, max_iters,
-        workers, keep_series=keep_series, full_series=full_series,
-        stop_rule=stop_rule)
+        schemes, g, init, trials, base_seed, threshold, max_iters, workers,
+        keep_series=keep_series, full_series=full_series, stop_rule=stop_rule)
     return [_campaign_result(o, max_iters) for o in per_scheme]
 
 
@@ -830,9 +806,9 @@ def epsilon_sweep(kind: SchemeKind, g: DiGraph, grid, trials: int,
         raise ValueError("empty epsilon grid")
     # building every scheme first validates the whole grid up front
     schemes = [build_scheme(kind, g, eps, gamma) for eps in grid]
-    per_point = _run_trials(schemes, g, init, trials, base_seed,
-                            [None] * len(schemes), threshold, max_iters,
-                            workers, keep_series=False, stop_rule=stop_rule)
+    per_point = _run_trials(schemes, g, init, trials, base_seed, threshold,
+                            max_iters, workers, keep_series=False,
+                            stop_rule=stop_rule)
     return [SweepPoint(epsilon=eps, result=_campaign_result(o, max_iters),
                        scheme=s)
             for eps, s, o in zip(grid, schemes, per_point)]

@@ -12,8 +12,7 @@ import numpy as np
 
 from .errors import NoConvergence, NotSimple, SizeOverflow
 
-# Tolerances used by the canonical ordering and simplicity checks.
-PAIRING_TOL = 1e-9        # conjugate pairs closer than this are tied in ordering
+# Tolerances of the simplicity and residual checks.
 SIMPLE_GAP = 1e-8         # minimum distance to the nearest other eigenvalue
 RESIDUAL_RTOL = 1e-8      # eigenpair residual, relative to the matrix norm
 KRON_ENTRY_CAP = 4_000_000

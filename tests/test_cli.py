@@ -340,6 +340,18 @@ def test_simulate_files_and_lines_are_pinned(tmp_path, monkeypatch, capsys):
     assert "epsilon_bbga=0.5 epsilon_ubga1=0.5 gamma" in ubga1
 
 
+def test_simulate_solves_no_eigenproblem(tmp_path, monkeypatch, capsys):
+    # no simulate output depends on the expected map: the pinned run (and
+    # its generate step, which needs neither) gives the same lines and
+    # bytes without it
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulate built or classified the expected map")
+
+    monkeypatch.setattr(analysis, "classify_expectation", refuse)
+    monkeypatch.setattr(analysis, "expected_matrix", refuse)
+    test_simulate_files_and_lines_are_pinned(tmp_path, monkeypatch, capsys)
+
+
 def test_simulate_validates_every_scheme_before_running(graph_file, tmp_path,
                                                         capsys):
     # classic builds at epsilon 0, bbga then rejects it: the run stops
@@ -606,6 +618,10 @@ BAD_INPUTS = [
         ("--check", "second-moment")),
     Bad("schemes", "bbga,nosuch", EXIT_CONFIG),
     Bad("schemes", ",", EXIT_CONFIG),
+    # a scheme's files are named after it: a second run of it would
+    # overwrite the first one's
+    Bad("schemes", "bbga,bbga", EXIT_CONFIG),
+    Bad("schemes", "bbga,ubga1,BBGA", EXIT_CONFIG),
     Bad("init", "nosuch", EXIT_CONFIG),
 ]
 

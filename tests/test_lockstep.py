@@ -27,7 +27,7 @@ from reference_engine import reference_trial
 from strategies import star_digraphs, strong_digraphs
 
 FIELDS = ("converged_at", "consensus_value", "r_final", "q_final", "seed",
-          "predicted", "max_drift")
+          "max_drift")
 SERIES = ("t_series", "r_series", "q_series")
 
 
@@ -52,8 +52,7 @@ def assert_same(a, b):
 def stripped(rec):
     return TrialRecord(rec.converged_at, rec.consensus_value, rec.r_final,
                        rec.q_final, np.empty(0, dtype=np.int64), np.empty(0),
-                       np.empty(0), seed=rec.seed, predicted=rec.predicted,
-                       max_drift=rec.max_drift)
+                       np.empty(0), seed=rec.seed, max_drift=rec.max_drift)
 
 
 def lockstep(schemes, x0, threshold, max_iters, rng, *, seed=None, **opts):
@@ -204,7 +203,6 @@ def test_monte_carlo_without_series_equals_the_stripped_series_run(graph16):
     # keep_series=False reaches the kernel, which then records nothing;
     # records, failures and aggregates must equal the stripped full run.
     # The cases converge, run out of iterations, and fail on mass drift.
-    w1 = np.full(16, 1.0 / 16)
     seen = {"failed": False, "censored": False}
     for scheme, full_series, max_iters in [
             (build_scheme(SchemeKind.BBGA, graph16, 0.5), False, 20_000),
@@ -212,7 +210,7 @@ def test_monte_carlo_without_series_equals_the_stripped_series_run(graph16):
             (build_scheme(SchemeKind.UBGA2, graph16, 0.5), False, 60),
             (build_scheme(SchemeKind.UBGA3, graph16, 50.0), False, 20_000),
             (build_scheme(SchemeKind.CLASSIC, graph16, 0.0), False, 20_000)]:
-        opts = dict(base_seed=30, w1=w1, full_series=full_series)
+        opts = dict(base_seed=30, full_series=full_series)
         kept = monte_carlo(scheme, graph16, InitKind.UNIFORM, 3, 1e-4,
                            max_iters, **opts)
         bare = monte_carlo(scheme, graph16, InitKind.UNIFORM, 3, 1e-4,
@@ -336,12 +334,11 @@ def test_mass_failure_among_independent_rows(graph16, digraph16):
 def test_monte_carlo_rows_equal_one_row_calls_for_any_worker_count(
         graph16, monkeypatch):
     monkeypatch.delenv("GOSSIPLAB_THREADS", raising=False)
-    w1 = np.full(16, 1.0 / 16)
     seen_failure = False
     for scheme in (build_scheme(SchemeKind.UBGA1, graph16, 0.5),
                    build_scheme(SchemeKind.UBGA3, graph16, 50.0),
                    build_scheme(SchemeKind.BBGA, graph16, 0.5)):
-        opts = dict(base_seed=3, w1=w1, full_series=True)
+        opts = dict(base_seed=3, full_series=True)
         serial = monte_carlo(scheme, graph16, InitKind.UNIFORM, 5, 1e-4,
                              20_000, workers=1, **opts)
         parallel = monte_carlo(scheme, graph16, InitKind.UNIFORM, 5, 1e-4,
@@ -356,8 +353,7 @@ def test_monte_carlo_rows_equal_one_row_calls_for_any_worker_count(
             rng = np.random.default_rng(rec.seed)
             x0 = rng.random(16)
             assert_same(rec, run_trial(scheme, x0, 1e-4, 20_000, rng,
-                                       full_series=True, seed=rec.seed,
-                                       predicted=float(w1 @ x0)))
+                                       full_series=True, seed=rec.seed))
         # drift telemetry: per unbiased record, its campaign maximum
         drifts = [r.max_drift for r in serial.records]
         if scheme.kind.is_unbiased:
@@ -504,14 +500,12 @@ def test_campaigns_equal_one_campaign_per_scheme(graph16, monkeypatch):
                build_scheme(SchemeKind.UBGA1, graph16, 0.5),
                build_scheme(SchemeKind.UBGA3, graph16, 50.0),
                build_scheme(SchemeKind.CLASSIC, graph16, 0.0)]
-    w1s = [np.full(16, 1.0 / 16), np.linspace(0.0, 0.125, 16), None, None]
     lone = [monte_carlo(s, graph16, InitKind.UNIFORM, 5, 1e-4, 20_000,
-                        base_seed=6, w1=w1, workers=1)
-            for s, w1 in zip(schemes, w1s)]
-    assert lone[2].failures and lone[0].records[0].predicted is not None
+                        base_seed=6, workers=1) for s in schemes]
+    assert lone[2].failures
     for workers in (1, 2):
         joint = sim.campaigns(schemes, graph16, InitKind.UNIFORM, 5, 1e-4,
-                              20_000, base_seed=6, w1s=w1s, workers=workers)
+                              20_000, base_seed=6, workers=workers)
         assert len(joint) == len(schemes)
         for a, b in zip(joint, lone):
             assert a.failures == b.failures
@@ -522,8 +516,8 @@ def test_campaigns_equal_one_campaign_per_scheme(graph16, monkeypatch):
                       "mean_q_final", "trials", "censored", "max_drift"):
                 assert str(getattr(a, f)) == str(getattr(b, f)), f
     with pytest.raises(ValueError):
-        sim.campaigns(schemes, graph16, InitKind.UNIFORM, 5, 1e-4, 100,
-                      base_seed=6, w1s=w1s[:2])
+        sim.campaigns([], graph16, InitKind.UNIFORM, 5, 1e-4, 100,
+                      base_seed=6)
 
 
 # ---- hearer entries laid out per chunk of steps ----
