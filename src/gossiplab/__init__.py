@@ -22,7 +22,7 @@ from .graph import (
     save_graph,
 )
 from .spectra import (
-    eigenvalues, kron, left_eigenvector, multiset_distance, sort_spectrum,
+    eigenvalues, left_eigenvector, multiset_distance, sort_spectrum,
     spectral_radius,
 )
 from .protocol import (
@@ -32,8 +32,8 @@ from .protocol import (
 from .analysis import (
     EpsilonReport, SpectralReport, bbga_closed_eigs, classify_expectation,
     epsilon_report, eta_bound, eta_practical, expected_matrix,
-    indegree_laplacian, optimal_epsilon, predicted_consensus,
-    second_moment_matrix, stationary_vector,
+    indegree_laplacian, optimal_epsilon, second_moment_matrix,
+    stationary_vector,
 )
 from .sim import (
     InitKind, MonteCarloResult, SweepPoint, TrialRecord, aggregate_series,
@@ -54,15 +54,15 @@ __all__ = [
     "save_graph", "load_graph",
     # spectra
     "sort_spectrum", "eigenvalues", "spectral_radius", "left_eigenvector",
-    "kron", "multiset_distance",
+    "multiset_distance",
     # protocol
     "SchemeKind", "ParamScheme", "GossipState", "build_scheme",
     "local_update", "assemble_Wk", "step",
     # analysis
     "SpectralReport", "EpsilonReport", "expected_matrix",
-    "classify_expectation", "predicted_consensus", "stationary_vector",
-    "second_moment_matrix", "bbga_closed_eigs", "eta_bound", "eta_practical",
-    "optimal_epsilon", "indegree_laplacian", "epsilon_report",
+    "classify_expectation", "stationary_vector", "second_moment_matrix",
+    "bbga_closed_eigs", "eta_bound", "eta_practical", "optimal_epsilon",
+    "indegree_laplacian", "epsilon_report",
     # sim
     "InitKind", "TrialRecord", "MonteCarloResult", "SweepPoint",
     "init_values", "run_trial", "monte_carlo", "campaigns", "epsilon_sweep",

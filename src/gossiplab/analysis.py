@@ -25,7 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectra
-from .errors import BadStationaryVector, BadXi, NotSimple, SizeOverflow, XiOutOfRange
+from .errors import (
+    BadStationaryVector, BadXi, NoConvergence, NotSimple, SizeOverflow,
+    XiOutOfRange,
+)
 from .graph import DiGraph, laplacian
 from .protocol import ParamScheme, SchemeKind, assemble_Wk
 from .sim import fmt
@@ -37,6 +40,8 @@ UNIT_BAND = 1e-8
 UNIT_MARGIN = 1e-10
 # Laplacian spectra are treated as real below this imaginary magnitude.
 REAL_SPECTRUM_TOL = 1e-8
+# Entries the dense second-moment lift may hold.
+KRON_ENTRY_CAP = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -162,19 +167,21 @@ def _split_spectrum(spectrum: np.ndarray) -> tuple:
     return unit_idx, is_simple, complex(others[order[-1]])
 
 
-def second_largest_modulus(scheme: ParamScheme) -> float:
-    """The second largest eigenvalue modulus of the expected update, as
-    classify_expectation reports it, without the left eigenvector."""
-    spectrum = spectra.eigenvalues(expected_matrix(scheme))
-    return float(np.abs(_split_spectrum(spectrum)[2]))
-
-
-def predicted_consensus(report: SpectralReport, x0) -> float:
-    """Limit value the expectation dynamics settle on: w1 . x0."""
-    if not report.is_simple_one or report.w1 is None:
-        raise NotSimple("expected update has no simple unit eigenvalue")
-    x0 = np.asarray(x0, dtype=float)
-    return float(report.w1 @ x0)
+def second_largest_moduli(schemes) -> list:
+    """The second largest eigenvalue modulus of each scheme's expected
+    update, as classify_expectation reports it, without the left
+    eigenvector.  The schemes need the same number of nodes; their maps
+    are solved in one stacked eigvals call, which gives each map the bits
+    of its own call."""
+    maps = np.stack([expected_matrix(s) for s in schemes])
+    if not np.all(np.isfinite(maps)):
+        raise ValueError("matrix has non-finite entries")
+    try:
+        values = np.linalg.eigvals(maps)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"eigenvalue iteration failed: {exc}") from exc
+    return [float(np.abs(_split_spectrum(spectra.sort_spectrum(v))[2]))
+            for v in values]
 
 
 def stationary_vector(scheme: ParamScheme) -> np.ndarray:
@@ -186,11 +193,11 @@ def stationary_vector(scheme: ParamScheme) -> np.ndarray:
     return spectra.left_eigenvector(scheme.b, 1.0, mask=np.ones(n))
 
 
-def second_moment_matrix(scheme: ParamScheme, v,
-                         entry_cap: int = spectra.KRON_ENTRY_CAP) -> np.ndarray:
+def second_moment_matrix(scheme: ParamScheme, v) -> np.ndarray:
     """Mean of kron(W_k, W_k) minus the rank-one projector onto the
     consensus direction.  Spectral radius below 1 certifies decay of the
-    second moment of the deviation from the (weighted) average.
+    second moment of the deviation from the (weighted) average.  Refused
+    with SizeOverflow above KRON_ENTRY_CAP entries (n > 22).
     """
     n = scheme.n
     v = np.asarray(v, dtype=float)
@@ -199,13 +206,13 @@ def second_moment_matrix(scheme: ParamScheme, v,
     if np.max(np.abs(v @ scheme.b - v)) > 1e-8 or abs(v.sum() - 1.0) > 1e-8:
         raise BadStationaryVector("need v^T B = v^T with entries summing to 1")
     dim = 4 * n * n
-    if dim * dim > entry_cap:
-        raise SizeOverflow(
-            f"second-moment matrix would hold {dim * dim} entries (cap {entry_cap})")
+    if dim * dim > KRON_ENTRY_CAP:
+        raise SizeOverflow(f"second-moment matrix would hold {dim * dim} "
+                           f"entries (cap {KRON_ENTRY_CAP})")
     acc = np.zeros((dim, dim))
     for k in range(1, n + 1):
         wk = assemble_Wk(scheme, k)
-        acc += spectra.kron(wk, wk, entry_cap=entry_cap)
+        acc += np.kron(wk, wk)
     acc /= n
     one0 = np.concatenate([np.ones(n), np.zeros(n)])
     vv = np.concatenate([v, v])

@@ -328,7 +328,7 @@ def cmd_sweep(cfg: ExperimentConfig, svg: bool) -> int:
     points = sim.epsilon_sweep(kind, g, grid, cfg.trials, cfg.threshold,
                                cfg.max_iters, cfg.seed, gamma=cfg.gamma,
                                init=cfg.init, workers=cfg.workers)
-    analytic = [analysis.second_largest_modulus(p.scheme) for p in points]
+    analytic = analysis.second_largest_moduli([p.scheme for p in points])
     out = _outdir(cfg)
     header = make_header("sweep", cfg, extras)
     sim.write_text(out / "sweep.csv", sim.sweep_csv(points, analytic=analytic),
@@ -374,13 +374,14 @@ def cmd_simulate(cfg: ExperimentConfig, per_trial: bool, svg: bool) -> int:
             raise ConfigError(f"scheme {kind.value!r} given twice")
     # resolve and build every scheme before any trial runs or any file is
     # written; the k-th scheme's files echo the couplings resolved up to it
-    epsilons, schemes, headers = [], [], []
+    epsilons, notes, schemes, headers = [], [], [], []
     eps_report = epsilon_reports(g)
     for kind in kinds:
-        eps, _ = resolve_epsilon(cfg.epsilon, g, kind, eps_report)
+        eps, note = resolve_epsilon(cfg.epsilon, g, kind, eps_report)
         schemes.append(build_scheme(kind, g, eps, cfg.gamma))
         extras[f"epsilon_{kind.value}"] = sim.fmt(eps)
         epsilons.append(eps)
+        notes.append(note)
         headers.append(make_header("simulate", cfg, extras))
     results = sim.campaigns(schemes, g, cfg.init, cfg.trials, cfg.threshold,
                             cfg.max_iters, cfg.seed, workers=cfg.workers,
@@ -388,7 +389,8 @@ def cmd_simulate(cfg: ExperimentConfig, per_trial: bool, svg: bool) -> int:
     out = _outdir(cfg)
     any_failures = False
     curves = []
-    for kind, eps, header, res in zip(kinds, epsilons, headers, results):
+    for kind, eps, note, header, res in zip(kinds, epsilons, notes, headers,
+                                            results):
         if res.records:
             series = sim.aggregate_series(res.records)
             sim.write_text(out / f"trajectory_{kind.value}.csv",
@@ -404,7 +406,7 @@ def cmd_simulate(cfg: ExperimentConfig, per_trial: bool, svg: bool) -> int:
               f"mean_broadcasts={res.mean_broadcasts:.17g} "
               f"mean_r_final={res.mean_r_final:.17g} "
               f"mean_q_final={res.mean_q_final:.17g} failures={len(res.failures)} "
-              f"censored={res.censored}")
+              f"censored={res.censored}" + (f" note={note}" if note else ""))
         if res.failures:
             any_failures = True
             for idx, msg in res.failures:

@@ -8,6 +8,12 @@ error vector relative to the eventual consensus, since the two differ by
 a constant along a trial; the engine computes it from the entries a
 broadcast actually touches.
 
+Campaigns and sweeps take the stopping rule from the initial condition:
+a spike stops on the spread, q(t) <= threshold, because a broadcast in
+its all-zero region changes nothing and would stop the state-change rule
+at once; every other init stops on the state change.  run_trial takes
+either rule.
+
 Two error metrics are tracked against the initial average mu0 = mean(x0)
 and the running mean:
 
@@ -642,10 +648,11 @@ def run_trial(scheme: ParamScheme, x0, threshold: float, max_iters: int,
     q(t) <= threshold instead, which is the meaningful criterion for
     localized initializations (a spike leaves most broadcasts changing
     nothing at all, so any state-change threshold fires vacuously at
-    t=1).  For sum-preserving schemes the engine recomputes the total of
-    values plus companions every iteration and raises
-    MassConservationError on relative drift beyond 1e-9; the record's
-    max_drift is the largest drift it saw (None for biased schemes).
+    t=1); campaigns and sweeps use it for a spike init.  For
+    sum-preserving schemes the engine recomputes the total of values plus
+    companions every iteration and raises MassConservationError on
+    relative drift beyond 1e-9; the record's max_drift is the largest
+    drift it saw (None for biased schemes).
 
     keep_series=False records no r/q series (nor stat series) and
     computes r and q only at the stop; the finals are the same.
@@ -688,14 +695,18 @@ def _trial_block(payload) -> list:
 
 
 def _run_trials(schemes, g, init, trials: int, base_seed: int,
-                threshold: float, max_iters: int, workers, **opts) -> list:
+                threshold: float, max_iters: int, workers,
+                keep_series: bool) -> list:
     """Trials base_seed + i at every scheme: one lockstep call, or one
-    per contiguous chunk of seeds when a process pool is used.
+    per contiguous chunk of seeds when a process pool is used.  A spike
+    init stops on the spread rule, any other on the state change.
     Returns the per-trial outcome lists of every scheme, in trial order."""
     if trials < 1:
         raise ValueError("need at least one trial")
     if isinstance(init, str):
         init = InitKind(init.lower())
+    opts = dict(keep_series=keep_series,
+                stop_rule="spread" if init is InitKind.SPIKE else "change")
     seeds = range(base_seed, base_seed + trials)
     nwork = min(resolve_workers(workers), trials)
     payloads = [(schemes, g, init, seeds[c * trials // nwork:
@@ -749,30 +760,29 @@ def _campaign_result(outcomes: list, max_iters: int) -> MonteCarloResult:
 
 def monte_carlo(scheme: ParamScheme, g: DiGraph, init, trials: int,
                 threshold: float, max_iters: int, base_seed: int, *,
-                workers: int | None = None, keep_series: bool = True,
-                full_series: bool = False,
-                stop_rule: str = "change") -> MonteCarloResult:
+                workers: int | None = None,
+                keep_series: bool = True) -> MonteCarloResult:
     """Run `trials` independent trials with seeds base_seed + i.
 
     All trials run as the rows of one lockstep call (one per chunk of
     seeds with a process pool); each record equals the trial run alone
-    through run_trial.  Aggregates are computed over successful trials;
-    engine-level failures (for example a mass-conservation violation) are
-    collected per trial instead of aborting the campaign.
+    through run_trial, with stop_rule="spread" for a spike init and the
+    default state-change rule otherwise.  Aggregates are computed over
+    successful trials; engine-level failures (for example a
+    mass-conservation violation) are collected per trial instead of
+    aborting the campaign.
     keep_series=False strips the stored series to keep large campaigns
     small; the finals survive.  This is campaigns() with one scheme.
     """
     (result,) = campaigns(
         [scheme], g, init, trials, threshold, max_iters, base_seed,
-        workers=workers, keep_series=keep_series, full_series=full_series,
-        stop_rule=stop_rule)
+        workers=workers, keep_series=keep_series)
     return result
 
 
 def campaigns(schemes, g: DiGraph, init, trials: int, threshold: float,
               max_iters: int, base_seed: int, *, workers: int | None = None,
-              keep_series: bool = True, full_series: bool = False,
-              stop_rule: str = "change") -> list:
+              keep_series: bool = True) -> list:
     """One monte_carlo campaign per scheme, all of them run as the rows
     of one lockstep call (one per chunk of seeds with a process pool).
     Trial i's rows share generator base_seed + i, which draws their x0 and
@@ -783,15 +793,14 @@ def campaigns(schemes, g: DiGraph, init, trials: int, threshold: float,
         raise ValueError("need at least one scheme")
     per_scheme = _run_trials(
         schemes, g, init, trials, base_seed, threshold, max_iters, workers,
-        keep_series=keep_series, full_series=full_series, stop_rule=stop_rule)
+        keep_series)
     return [_campaign_result(o, max_iters) for o in per_scheme]
 
 
 def epsilon_sweep(kind: SchemeKind, g: DiGraph, grid, trials: int,
                   threshold: float, max_iters: int, base_seed: int, *,
                   gamma: float = 0.5, init=InitKind.UNIFORM,
-                  workers: int | None = None,
-                  stop_rule: str = "change") -> list:
+                  workers: int | None = None) -> list:
     """One Monte Carlo campaign per coupling strength on `grid`.
 
     Every grid point reuses the same base_seed, so trial i sees the same
@@ -807,8 +816,7 @@ def epsilon_sweep(kind: SchemeKind, g: DiGraph, grid, trials: int,
     # building every scheme first validates the whole grid up front
     schemes = [build_scheme(kind, g, eps, gamma) for eps in grid]
     per_point = _run_trials(schemes, g, init, trials, base_seed, threshold,
-                            max_iters, workers, keep_series=False,
-                            stop_rule=stop_rule)
+                            max_iters, workers, keep_series=False)
     return [SweepPoint(epsilon=eps, result=_campaign_result(o, max_iters),
                        scheme=s)
             for eps, s, o in zip(grid, schemes, per_point)]

@@ -2,20 +2,18 @@
 
 Everything here wraps LAPACK's general eigensolver (via numpy) and adds
 the conventions the rest of the package relies on: a canonical spectrum
-ordering, residual-checked left eigenvectors, and a capped Kronecker
-product.  Matrices are dense and small (a few hundred rows at most), so
-no sparse path is provided.
+ordering and residual-checked left eigenvectors.  Matrices are dense and
+small (a few hundred rows at most), so no sparse path is provided.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import NoConvergence, NotSimple, SizeOverflow
+from .errors import NoConvergence, NotSimple
 
 # Tolerances of the simplicity and residual checks.
 SIMPLE_GAP = 1e-8         # minimum distance to the nearest other eigenvalue
 RESIDUAL_RTOL = 1e-8      # eigenpair residual, relative to the matrix norm
-KRON_ENTRY_CAP = 4_000_000
 
 
 def _as_square(m) -> np.ndarray:
@@ -50,15 +48,14 @@ def spectral_radius(m) -> float:
     return float(np.max(np.abs(vals)))
 
 
-def left_eigenvector(m, lam, mask=None) -> np.ndarray:
-    """Left eigenvector u with u^T M = lam u^T for a simple eigenvalue.
+def left_eigenvector(m, lam, mask) -> np.ndarray:
+    """Left eigenvector u with u^T M = lam u^T for a simple eigenvalue,
+    scaled so that u . mask = 1.
 
-    Normalization: with ``mask`` given, scaled so that u . mask = 1;
-    otherwise scaled to unit inner product with the matching right
-    eigenvector.  Raises NotSimple when the gap to the nearest other
-    eigenvalue is below SIMPLE_GAP, and ValueError when ``lam`` is not in
-    the spectrum at all.  Returns a real vector when the imaginary part
-    is negligible.
+    Raises NotSimple when the gap to the nearest other eigenvalue is below
+    SIMPLE_GAP, and ValueError when ``lam`` is not in the spectrum at all
+    or ``mask`` is orthogonal to u.  Returns a real vector when the
+    imaginary part is negligible.
     """
     m = _as_square(m)
     scale = max(np.linalg.norm(m), 1.0)
@@ -76,39 +73,17 @@ def left_eigenvector(m, lam, mask=None) -> np.ndarray:
         raise NotSimple(
             f"eigenvalue {lvals[idx]} has a neighbor within {others.min():.3e}")
     u = lvecs[:, idx]
-    if mask is not None:
-        mask = np.asarray(mask, dtype=float)
-        denom = u @ mask
-        if abs(denom) < 1e-12 * np.linalg.norm(u) * max(np.linalg.norm(mask), 1.0):
-            raise ValueError("mask is orthogonal to the eigenvector")
-        u = u / denom
-    else:
-        try:
-            rvals, rvecs = np.linalg.eig(m)
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergence(f"eigenvalue iteration failed: {exc}") from exc
-        ridx = int(np.argmin(np.abs(rvals - lvals[idx])))
-        denom = u @ rvecs[:, ridx]
-        if abs(denom) < 1e-12:
-            raise ValueError("left/right eigenvectors numerically orthogonal")
-        u = u / denom
+    mask = np.asarray(mask, dtype=float)
+    denom = u @ mask
+    if abs(denom) < 1e-12 * np.linalg.norm(u) * max(np.linalg.norm(mask), 1.0):
+        raise ValueError("mask is orthogonal to the eigenvector")
+    u = u / denom
     resid = np.linalg.norm(u @ m - lvals[idx] * u)
     if resid > RESIDUAL_RTOL * scale * np.linalg.norm(u):
         raise NoConvergence(f"eigenvector residual {resid:.3e} too large")
     if np.abs(u.imag).max(initial=0.0) <= 1e-10 * max(np.abs(u.real).max(), 1.0):
         return np.ascontiguousarray(u.real)
     return u
-
-
-def kron(a, b, entry_cap: int = KRON_ENTRY_CAP) -> np.ndarray:
-    """Dense Kronecker product, refused above `entry_cap` output entries."""
-    a = _as_square(a)
-    b = _as_square(b)
-    dim = a.shape[0] * b.shape[0]
-    if dim * dim > entry_cap:
-        raise SizeOverflow(
-            f"kron output would hold {dim * dim} entries (cap {entry_cap})")
-    return np.kron(a, b)
 
 
 def multiset_distance(s1, s2) -> float:

@@ -1,8 +1,9 @@
 """Tiny dependency-free SVG line charts for convergence curves.
 
 Data emission is CSV-first; this writer exists so a sweep or trajectory
-can be eyeballed without any plotting stack.  Axes are linear or log10,
-ticks are chosen crudely, and that is the whole feature list.
+can be eyeballed without any plotting stack.  The x axis is linear, the
+y axis linear or log10, ticks are chosen crudely, and that is the whole
+feature list.
 """
 from __future__ import annotations
 
@@ -10,30 +11,24 @@ import math
 
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64, 16, 28, 44
-
-
-def _transform(vals, log):
-    out = []
-    for v in vals:
-        if log:
-            out.append(math.log10(v) if v > 0 else None)
-        else:
-            out.append(float(v))
-    return out
+_WIDTH, _HEIGHT = 640, 420
 
 
 def line_chart(series, *, title="", xlabel="", ylabel="",
-               log_x=False, log_y=False, width=640, height=420) -> str:
-    """Render labeled (label, xs, ys) series to an SVG string."""
+               log_y=False) -> str:
+    """Render labeled (label, xs, ys) series to an SVG string; with log_y
+    the points with y <= 0 are left out."""
     if not series:
         raise ValueError("no series to plot")
     pts = []
     for _, xs, ys in series:
         if len(xs) != len(ys):
             raise ValueError("series length mismatch")
-        txs = _transform(xs, log_x)
-        tys = _transform(ys, log_y)
-        pts.append([(a, b) for a, b in zip(txs, tys) if a is not None and b is not None])
+        if log_y:
+            pts.append([(float(a), math.log10(b))
+                        for a, b in zip(xs, ys) if b > 0])
+        else:
+            pts.append([(float(a), float(b)) for a, b in zip(xs, ys)])
     allx = [p[0] for curve in pts for p in curve]
     ally = [p[1] for curve in pts for p in curve]
     if not allx:
@@ -44,8 +39,8 @@ def line_chart(series, *, title="", xlabel="", ylabel="",
         x1 = x0 + 1.0
     if y1 == y0:
         y1 = y0 + 1.0
-    iw = width - _MARGIN_L - _MARGIN_R
-    ih = height - _MARGIN_T - _MARGIN_B
+    iw = _WIDTH - _MARGIN_L - _MARGIN_R
+    ih = _HEIGHT - _MARGIN_T - _MARGIN_B
 
     def px(x):
         return _MARGIN_L + (x - x0) / (x1 - x0) * iw
@@ -54,18 +49,18 @@ def line_chart(series, *, title="", xlabel="", ylabel="",
         return _MARGIN_T + ih - (y - y0) / (y1 - y0) * ih
 
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="monospace" font-size="11">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}" font-family="monospace" font-size="11">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{iw}" height="{ih}" '
         'fill="none" stroke="#333"/>',
     ]
     if title:
-        out.append(f'<text x="{width / 2:.1f}" y="18" text-anchor="middle">{title}</text>')
+        out.append(f'<text x="{_WIDTH / 2:.1f}" y="18" text-anchor="middle">{title}</text>')
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
         xv = x0 + frac * (x1 - x0)
         yv = y0 + frac * (y1 - y0)
-        xl = f"1e{xv:.1f}" if log_x else f"{xv:.3g}"
+        xl = f"{xv:.3g}"
         yl = f"1e{yv:.1f}" if log_y else f"{yv:.3g}"
         out.append(f'<line x1="{px(xv):.1f}" y1="{_MARGIN_T + ih}" x2="{px(xv):.1f}" '
                    f'y2="{_MARGIN_T + ih + 4}" stroke="#333"/>')
@@ -76,7 +71,7 @@ def line_chart(series, *, title="", xlabel="", ylabel="",
         out.append(f'<text x="{_MARGIN_L - 6}" y="{py(yv) + 3:.1f}" '
                    f'text-anchor="end">{yl}</text>')
     if xlabel:
-        out.append(f'<text x="{_MARGIN_L + iw / 2:.1f}" y="{height - 8}" '
+        out.append(f'<text x="{_MARGIN_L + iw / 2:.1f}" y="{_HEIGHT - 8}" '
                    f'text-anchor="middle">{xlabel}</text>')
     if ylabel:
         out.append(f'<text x="14" y="{_MARGIN_T + ih / 2:.1f}" text-anchor="middle" '

@@ -232,7 +232,7 @@ def test_criterion_09_baseline_contrast(graph50):
     for name, s in (("classic", classic), ("bbga", bbga), ("ubga1", ubga)):
         results[name] = monte_carlo(
             s, graph50, InitKind.SPIKE, 100, 1e-5, 300_000, base_seed=3000,
-            keep_series=False, stop_rule="spread")
+            keep_series=False)
     ok = all(res.failures == () and len(res.records) == 100
              for res in results.values())
     c, b, u = results["classic"], results["bbga"], results["ubga1"]

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gossiplab.errors import (
-    BadStationaryVector, BadXi, NotSimple, SizeOverflow, XiOutOfRange,
+    BadStationaryVector, BadXi, SizeOverflow, XiOutOfRange,
 )
 from gossiplab.graph import DiGraph, laplacian
 from gossiplab.protocol import ParamScheme, SchemeKind, build_scheme
@@ -14,11 +16,12 @@ from gossiplab.analysis import (
     analysis_csv_rows, bbga_closed_eigs, classify_expectation,
     epsilon_report, epsilon_report_dict, eta_bound, eta_practical,
     expected_matrix, indegree_laplacian, optimal_epsilon,
-    predicted_consensus, save_report_json, second_moment_matrix,
+    save_report_json, second_largest_moduli, second_moment_matrix,
     spectral_report_dict, stationary_vector,
 )
 from gossiplab.spectra import eigenvalues, spectral_radius
 from reference_analysis import expected_blocks, monotonicity_check
+from strategies import strong_digraphs
 
 TRIANGLE = DiGraph(3, {(1, 2), (2, 3), (3, 1), (1, 3)})
 
@@ -54,8 +57,6 @@ def test_classify_biased_weights_match_stationary_vector(digraph16):
     v = stationary_vector(s)
     assert rep.is_simple_one
     assert np.max(np.abs(rep.w1 - v)) < 1e-8
-    x0 = np.arange(16.0)
-    assert predicted_consensus(rep, x0) == pytest.approx(float(v @ x0))
 
 
 def test_classify_reports_repeated_unit_eigenvalue_in_band():
@@ -69,8 +70,17 @@ def test_classify_reports_repeated_unit_eigenvalue_in_band():
     rep = classify_expectation(s)
     assert not rep.is_simple_one
     assert rep.w1 is None and rep.w2 is None
-    with pytest.raises(NotSimple):
-        predicted_consensus(rep, np.zeros(4))
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), g=strong_digraphs(12))
+def test_batched_second_largest_moduli_equal_the_lone_ones(data, g):
+    # one stacked eigvals call gives each map the bits of its own call
+    schemes = [build_scheme(kind, g, data.draw(st.floats(0.01, 3.0)))
+               for kind in SchemeKind if kind is not SchemeKind.CLASSIC
+               for _ in range(data.draw(st.integers(1, 3)))]
+    lone = [classify_expectation(s).second_largest_modulus for s in schemes]
+    assert second_largest_moduli(schemes) == lone
 
 
 def test_stationary_vector_triangle_oracle():
@@ -91,8 +101,13 @@ def test_second_moment_matrix_guards():
         second_moment_matrix(s, np.array([0.5, 0.2, 0.3]))
     with pytest.raises(ValueError):
         second_moment_matrix(s, np.ones(4))
+    # n = 23 is the smallest size whose lift, (4 n^2)^2 = 4,477,456
+    # entries, is over the cap; it is refused before any allocation
+    g23 = DiGraph(23, {(i, i % 23 + 1) for i in range(1, 24)}
+                  | {(i % 23 + 1, i) for i in range(1, 24)})
+    big = build_scheme(SchemeKind.BBGA, g23, 0.5)
     with pytest.raises(SizeOverflow):
-        second_moment_matrix(s, v, entry_cap=100)
+        second_moment_matrix(big, stationary_vector(big))
 
 
 def test_closed_eigs_two_node_chain():

@@ -386,6 +386,56 @@ def test_simulate_warns_about_censored_trials(graph_file, tmp_path, capsys):
     assert "warning: scheme=bbga: 2 of 2 trials hit max_iters=4" in captured.err
 
 
+def test_spike_runs_stop_on_the_spread(graph16, tmp_path, capsys):
+    # a broadcast in a spike's all-zero region changes nothing, which
+    # would stop the state-change rule at once: every spike trial must
+    # run on until q(t) <= threshold
+    path = tmp_path / "graph16.txt"
+    graph.save_graph(graph16, path)
+    common = ["--graph", str(path), "--init", "spike", "--trials", "20",
+              "--seed", "3"]
+    assert run(["simulate", "--schemes", "ubga1,bbga,classic", *common,
+                "--per-trial", "--out", str(tmp_path / "sim")]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()[:3]
+    for line in lines:
+        fields = dict(f.split("=") for f in line.split())
+        assert float(fields["mean_q_final"]) <= 1e-5
+        assert fields["failures"] == "0" and fields["censored"] == "0"
+    trials = list((tmp_path / "sim").glob("trial_*.csv"))
+    assert len(trials) == 60
+    for p in trials:
+        t, _, q = p.read_text().splitlines()[-1].split(",")
+        assert int(t) > 1 and float(q) <= 1e-5
+
+    assert run(["sweep", "--scheme", "bbga", "--grid", "0.2,0.5", *common,
+                "--out", str(tmp_path / "sweep")]) == EXIT_OK
+    assert "failures=0 censored=0" in capsys.readouterr().out
+    text = (tmp_path / "sweep" / "sweep.csv").read_text()
+    data = [ln.split(",") for ln in text.splitlines() if not ln.startswith("#")]
+    col = data[0].index("mean_q_final")
+    assert len(data) == 3
+    assert all(float(row[col]) <= 1e-5 for row in data[1:])
+
+
+def test_simulate_prints_the_approximate_epsilon_note(tmp_path, capsys):
+    # one-way links give this graph a complex Laplacian spectrum, so
+    # auto-optimal is approximate: simulate says so on the line of each
+    # scheme it applies to, as analyze does
+    note = " note=approximate (complex Laplacian spectrum)"
+    common = ["--n", "16", "--p-asym", "0.3", "--seed", "7",
+              "--epsilon", "auto-optimal"]
+    assert run(["analyze", "--scheme", "bbga", *common,
+                "--out", str(tmp_path / "a")]) == EXIT_OK
+    analyzed = capsys.readouterr().out.splitlines()[0]
+    assert analyzed.endswith(note)
+    assert run(["simulate", "--schemes", "bbga,classic", *common,
+                "--trials", "2", "--out", str(tmp_path / "s")]) == EXIT_OK
+    bbga, classic = capsys.readouterr().out.splitlines()[:2]
+    assert bbga.startswith(analyzed[:-len(note)] + " ")
+    assert bbga.endswith(note)
+    assert "note=" not in classic
+
+
 def test_diverging_trials_warn_once_and_stay_censored(graph16, tmp_path,
                                                       capsys):
     # bbga far beyond its stability window: every trial overflows to a

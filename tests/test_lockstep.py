@@ -204,17 +204,16 @@ def test_monte_carlo_without_series_equals_the_stripped_series_run(graph16):
     # records, failures and aggregates must equal the stripped full run.
     # The cases converge, run out of iterations, and fail on mass drift.
     seen = {"failed": False, "censored": False}
-    for scheme, full_series, max_iters in [
-            (build_scheme(SchemeKind.BBGA, graph16, 0.5), False, 20_000),
-            (build_scheme(SchemeKind.UBGA1, graph16, 0.5), True, 20_000),
-            (build_scheme(SchemeKind.UBGA2, graph16, 0.5), False, 60),
-            (build_scheme(SchemeKind.UBGA3, graph16, 50.0), False, 20_000),
-            (build_scheme(SchemeKind.CLASSIC, graph16, 0.0), False, 20_000)]:
-        opts = dict(base_seed=30, full_series=full_series)
+    for scheme, max_iters in [
+            (build_scheme(SchemeKind.BBGA, graph16, 0.5), 20_000),
+            (build_scheme(SchemeKind.UBGA1, graph16, 0.5), 20_000),
+            (build_scheme(SchemeKind.UBGA2, graph16, 0.5), 60),
+            (build_scheme(SchemeKind.UBGA3, graph16, 50.0), 20_000),
+            (build_scheme(SchemeKind.CLASSIC, graph16, 0.0), 20_000)]:
         kept = monte_carlo(scheme, graph16, InitKind.UNIFORM, 3, 1e-4,
-                           max_iters, **opts)
+                           max_iters, base_seed=30)
         bare = monte_carlo(scheme, graph16, InitKind.UNIFORM, 3, 1e-4,
-                           max_iters, keep_series=False, **opts)
+                           max_iters, base_seed=30, keep_series=False)
         assert bare.failures == kept.failures
         assert len(bare.records) == len(kept.records)
         for a, b in zip(bare.records, kept.records):
@@ -338,11 +337,10 @@ def test_monte_carlo_rows_equal_one_row_calls_for_any_worker_count(
     for scheme in (build_scheme(SchemeKind.UBGA1, graph16, 0.5),
                    build_scheme(SchemeKind.UBGA3, graph16, 50.0),
                    build_scheme(SchemeKind.BBGA, graph16, 0.5)):
-        opts = dict(base_seed=3, full_series=True)
         serial = monte_carlo(scheme, graph16, InitKind.UNIFORM, 5, 1e-4,
-                             20_000, workers=1, **opts)
+                             20_000, base_seed=3, workers=1)
         parallel = monte_carlo(scheme, graph16, InitKind.UNIFORM, 5, 1e-4,
-                               20_000, workers=2, **opts)
+                               20_000, base_seed=3, workers=2)
         assert serial.failures == parallel.failures
         assert len(serial.records) == len(parallel.records)
         for a, b in zip(serial.records, parallel.records):
@@ -353,7 +351,7 @@ def test_monte_carlo_rows_equal_one_row_calls_for_any_worker_count(
             rng = np.random.default_rng(rec.seed)
             x0 = rng.random(16)
             assert_same(rec, run_trial(scheme, x0, 1e-4, 20_000, rng,
-                                       full_series=True, seed=rec.seed))
+                                       seed=rec.seed))
         # drift telemetry: per unbiased record, its campaign maximum
         drifts = [r.max_drift for r in serial.records]
         if scheme.kind.is_unbiased:

@@ -8,9 +8,9 @@ from gossiplab.graph import DiGraph
 from gossiplab.protocol import SchemeKind, build_scheme
 from gossiplab.sim import (
     FULL_RECORD_LIMIT, InitKind, TrialRecord, aggregate_csv,
-    aggregate_series, epsilon_sweep, first_crossing, init_values,
-    monte_carlo, resolve_workers, run_trial, sweep_csv, trial_csv,
-    write_text,
+    aggregate_series, campaigns, epsilon_sweep, first_crossing,
+    init_values, monte_carlo, resolve_workers, run_trial, sweep_csv,
+    trial_csv, write_text,
 )
 
 PATH4 = DiGraph(4, {(1, 2), (2, 1), (2, 3), (3, 2), (3, 4), (4, 3)})
@@ -122,6 +122,33 @@ def test_spread_rule_for_spike_inits():
                      stop_rule="spread")
     assert real.converged_at is not None and real.converged_at > 1
     assert real.q_final <= 1e-5
+
+
+def test_campaign_stop_rule_follows_the_init(graph16):
+    # a spike campaign stops on the spread, any other init on the state
+    # change: each record equals the lone trial run with that rule
+    schemes = [build_scheme(SchemeKind.UBGA1, graph16, 0.5),
+               build_scheme(SchemeKind.BBGA, graph16, 0.5),
+               build_scheme(SchemeKind.CLASSIC, graph16, 0.0)]
+    for init, rule in ((InitKind.SPIKE, "spread"),
+                       (InitKind.UNIFORM, "change")):
+        results = campaigns(schemes, graph16, init, 4, 1e-5, 100_000,
+                            base_seed=3)
+        for s, res in zip(schemes, results):
+            assert len(res.records) == 4 and res.censored == 0
+            for rec in res.records:
+                rng = np.random.default_rng(rec.seed)
+                x0 = init_values(init, graph16, rng)
+                alone = run_trial(s, x0, 1e-5, 100_000, rng, seed=rec.seed,
+                                  stop_rule=rule)
+                for f in ("converged_at", "consensus_value", "r_final",
+                          "q_final", "seed", "max_drift"):
+                    assert getattr(rec, f) == getattr(alone, f), f
+                for f in ("t_series", "r_series", "q_series"):
+                    assert np.array_equal(getattr(rec, f),
+                                          getattr(alone, f)), f
+                if init is InitKind.SPIKE:
+                    assert rec.converged_at > 1 and rec.q_final <= 1e-5
 
 
 def test_monte_carlo_campaign(graph16):

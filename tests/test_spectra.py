@@ -2,9 +2,9 @@
 import numpy as np
 import pytest
 
-from gossiplab.errors import NotSimple, SizeOverflow
+from gossiplab.errors import NotSimple
 from gossiplab.spectra import (
-    eigenvalues, kron, left_eigenvector, multiset_distance, sort_spectrum,
+    eigenvalues, left_eigenvector, multiset_distance, sort_spectrum,
     spectral_radius,
 )
 
@@ -57,13 +57,6 @@ def test_left_eigenvector_known_stationary_weights():
     assert np.allclose(u, [0.4, 0.2, 0.4], atol=1e-12)
 
 
-def test_left_eigenvector_default_normalization():
-    m = np.diag([2.0, 1.0, 0.5])
-    u = left_eigenvector(m, 2.0)
-    # unit inner product with the matching right eigenvector
-    assert abs(u @ np.array([1.0, 0.0, 0.0]) - 1.0) < 1e-12
-
-
 def test_left_eigenvector_rejects_repeated_eigenvalue():
     with pytest.raises(NotSimple):
         left_eigenvector(np.eye(3), 1.0, mask=np.ones(3))
@@ -71,21 +64,13 @@ def test_left_eigenvector_rejects_repeated_eigenvalue():
 
 def test_left_eigenvector_rejects_absent_eigenvalue():
     with pytest.raises(ValueError):
-        left_eigenvector(np.diag([0.1, 0.2]), 5.0)
+        left_eigenvector(np.diag([0.1, 0.2]), 5.0, mask=np.ones(2))
 
 
 def test_left_eigenvector_rejects_orthogonal_mask():
     m = np.diag([2.0, 1.0])
     with pytest.raises(ValueError):
         left_eigenvector(m, 2.0, mask=np.array([0.0, 1.0]))
-
-
-def test_kron_matches_numpy_and_caps_size():
-    a = np.arange(4.0).reshape(2, 2)
-    b = np.arange(9.0).reshape(3, 3)
-    assert np.array_equal(kron(a, b), np.kron(a, b))
-    with pytest.raises(SizeOverflow):
-        kron(a, b, entry_cap=35)
 
 
 def test_multiset_distance():
