@@ -2,7 +2,7 @@
 coupling-strength sweeps, and Monte Carlo campaigns.
 
 Every output file starts with comment headers carrying the tool version,
-the fully resolved configuration, and the seed; reruns with the same
+the resolved settings its command read, and the seed; reruns with the same
 configuration reproduce files byte for byte (no timestamps anywhere).
 Exit codes: 0 success, 2 invalid configuration, 3 numerical failure,
 4 retry budget exhausted.
@@ -10,12 +10,10 @@ Exit codes: 0 success, 2 invalid configuration, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import sys
-import typing
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,37 +45,58 @@ EXIT_CODES = (
 )
 
 
-@dataclass
-class ExperimentConfig:
-    """Resolved experiment settings; config files use these field names
-    in key=value lines, command line flags override them."""
+class Setting(NamedTuple):
+    """A setting's value when no config file or flag gives one, the type
+    its values are parsed with, the commands that read it, and its help."""
 
-    graph: str | None = None
-    n: int | None = None
-    radius: float | None = None
-    p_asym: float = 0.0
-    scheme: str = "bbga"
-    schemes: str | None = None
-    epsilon: str = "0.5"
-    gamma: float = 0.5
-    init: str = "uniform"
-    trials: int = 100
-    threshold: float = 1e-5
-    max_iters: int = 10_000_000
-    seed: int = 0
-    out: str = "."
-    grid: str | None = None
-    workers: int | None = None
+    default: object
+    type: type
+    commands: tuple
+    help: str
 
 
-def _field_type(tp):
-    """int for `int | None`; any other type as it is."""
-    return next((t for t in typing.get_args(tp) if t is not type(None)), tp)
+ALL = ("generate", "analyze", "sweep", "simulate")
+SCHEMED = ALL[1:]
+RUNS = ("sweep", "simulate")
 
+# every setting, in flag order; config files use these names in key=value
+# lines, and a command's flags, header echo and resolved configuration
+# hold exactly the settings it reads
+SETTINGS = {
+    "graph": Setting(None, str, SCHEMED, "edge-list file to load"),
+    "n": Setting(None, int, ALL, "generate a graph of this size"),
+    "radius": Setting(None, float, ALL,
+                      "connection radius (default: sqrt(2 ln n / n))"),
+    "p_asym": Setting(0.0, float, ALL,
+                      "probability a link becomes one-directional"),
+    "seed": Setting(0, int, ALL, "master seed (default 0)"),
+    "out": Setting(".", str, ALL, "output directory (default .)"),
+    "workers": Setting(None, int, ALL, "parallel worker processes, at "
+                       "least 1 (capped by GOSSIPLAB_THREADS)"),
+    "scheme": Setting("bbga", str, SCHEMED, "ubga1|ubga2|ubga3|bbga|classic"),
+    "schemes": Setting(None, str, ("simulate",), "comma-separated schemes"),
+    "epsilon": Setting("0.5", str, ("analyze", "simulate"),
+                       "number | auto-optimal | auto-eta-fraction:f"),
+    "gamma": Setting(0.5, float, SCHEMED, "classic mixing weight"),
+    "grid": Setting(None, str, ("sweep",), "comma-separated epsilon values "
+                    "(default 0.02..1 step 0.02)"),
+    "trials": Setting(100, int, RUNS, "trials per grid point or scheme"),
+    "init": Setting("uniform", str, RUNS, "uniform|gaussian|spike|slope"),
+    "threshold": Setting(1e-5, float, RUNS, "stopping threshold"),
+    "max_iters": Setting(10_000_000, int, RUNS, "iteration cap per trial"),
+}
 
-# a config key is parsed with its field's type
-_PARSERS = {name: _field_type(tp)
-            for name, tp in typing.get_type_hints(ExperimentConfig).items()}
+# each command's help, and its flags that are no setting: they are
+# neither read from config files nor echoed
+SVG = {"--svg": dict(action="store_true", help="also write an SVG chart")}
+COMMANDS = {
+    "generate": ("write a random geometric graph", {}),
+    "analyze": ("spectral reports for a scheme", {"--check": dict(
+        choices=["second-moment"], help="extra numerical certificate")}),
+    "sweep": ("Monte Carlo sweep over epsilon", SVG),
+    "simulate": ("Monte Carlo campaign per scheme", {**SVG, "--per-trial":
+        dict(action="store_true", help="also write a t,r,q file per trial")}),
+}
 
 
 def load_config_file(path) -> dict:
@@ -95,44 +114,43 @@ def load_config_file(path) -> dict:
         key, _, val = line.partition("=")
         key = key.strip().replace("-", "_")
         val = val.strip()
-        if key not in _PARSERS:
+        if key not in SETTINGS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            values[key] = _PARSERS[key](val)
+            values[key] = SETTINGS[key].type(val)
         except ValueError:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {val!r}")
     return values
 
 
-def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
-    cfg = ExperimentConfig()
-    if getattr(args, "config", None):
-        for key, val in load_config_file(args.config).items():
-            setattr(cfg, key, val)
-    for key in _PARSERS:
-        val = getattr(args, key, None)
-        if val is not None:
-            setattr(cfg, key, val)
+def resolve_config(args: argparse.Namespace) -> argparse.Namespace:
+    """The settings args.command reads: table defaults, then config-file
+    values, then flags.  A config-file key the command does not read is
+    type-checked but not applied."""
+    keys = [k for k, s in SETTINGS.items() if args.command in s.commands]
+    values = {k: SETTINGS[k].default for k in keys}
+    if args.config:
+        given = load_config_file(args.config)
+        values.update((k, given[k]) for k in keys if k in given)
+    values.update((k, getattr(args, k)) for k in keys
+                  if getattr(args, k) is not None)
+    cfg = argparse.Namespace(**values)
     if cfg.workers is not None and cfg.workers < 1:
         raise ConfigError(f"workers must be at least 1, got {cfg.workers}")
     # every trial would "converge" at its first step
-    if not np.isfinite(cfg.threshold):
+    if "threshold" in values and not np.isfinite(cfg.threshold):
         raise ConfigError(f"threshold must be finite, got {cfg.threshold}")
     return cfg
 
 
-def config_echo(cfg: ExperimentConfig, extras: dict) -> str:
-    pairs = {}
-    for f in dataclasses.fields(cfg):
-        val = getattr(cfg, f.name)
-        if val is None:
-            continue
-        pairs[f.name] = sim.fmt(val) if isinstance(val, float) else str(val)
+def config_echo(cfg: argparse.Namespace, extras: dict) -> str:
+    pairs = {k: sim.fmt(v) if isinstance(v, float) else str(v)
+             for k, v in vars(cfg).items() if v is not None}
     pairs.update({k: str(v) for k, v in extras.items()})
     return " ".join(f"{k}={pairs[k]}" for k in sorted(pairs))
 
 
-def make_header(command: str, cfg: ExperimentConfig, extras: dict) -> list:
+def make_header(command: str, cfg: argparse.Namespace, extras: dict) -> list:
     return [
         f"gossiplab {__version__}",
         f"command: {command}",
@@ -141,10 +159,10 @@ def make_header(command: str, cfg: ExperimentConfig, extras: dict) -> list:
     ]
 
 
-def obtain_graph(cfg: ExperimentConfig) -> tuple:
+def obtain_graph(cfg: argparse.Namespace) -> tuple:
     """Load a graph file or generate one from (n, radius, p_asym, seed).
     Returns the graph and the extras to echo into headers."""
-    if cfg.graph is not None:
+    if getattr(cfg, "graph", None) is not None:
         try:
             g = graph.load_graph(cfg.graph)
         except (OSError, ValueError) as exc:
@@ -184,12 +202,9 @@ def resolve_epsilon(spec: str, g, kind: SchemeKind, report=None) -> tuple:
         return 0.0, ""
     if report is None:
         report = epsilon_reports(g)
-    note = ""
     if spec == "auto-optimal":
         er = report()
         eps = er.epsilon_star
-        if not er.spectrum_real:
-            note = "approximate (complex Laplacian spectrum)"
     elif spec.startswith("auto-eta-fraction:"):
         try:
             frac = float(spec.split(":", 1)[1])
@@ -199,14 +214,13 @@ def resolve_epsilon(spec: str, g, kind: SchemeKind, report=None) -> tuple:
             raise ConfigError("eta fraction must lie strictly between 0 and 1")
         er = report()
         eps = frac * er.eta_formula
-        if not er.spectrum_real:
-            note = "approximate (complex Laplacian spectrum)"
     else:
         try:
-            eps = float(spec)
+            return float(spec), ""
         except ValueError:
             raise ConfigError(f"bad epsilon {spec!r}")
-    return eps, note
+    return eps, ("" if er.spectrum_real
+                 else "approximate (complex Laplacian spectrum)")
 
 
 def parse_grid(spec: str | None) -> list:
@@ -221,7 +235,7 @@ def parse_grid(spec: str | None) -> list:
     return grid
 
 
-def _outdir(cfg: ExperimentConfig) -> Path:
+def _outdir(cfg: argparse.Namespace) -> Path:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -249,10 +263,9 @@ def warn_nonfinite(records, trials: int, where: str) -> None:
 
 # ---- subcommands ----
 
-def cmd_generate(cfg: ExperimentConfig) -> int:
+def cmd_generate(cfg: argparse.Namespace) -> int:
     if cfg.n is None:
         raise ConfigError("generate needs --n")
-    cfg.graph = None
     g, extras = obtain_graph(cfg)
     out = _outdir(cfg)
     path = out / "graph.txt"
@@ -268,7 +281,7 @@ def cmd_generate(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def cmd_analyze(cfg: ExperimentConfig, check: str | None) -> int:
+def cmd_analyze(cfg: argparse.Namespace, check: str | None) -> int:
     g, extras = obtain_graph(cfg)
     kind = parse_scheme(cfg.scheme)
     eps_report = epsilon_reports(g)
@@ -318,7 +331,7 @@ def cmd_analyze(cfg: ExperimentConfig, check: str | None) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(cfg: ExperimentConfig, svg: bool) -> int:
+def cmd_sweep(cfg: argparse.Namespace, svg: bool) -> int:
     g, extras = obtain_graph(cfg)
     kind = parse_scheme(cfg.scheme)
     if kind is SchemeKind.CLASSIC:
@@ -362,7 +375,7 @@ def cmd_sweep(cfg: ExperimentConfig, svg: bool) -> int:
     return EXIT_NUMERIC if failures else EXIT_OK
 
 
-def cmd_simulate(cfg: ExperimentConfig, per_trial: bool, svg: bool) -> int:
+def cmd_simulate(cfg: argparse.Namespace, per_trial: bool, svg: bool) -> int:
     g, extras = obtain_graph(cfg)
     tokens = (cfg.schemes or cfg.scheme).split(",")
     kinds = [parse_scheme(tok) for tok in tokens if tok.strip()]
@@ -427,25 +440,6 @@ def cmd_simulate(cfg: ExperimentConfig, per_trial: bool, svg: bool) -> int:
 
 # ---- argument parsing ----
 
-def _add_common(p: argparse.ArgumentParser, with_scheme: bool = True):
-    p.add_argument("--config", help="key=value config file")
-    p.add_argument("--graph", help="edge-list file to load")
-    p.add_argument("--n", type=int, help="generate a graph of this size")
-    p.add_argument("--radius", type=float,
-                   help="connection radius (default: sqrt(2 ln n / n))")
-    p.add_argument("--p-asym", dest="p_asym", type=float,
-                   help="probability a link becomes one-directional")
-    p.add_argument("--seed", type=int, help="master seed (default 0)")
-    p.add_argument("--out", help="output directory (default .)")
-    p.add_argument("--workers", type=int, help="parallel worker processes, "
-                   "at least 1 (capped by GOSSIPLAB_THREADS)")
-    if with_scheme:
-        p.add_argument("--scheme", help="ubga1|ubga2|ubga3|bbga|classic")
-        p.add_argument("--epsilon", help="number | auto-optimal | "
-                       "auto-eta-fraction:f")
-        p.add_argument("--gamma", type=float, help="classic mixing weight")
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="gossiplab",
@@ -453,42 +447,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version",
                    version=f"gossiplab {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
-
-    pg = sub.add_parser("generate", help="write a random geometric graph")
-    _add_common(pg, with_scheme=False)
-
-    pa = sub.add_parser("analyze", help="spectral reports for a scheme")
-    _add_common(pa)
-    pa.add_argument("--check", choices=["second-moment"],
-                    help="extra numerical certificate")
-
-    ps = sub.add_parser("sweep", help="Monte Carlo sweep over epsilon")
-    _add_common(ps)
-    ps.add_argument("--grid", help="comma-separated epsilon values "
-                    "(default 0.02..1 step 0.02)")
-    ps.add_argument("--trials", type=int, help="trials per grid point")
-    ps.add_argument("--init", help="uniform|gaussian|spike|slope")
-    ps.add_argument("--threshold", type=float, help="stopping threshold")
-    ps.add_argument("--max-iters", dest="max_iters", type=int)
-    ps.add_argument("--svg", action="store_true", help="also write sweep.svg")
-
-    pm = sub.add_parser("simulate", help="Monte Carlo campaign per scheme")
-    _add_common(pm)
-    pm.add_argument("--schemes", help="comma-separated scheme list")
-    pm.add_argument("--trials", type=int)
-    pm.add_argument("--init", help="uniform|gaussian|spike|slope")
-    pm.add_argument("--threshold", type=float)
-    pm.add_argument("--max-iters", dest="max_iters", type=int)
-    pm.add_argument("--per-trial", action="store_true",
-                    help="also write one t,r,q file per trial")
-    pm.add_argument("--svg", action="store_true",
-                    help="also write trajectories.svg")
+    for command, (text, switches) in COMMANDS.items():
+        pc = sub.add_parser(command, help=text)
+        pc.add_argument("--config", help="key=value config file")
+        for key, setting in SETTINGS.items():
+            if command in setting.commands:
+                pc.add_argument("--" + key.replace("_", "-"),
+                                type=setting.type, help=setting.help)
+        for flag, kwargs in switches.items():
+            pc.add_argument(flag, **kwargs)
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
         if args.command == "generate":

@@ -65,14 +65,6 @@ class DiGraph:
         """0/1 matrix with entry (i, j) = 1 iff i receives from j."""
         return self._adj.astype(float)
 
-    def in_neighbors(self, i: int) -> tuple:
-        """Nodes that i listens to."""
-        return tuple(np.flatnonzero(self._adj[i - 1]) + 1)
-
-    def out_neighbors(self, k: int) -> tuple:
-        """Nodes that listen to k."""
-        return tuple(np.flatnonzero(self._adj[:, k - 1]) + 1)
-
     def in_degree(self, i: int) -> int:
         return int(self._adj[i - 1].sum())
 

@@ -46,10 +46,6 @@ class SchemeKind(Enum):
     def is_unbiased(self) -> bool:
         return self in (SchemeKind.UBGA1, SchemeKind.UBGA2, SchemeKind.UBGA3)
 
-    @property
-    def label(self) -> str:
-        return self.value
-
 
 @dataclass(frozen=True)
 class ParamScheme:

@@ -895,8 +895,8 @@ def sweep_csv(points, analytic=None) -> str:
 # the correctly rounded result % gives (as in Gay 1990); a nearer value,
 # exact ties included (% rounds them half to even), is not certified.  A
 # line with a value the kernel does not certify (0, -0, inf, nan,
-# |x| < 1e-280, |x| >= 1e17, a near tie) or with t outside [0, 10**12)
-# is formatted with _T_R_Q.
+# |x| < 1e-280, |x| that is or rounds to 10 or more, a near tie) or with
+# t outside [0, 10**12) is formatted with _T_R_Q.
 #
 # A line is laid out as ten 8-byte words, NUL where nothing is printed,
 # and the NULs are dropped once per block:
@@ -906,8 +906,6 @@ def sweep_csv(points, analytic=None) -> str:
 #            the leading digit, and "." if the point follows it
 #     8-23   the other 16 digits, trailing zeros NUL
 #     24-31  "e-XX" for k < -4; the q field ends the line with "\n"
-# Fixed notation with k >= 1 moves the point in after digit k and keeps
-# the zeros of the integer digits.
 
 _EMIT_BLOCK = 2048     # lines per kernel call
 _EMIT_SCALES = 298     # s = 16 - k for k from 16 down to -281
@@ -971,7 +969,7 @@ def _decimal(x: np.ndarray) -> tuple:
     """17 significant digits D, scale s = 16 - k and the certified mask
     of the values x."""
     ax = np.abs(x)
-    ok = (ax >= 1e-280) & (ax < 1e17)
+    ok = (ax >= 1e-280) & (ax < 10.0)
     ax[~ok] = 1.0
     s = 16 - np.floor(np.log10(ax)).astype(np.int64)
     np.clip(s, 0, _EMIT_SCALES - 2, out=s)      # s + 1 stays in the tables
@@ -986,7 +984,7 @@ def _decimal(x: np.ndarray) -> tuple:
     d[top] = 10 ** 16
     s -= top
     ok &= ((np.abs(frac - 0.5) >= _TIE_SLACK) & (d >= 10 ** 16)
-           & (d < 10 ** 17) & (s >= 0))
+           & (d < 10 ** 17) & (s >= 16))
     # the layout of an uncertified value (that of 1) stays in the tables
     d[~ok] = 10 ** 16
     s[~ok] = 16
@@ -1030,27 +1028,12 @@ def _lines(t: np.ndarray, r: np.ndarray, q: np.ndarray) -> tuple:
     g[..., 1] += 10_000 * zero[..., 2]
     zero[..., 1] &= zero[..., 2]
     g[..., 0] += 10_000 * zero[..., 1]
-    k = 16 - s
-    point = ~(zero[..., 0] & zero[..., 1]) & ((k == 0) | (k < -4))
+    point = ~(zero[..., 0] & zero[..., 1]) & ((s == 16) | (s > 20))
     fields = w[:, 2:].reshape(n, 2, 4)
     fields[..., 0] = heads[lead + prefix[s] + 50 * np.signbit(x)
                            + 100 * point]
     fields[..., 1:3] = dgroups[g].view(np.uint64)
     fields[..., 3] = exps[s + np.array([0, _EMIT_SCALES])]
-
-    big = np.flatnonzero(k >= 1)
-    if big.size:
-        # rewrite bytes 8-24 of the field (24 and 32 past the line's
-        # start) as digits 1..k, the point if a fraction digit follows,
-        # then the remaining digits
-        kb = k.ravel()[big][:, None]
-        j = np.arange(17)
-        pos = (big // 2 * 8 * _EMIT_WORDS + 24 + big % 2 * 32)[:, None] + j
-        flat = w.view(np.uint8).ravel()
-        cur = flat[pos]
-        new = np.where(j < kb, np.maximum(cur, 48), cur[:, j - 1])
-        new[j == kb] = 46 * (cur[np.arange(big.size), kb[:, 0]] != 0)
-        flat[pos] = new
     return w, t_ok & ok.all(axis=1)
 
 

@@ -6,19 +6,23 @@ recomputing cached adjacency structures everywhere.
 
 HYPOTHESIS_PROFILE=ci selects the profile CI runs with: a falsifying
 example it finds is printed with the blob that reproduces it
-(@reproduce_failure).
+(@reproduce_failure).  HYPOTHESIS_PROFILE=mutants is the one
+tests/mutants.py runs with: the same examples every run, none stored,
+and no shrinking, since a killed mutant needs no minimal example.
 """
 import os
 
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import Phase, settings
 
 from gossiplab.graph import (
     connectivity_radius, directify, random_geometric_graph,
 )
 
 settings.register_profile("ci", print_blob=True)
+settings.register_profile("mutants", derandomize=True, database=None,
+                          phases=[Phase.explicit, Phase.generate])
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 

@@ -1,0 +1,136 @@
+"""Mutation smoke: each fast path's oracle still catches a one-line fault.
+
+Copies src/ to a temporary directory, applies one mutant at a time to the
+copy and runs the named tier-1 subset against it.  A mutant is killed
+when its subset fails.  Every mutant must be killed, except the
+equivalence controls, which change no result and must survive.  Pytest
+does not collect this file; run it from the repository root:
+
+    python tests/mutants.py
+
+It prints one markdown table row per mutant with its kill time, and also
+appends the table to $GITHUB_STEP_SUMMARY when that is set.  Exit code 0
+when every mutant ended as expected, 1 otherwise.
+"""
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str           # under src/gossiplab
+    before: str         # a line fragment found exactly once in the file
+    after: str
+    tests: tuple        # pytest node ids, relative to the repository root
+    control: bool = False
+
+
+MUTANTS = (
+    Mutant("expected map: 0.0 - a -> -a", "analysis.py",
+           "w[n:, :n] = 0.0 - a", "w[n:, :n] = -a",
+           ("tests/test_expected_map.py",)),
+    Mutant("emission: _TIE_SLACK = 0.0", "sim.py",
+           "_TIE_SLACK = 1e-9", "_TIE_SLACK = 0.0",
+           ("tests/test_emission.py",)),
+    Mutant("emission: _decimal truncates", "sim.py",
+           "d = f + (frac > 0.5)", "d = f + 0",
+           ("tests/test_emission.py",)),
+    Mutant("lockstep: _first_stops keeps the last stop", "sim.py",
+           "if p not in stop and running[p]:", "if running[p]:",
+           ("tests/test_lockstep.py",)),
+    Mutant("lockstep: mass check at twice the tolerance", "sim.py",
+           "bad = drift > mass_tol", "bad = drift > 2 * mass_tol",
+           ("tests/test_lockstep.py",)),
+    Mutant("lockstep: row end one step early", "sim.py",
+           "te = t0 + last + 1", "te = t0 + last",
+           ("tests/test_lockstep.py",)),
+    Mutant("series: _recorded thins one point late", "sim.py",
+           "t <= FULL_RECORD_LIMIT or t >= next_thin",
+           "t <= FULL_RECORD_LIMIT or t > next_thin",
+           ("tests/test_sim.py", "tests/test_lockstep.py")),
+    # without its slack the screen skips segments whose segment sums
+    # round above threshold**2 while their exact statistic does not
+    Mutant("lockstep: SCREEN_RTOL = 0", "sim.py",
+           "SCREEN_RTOL = 1e-6", "SCREEN_RTOL = 0",
+           ("tests/test_lockstep.py",)),
+    # a wider screen only sends more segments to the exact statistic
+    Mutant("control: SCREEN_RTOL = 1e-2", "sim.py",
+           "SCREEN_RTOL = 1e-6", "SCREEN_RTOL = 1e-2",
+           ("tests/test_lockstep.py", "tests/test_sim.py"), control=True),
+)
+
+
+def run_mutant(m: Mutant, src: Path, pristine: Path) -> tuple:
+    """pytest's exit code on one mutant, applied to the copy at src (1:
+    a test failed, so the mutant is killed), and the seconds it took."""
+    target = src / "gossiplab" / m.path
+    text = (pristine / "gossiplab" / m.path).read_text()
+    if text.count(m.before) != 1:
+        raise SystemExit(f"{m.name}: {m.before!r} is not found exactly "
+                         f"once in {m.path}")
+    target.write_text(text.replace(m.before, m.after))
+    env = dict(os.environ, PYTHONPATH=str(src), HYPOTHESIS_PROFILE="mutants")
+    start = time.perf_counter()
+    try:
+        # plain asserts: a failing comparison of two long CSV texts
+        # would otherwise spend minutes on its diff
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "--assert=plain",
+             "-p", "no:cacheprovider", *m.tests],
+            cwd=ROOT, env=env, capture_output=True, text=True)
+    finally:
+        target.write_text(text)
+    return done.returncode, time.perf_counter() - start
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        # the subsets must import the copy, not an installed package
+        where = subprocess.run(
+            [sys.executable, "-c",
+             "import gossiplab; print(gossiplab.__file__)"],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+            text=True, check=True).stdout.strip()
+        if not Path(where).is_relative_to(src):
+            raise SystemExit(f"the copy is not imported: gossiplab is {where}")
+        rows = ["| mutant | subset | outcome | seconds |",
+                "|---|---|---|---|"]
+        bad = 0
+        for m in MUTANTS:
+            code, seconds = run_mutant(m, src, ROOT / "src")
+            # any other code (collection error, no tests) is no verdict
+            ok = code == (0 if m.control else 1)
+            bad += not ok
+            outcome = {0: "survived", 1: "killed"}.get(
+                code, f"pytest exit code {code}")
+            if m.control:
+                outcome += " (control)"
+            if not ok:
+                outcome = f"**{outcome}: unexpected**"
+            rows.append(f"| {m.name} | {' '.join(m.tests)} | {outcome} "
+                        f"| {seconds:.1f} |")
+            print(rows[-1], flush=True)
+    table = "\n".join(rows) + "\n"
+    summary = os.environ.get("GITHUB_STEP_SUMMARY")
+    if summary:
+        with open(summary, "a") as fh:
+            fh.write("### Mutation smoke\n\n" + table)
+    print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants ended as expected")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

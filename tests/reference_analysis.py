@@ -7,7 +7,8 @@ another and divides by n, which costs O(n^3).  expected_blocks builds
 the structural blocks of the same map straight from the weight
 matrices, so w == w0 + eps*e cross-checks the assembly.
 monotonicity_check checks the qualitative shape of the closed-form
-eigenvalue branches on a grid.
+eigenvalue branches on a grid.  mean_square_rate is the dense rate at
+which the engine's mean squared disagreement decays.
 """
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -125,3 +126,22 @@ def monotonicity_check(xi_values, eps_grid) -> MonotonicityReport:
         stable_unit_branch=stable,
         violations=tuple(violations),
     )
+
+
+def mean_square_rate(scheme) -> float:
+    """rho_ms: the spectral radius of (1/n) sum_k R_k (x) R_k, where
+    R_k = Q^T W_k Q and the columns of Q are an orthonormal basis of the
+    complement of u = [1...1, 0...0].  Every W_k fixes u, so R_k carries
+    the disagreement Q^T z of the state z through broadcast k, and rho_ms
+    is the rate of its mean square.  Dense: (2n - 1)^2 rows."""
+    n = scheme.n
+    u = np.concatenate([np.ones(n), np.zeros(n)])
+    # a complete QR of u: the columns after the first span its complement
+    q = np.linalg.qr(u[:, None], mode="complete")[0][:, 1:]
+    m = 2 * n - 1
+    acc = np.zeros((m * m, m * m))
+    for k in range(1, n + 1):
+        r = q.T @ assemble_Wk(scheme, k) @ q
+        acc += np.kron(r, r)
+    acc /= n
+    return float(np.max(np.abs(np.linalg.eigvals(acc))))

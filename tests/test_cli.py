@@ -504,6 +504,95 @@ def test_config_file_errors(tmp_path):
         == EXIT_CONFIG
 
 
+# the keys of each command's `# config:` line when a config file gives
+# all 16 settings: the settings the command reads, plus its extras
+ECHOED = {
+    "generate": {"n", "radius", "p_asym", "seed", "out", "workers",
+                 "radius_resolved"},
+    "analyze": {"graph", "n", "radius", "p_asym", "seed", "out", "workers",
+                "scheme", "epsilon", "gamma", "epsilon_resolved"},
+    "sweep": {"graph", "n", "radius", "p_asym", "seed", "out", "workers",
+              "scheme", "gamma", "grid", "trials", "init", "threshold",
+              "max_iters"},
+    "simulate": {"graph", "n", "radius", "p_asym", "seed", "out", "workers",
+                 "scheme", "schemes", "epsilon", "gamma", "trials", "init",
+                 "threshold", "max_iters", "epsilon_bbga"},
+}
+ARTIFACT = {"generate": "graph.txt", "analyze": "analysis.csv",
+            "sweep": "sweep.csv", "simulate": "trajectory_bbga.csv"}
+
+
+def config_line(path) -> dict:
+    line = next(ln for ln in path.read_text().splitlines()
+                if ln.startswith("# config: "))
+    return dict(pair.split("=", 1) for pair in line[10:].split())
+
+
+def test_headers_echo_only_the_settings_their_command_reads(graph_file,
+                                                            tmp_path):
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text(
+        f"graph = {graph_file}\nn = 8\nradius = 0.9\np_asym = 0\n"
+        "seed = 3\nworkers = 1\nscheme = bbga\nschemes = bbga\n"
+        "epsilon = 7\ngamma = 0.5\ngrid = 0.5\ntrials = 2\n"
+        "init = gaussian\nthreshold = 1e-3\nmax_iters = 5000\n")
+    for command in cli.ALL:
+        out = tmp_path / command
+        argv = [command, "--config", str(cfg), "--out", str(out)]
+        if command == "simulate":
+            argv += ["--epsilon", "0.5"]
+        assert run(argv) == EXIT_OK
+        echoed = config_line(out / ARTIFACT[command])
+        assert set(echoed) == ECHOED[command], command
+    # the flag beats the file; the sweep ran at its grid, not at epsilon
+    assert config_line(tmp_path / "simulate" / "trajectory_bbga.csv")[
+        "epsilon"] == "0.5"
+    assert config_line(tmp_path / "analyze" / "analysis.csv")[
+        "epsilon"] == "7"
+    sweep = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
+    assert [ln.split(",")[0] for ln in sweep
+            if not ln.startswith("#")] == ["epsilon", "0.5"]
+    # generate ignores the file's graph: it generated one from the file's
+    # n, radius and seed
+    made = graph.load_graph(tmp_path / "generate" / "graph.txt")
+    assert made.edges == graph.random_geometric_graph(
+        8, 0.9, np.random.default_rng(3)).edges
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--scheme", "bbga", "--grid", "0.5", "--epsilon", "7",
+     "--trials", "2"],
+    ["generate", "--n", "8", "--graph", "g.txt"],
+])
+def test_flags_a_command_does_not_read_are_rejected(graph_file, tmp_path,
+                                                    argv):
+    if argv[0] == "sweep":
+        argv = argv + ["--graph", str(graph_file)]
+    code, err = run_captured(argv + ["--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    errors = [ln for ln in err.splitlines() if "error:" in ln]
+    assert errors == [err.splitlines()[-1]]
+    assert "unrecognized arguments" in errors[0]
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_keys_a_command_does_not_read_are_checked_not_applied(
+        graph_file, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    base = ["analyze", "--graph", str(graph_file), "--config", str(cfg)]
+    # type-checked: a bad value is an error even where it is not read
+    cfg.write_text("trials = soon\n")
+    assert run(base + ["--out", str(tmp_path / "a")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == \
+        f"error: {cfg}:1: bad value for trials: 'soon'\n"
+    assert not (tmp_path / "a").exists()
+    # not applied: a threshold sweep and simulate refuse is no error here
+    cfg.write_text("threshold = inf\ngrid = 0.5\n")
+    assert run(base + ["--out", str(tmp_path / "b")]) == EXIT_OK
+    echoed = config_line(tmp_path / "b" / "analysis.csv")
+    assert "threshold" not in echoed and "grid" not in echoed
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as info:
         main(["--version"])
@@ -625,15 +714,11 @@ class Bad(NamedTuple):
     flags: tuple = ()
 
 
-# the keys that describe a generated graph, and the commands that read each
+# the keys that describe a generated graph, and the commands that read
+# each key (an unknown key is rejected by every command)
 GRAPH_KEYS = ("n", "radius", "p_asym")
-ALL = ("generate", "analyze", "sweep", "simulate")
-READS = dict.fromkeys(GRAPH_KEYS + ("workers", "wibble"), ALL)
-READS.update(dict.fromkeys(("scheme", "gamma"), ALL[1:]))
-READS.update(dict.fromkeys(("trials", "init", "threshold", "max_iters"),
-                           ("sweep", "simulate")))
-READS.update(epsilon=("analyze", "simulate"), grid=("sweep",),
-             schemes=("simulate",))
+READS = {key: setting.commands for key, setting in cli.SETTINGS.items()}
+READS["wibble"] = cli.ALL
 
 BAD_INPUTS = [
     Bad("wibble", "3", EXIT_CONFIG),

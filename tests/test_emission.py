@@ -71,6 +71,21 @@ def test_series_csv_certifies_the_values_of_a_campaign(graph50):
         "t,r,q", rec.t_series, rec.r_series, rec.q_series)
 
 
+def test_exact_ties_below_ten_are_left_to_the_reference():
+    # k / 2**(17 + j) with k odd, in [10**-j, 10**(1 - j)), has 18
+    # significant digits, the last a 5: an exact tie at 17 digits, which
+    # % rounds half to even and the fast path does not certify
+    ties = []
+    for j in range(5):
+        lo = (int(10.0 ** -j * 2 ** (17 + j)) + 1) | 1
+        ties.append((lo + 2 * np.arange(500)) / 2.0 ** (17 + j))
+    v = np.concatenate(ties)
+    assert not sim._decimal(v)[2].any()
+    t = np.arange(v.size)
+    assert sim._series_csv("t,r,q", t, v, -v) == \
+        reference_series_csv("t,r,q", t, v, -v)
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_series_csv_matches_the_reference(data):

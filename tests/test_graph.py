@@ -43,13 +43,14 @@ def test_digraph_rejects_bad_coords():
 def test_neighbor_and_degree_conventions():
     g = DiGraph(3, TRIANGLE_EDGES)
     # edge (i, j): i receives from j
-    assert g.in_neighbors(1) == (2, 3)
-    assert g.in_neighbors(2) == (3,)
-    assert g.out_neighbors(3) == (1, 2)
-    assert g.out_neighbors(2) == (1,)
+    adj = g.adjacency()
+    # row i lists the nodes i listens to, column k those that listen to k
+    assert np.flatnonzero(adj[0]).tolist() == [1, 2]       # 1 hears 2, 3
+    assert np.flatnonzero(adj[1]).tolist() == [2]          # 2 hears 3
+    assert np.flatnonzero(adj[:, 2]).tolist() == [0, 1]    # 1, 2 hear 3
+    assert np.flatnonzero(adj[:, 1]).tolist() == [0]       # 1 hears 2
     assert g.in_degree(1) == 2
     assert g.out_degree(1) == 1
-    adj = g.adjacency()
     assert adj[0, 1] == 1.0 and adj[0, 2] == 1.0 and adj[1, 0] == 0.0
     assert adj.sum() == len(TRIANGLE_EDGES)
 
