@@ -134,7 +134,6 @@ def classify_expectation(scheme: ParamScheme) -> SpectralReport:
         except NotSimple:
             is_simple = False
         else:
-            u = np.real_if_close(u, tol=1e2)
             w1 = np.ascontiguousarray(u[:n].real)
             w2 = np.ascontiguousarray(u[n:].real)
     return SpectralReport(

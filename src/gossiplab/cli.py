@@ -85,6 +85,8 @@ SETTINGS = {
     "threshold": Setting(1e-5, float, RUNS, "stopping threshold"),
     "max_iters": Setting(10_000_000, int, RUNS, "iteration cap per trial"),
 }
+# the settings that generate a graph, read only when no graph is loaded
+GENERATOR = ("n", "radius", "p_asym")
 
 # each command's help, and its flags that are no setting: they are
 # neither read from config files nor echoed
@@ -132,8 +134,16 @@ def resolve_config(args: argparse.Namespace) -> argparse.Namespace:
     if args.config:
         given = load_config_file(args.config)
         values.update((k, given[k]) for k in keys if k in given)
-    values.update((k, getattr(args, k)) for k in keys
-                  if getattr(args, k) is not None)
+    flags = [k for k in keys if getattr(args, k) is not None]
+    values.update((k, getattr(args, k)) for k in flags)
+    if values.get("graph") is not None:
+        # a loaded graph is not generated: no generator setting is read,
+        # and a flag giving one is an error
+        for k in GENERATOR:
+            if k in flags:
+                raise ConfigError(f"--{k.replace('_', '-')} cannot be "
+                                  "combined with a graph file")
+            del values[k]
     cfg = argparse.Namespace(**values)
     if cfg.workers is not None and cfg.workers < 1:
         raise ConfigError(f"workers must be at least 1, got {cfg.workers}")
@@ -428,9 +438,7 @@ def cmd_simulate(cfg: argparse.Namespace, per_trial: bool, svg: bool) -> int:
                       f"scheme={kind.value}: ")
         warn_nonfinite(res.records, res.trials, f"scheme={kind.value}: ")
     if svg and curves:
-        safe = [(lbl, [t for t, r in zip(ts, rs) if r > 0],
-                 [r for r in rs if r > 0]) for lbl, ts, rs in curves]
-        svgplot.save_chart(out / "trajectories.svg", safe,
+        svgplot.save_chart(out / "trajectories.svg", curves,
                            header_lines=make_header("simulate", cfg, extras),
                            title="mean squared error to the initial average",
                            xlabel="iteration", ylabel="r(t)", log_y=True)

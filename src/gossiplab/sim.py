@@ -55,7 +55,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import GossipLabError, MassConservationError, MissingCoords
+from .errors import MassConservationError, MissingCoords
 from .graph import DiGraph
 from .protocol import ParamScheme, SchemeKind, build_scheme
 
@@ -165,10 +165,6 @@ def init_values(kind: InitKind, g: DiGraph, rng: np.random.Generator) -> np.ndar
     if g.coords is None:
         raise MissingCoords("slope initialization needs node coordinates")
     return g.coords[:, 0] + g.coords[:, 1]
-
-
-def _failure(exc: GossipLabError) -> str:
-    return f"{type(exc).__name__}: {exc}"
 
 
 class Row(NamedTuple):
@@ -420,13 +416,11 @@ def _lockstep(rows, threshold: float, max_iters: int, *,
                     dx = np.subtract(NX[e], XR[e], out=NX[e])
                     dy = np.subtract(NY[e], YR[e], out=NY[e])
                 if full_series:
+                    # recorded only; the row stops as any other row does
                     yk = _block_yk(yk0, snap[1], sk[c + 1:c + k])
                     stat = _exact_stat(dx, dy, yk, seg, cnt[c:c + k].ravel(),
                                        range(k * live))
-                    if not spread:
-                        stop = _first_stops(np.flatnonzero(stat <= threshold),
-                                            live, running)
-                elif not spread:
+                if not spread:
                     sq = np.multiply(dx, dx, out=XR[e])
                     sq += np.multiply(dy, dy, out=YR[e])
                     if empty is None:
@@ -444,7 +438,7 @@ def _lockstep(rows, threshold: float, max_iters: int, *,
                                             cnt[c:c + k].ravel(), near)
                         stop = _first_stops(near[exact <= threshold], live,
                                             running)
-                if spread:
+                else:
                     rq = _rq(snap[0], mu0)
                     stop = _first_stops(
                         np.flatnonzero(rq[1].ravel() <= threshold), live,
@@ -656,6 +650,8 @@ def run_trial(scheme: ParamScheme, x0, threshold: float, max_iters: int,
 
     keep_series=False records no r/q series (nor stat series) and
     computes r and q only at the stop; the finals are the same.
+    full_series records every iteration and the stopping statistic of
+    each in stat_series; the trial stops as it does without it.
 
     This is the lockstep kernel with one row; campaigns and sweeps run
     many trials per kernel call and give each the same record.
@@ -666,7 +662,7 @@ def run_trial(scheme: ParamScheme, x0, threshold: float, max_iters: int,
     (res,) = _lockstep([Row(scheme, x0, rng, seed)], threshold,
                        max_iters, keep_series=keep_series,
                        full_series=full_series, stop_rule=stop_rule)
-    if isinstance(res, GossipLabError):
+    if isinstance(res, MassConservationError):
         raise res
     return res
 
@@ -675,23 +671,15 @@ def _trial_block(payload) -> list:
     """Trials `seeds` at every scheme, as one lockstep call: trial i
     draws its x0 and then its broadcasters from generator seeds[i], which
     its rows at every scheme share.  Returns per (seed, scheme), seed
-    major, a TrialRecord or the failure message of a rejected trial."""
+    major, a TrialRecord or the message of its mass check failure."""
     schemes, g, init, seeds, threshold, max_iters, opts = payload
-    outcomes = []      # per (seed, scheme): a failure message or a row
     rows = []
     for seed in seeds:
         rng = np.random.default_rng(seed)
-        try:
-            x0 = init_values(init, g, rng)
-        except GossipLabError as exc:
-            outcomes += [_failure(exc)] * len(schemes)
-            continue
-        for s in schemes:
-            outcomes.append(len(rows))
-            rows.append(Row(s, x0, rng, seed))
-    ran = _lockstep(rows, threshold, max_iters, **opts) if rows else []
-    ran = [o if isinstance(o, TrialRecord) else _failure(o) for o in ran]
-    return [o if isinstance(o, str) else ran[o] for o in outcomes]
+        x0 = init_values(init, g, rng)
+        rows += [Row(s, x0, rng, seed) for s in schemes]
+    return [o if isinstance(o, TrialRecord) else f"{type(o).__name__}: {o}"
+            for o in _lockstep(rows, threshold, max_iters, **opts)]
 
 
 def _run_trials(schemes, g, init, trials: int, base_seed: int,
@@ -768,9 +756,10 @@ def monte_carlo(scheme: ParamScheme, g: DiGraph, init, trials: int,
     seeds with a process pool); each record equals the trial run alone
     through run_trial, with stop_rule="spread" for a spike init and the
     default state-change rule otherwise.  Aggregates are computed over
-    successful trials; engine-level failures (for example a
-    mass-conservation violation) are collected per trial instead of
-    aborting the campaign.
+    successful trials; a trial that fails the mass check is collected in
+    failures instead of aborting the campaign.  An init that cannot be
+    drawn (a slope init on a graph without coordinates) raises
+    MissingCoords before any trial runs.
     keep_series=False strips the stored series to keep large campaigns
     small; the finals survive.  This is campaigns() with one scheme.
     """

@@ -58,6 +58,11 @@ MUTANTS = (
            "t <= FULL_RECORD_LIMIT or t >= next_thin",
            "t <= FULL_RECORD_LIMIT or t > next_thin",
            ("tests/test_sim.py", "tests/test_lockstep.py")),
+    # a statistic equal to the threshold stops the trial; full_series
+    # rows stop through the same screen and exact dot
+    Mutant("lockstep: the exact statistic stops only below the threshold",
+           "sim.py", "near[exact <= threshold]", "near[exact < threshold]",
+           ("tests/test_lockstep.py",)),
     # without its slack the screen skips segments whose segment sums
     # round above threshold**2 while their exact statistic does not
     Mutant("lockstep: SCREEN_RTOL = 0", "sim.py",

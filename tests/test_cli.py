@@ -22,6 +22,7 @@ from gossiplab.cli import (
     DEFAULT_GRID, EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_RETRY,
     ConfigError, load_config_file, main, parse_grid, resolve_epsilon,
 )
+from gossiplab.errors import MissingCoords
 from gossiplab.protocol import SchemeKind, build_scheme
 
 
@@ -291,21 +292,23 @@ def test_simulate_outputs(graph_file, tmp_path, capsys):
 
 
 # sha256 of every file of the run below, headers included, as written
-# before simulate ran its schemes as one lockstep call
+# before simulate ran its schemes as one lockstep call; re-recorded when
+# the headers of a run on a graph file stopped echoing p_asym=0, the only
+# bytes that changed
 SIMULATE_DIGESTS = {
-    "trajectories.svg": "665c11c63a0d000e46fac969d90099a63895d5eb00b5e0fc6ec05c025b70ecb3",
-    "trajectory_bbga.csv": "37471d32ae06b00c3454c4264b01cf3271ca0d19e7c62e9393301919861d9b2a",
-    "trajectory_classic.csv": "6747e1f8bdcb0a7afb45d60f6efc2b0af4f2cc19b487cfe8c08e60d050b4c6f9",
-    "trajectory_ubga1.csv": "d199d191d8b7075e4d7f96416628329cd15ee2a602dd077ed6d3d5a7a5843e53",
-    "trial_bbga_0.csv": "26432cbb7976c59d52c617046dd511d311514c9736c4b550c2f9e9836a89e517",
-    "trial_bbga_1.csv": "40fb8a14816511729a3cca4713c6dc628344cf9e3968689a8d2f3cc739a2e376",
-    "trial_bbga_2.csv": "a9a0335428c564bd53c0c65fcfaac81ac9bc41be4d3eb4a7e691988e45fa5dae",
-    "trial_classic_0.csv": "61157aeaa9296d8a11cbcda954f7377eaa50500e1612f71fd611b21281cd3b17",
-    "trial_classic_1.csv": "9623a32136c4afb0c8787ded4c144f6a775510819c7ce04f8f14231b5ad56456",
-    "trial_classic_2.csv": "421ef9383b8258c9113c7fd6d90ece771c48f9ffea56934088a16b332a3aef03",
-    "trial_ubga1_0.csv": "293dde77b58e50bf3a20314d6f109951dc65a9e0533e63881318a8da3e4759fa",
-    "trial_ubga1_1.csv": "d7a516fdddfd94878c8242b463551b99eefe528cf5ea3387c0523adcb07e5422",
-    "trial_ubga1_2.csv": "16269913eb276f702cf982914bcef8a03f3399924813ccaff6829ffac4fbc7b0",
+    "trajectories.svg": "eb895844a143e499d44e4ae42f719171e9b36305e17bec3d8c7619706dc4cf4d",
+    "trajectory_bbga.csv": "64e9a475055a39028fc644fa72890104643bc9207298b34003ffe60253bd548a",
+    "trajectory_classic.csv": "ca57bb476b5cc6ce7bdd3e5c267bf680777984d5b6e4cf406457ce045642981d",
+    "trajectory_ubga1.csv": "314d9a5de35b99c05b1d58480e45ae82896fd21cdd7faac7862d67780596a6c9",
+    "trial_bbga_0.csv": "b1ebe59501bbd1dc129989f18c0c2d402507fd7d9fe919023257927635432fa9",
+    "trial_bbga_1.csv": "ccd9da32ce620243fa605e959fc7a959f1403c2ad5f47449ee622fdc8d23cba1",
+    "trial_bbga_2.csv": "b9e7aa05437bc5fd285339cb4a62844410dedae21792396f9cba57bd8a5154b2",
+    "trial_classic_0.csv": "6cbcd56c360ed0fb162b44266f60580775b7fba0e62abcd272634db2e6a17c3e",
+    "trial_classic_1.csv": "e069fb2d50bee174e4ae6196679cee1b3889943dcd0e42a9eb90371b072a8859",
+    "trial_classic_2.csv": "49aadc4f60007fc226b81749f416da50a40ab4e98e2d64a256288b6956019eed",
+    "trial_ubga1_0.csv": "e6e801e6a3f276c35880bdba2e1df47f01a21383b775d9ba83830892578b2ace",
+    "trial_ubga1_1.csv": "37defa7da7dc0c9d89411ad95c934edbf213b28f0f7bdb1502796d3260baaaec",
+    "trial_ubga1_2.csv": "0232aac1b307904ca0f8bf59f7e430d8829d241b8ac9e4f3602c0bdc7841a9b3",
 }
 
 
@@ -506,17 +509,18 @@ def test_config_file_errors(tmp_path):
 
 # the keys of each command's `# config:` line when a config file gives
 # all 16 settings: the settings the command reads, plus its extras
+# the file's graph is loaded, so n, radius and p_asym are read only by
+# generate, which generates its graph
 ECHOED = {
     "generate": {"n", "radius", "p_asym", "seed", "out", "workers",
                  "radius_resolved"},
-    "analyze": {"graph", "n", "radius", "p_asym", "seed", "out", "workers",
-                "scheme", "epsilon", "gamma", "epsilon_resolved"},
-    "sweep": {"graph", "n", "radius", "p_asym", "seed", "out", "workers",
-              "scheme", "gamma", "grid", "trials", "init", "threshold",
-              "max_iters"},
-    "simulate": {"graph", "n", "radius", "p_asym", "seed", "out", "workers",
-                 "scheme", "schemes", "epsilon", "gamma", "trials", "init",
-                 "threshold", "max_iters", "epsilon_bbga"},
+    "analyze": {"graph", "seed", "out", "workers", "scheme", "epsilon",
+                "gamma", "epsilon_resolved"},
+    "sweep": {"graph", "seed", "out", "workers", "scheme", "gamma", "grid",
+              "trials", "init", "threshold", "max_iters"},
+    "simulate": {"graph", "seed", "out", "workers", "scheme", "schemes",
+                 "epsilon", "gamma", "trials", "init", "threshold",
+                 "max_iters", "epsilon_bbga"},
 }
 ARTIFACT = {"generate": "graph.txt", "analyze": "analysis.csv",
             "sweep": "sweep.csv", "simulate": "trajectory_bbga.csv"}
@@ -593,6 +597,67 @@ def test_config_keys_a_command_does_not_read_are_checked_not_applied(
     assert "threshold" not in echoed and "grid" not in echoed
 
 
+def test_generator_settings_are_not_read_with_a_graph_file(graph_file,
+                                                           tmp_path):
+    # a loaded graph is not generated: n, radius or p_asym next to it is
+    # an error as a flag and ignored, not echoed, from a config file
+    cfg = tmp_path / "graph.cfg"
+    cfg.write_text(f"graph = {graph_file}\n")
+    for command in cli.SCHEMED:
+        for key, value in (("n", "50"), ("radius", "0.3"), ("p_asym", "0.2")):
+            flag = "--" + key.replace("_", "-")
+            # the graph from a flag, then from the config file
+            for given in (["--graph", str(graph_file)], ["--config", str(cfg)]):
+                out = tmp_path / "never"
+                code, err = run_captured([command, *given, flag, value,
+                                          "--out", str(out)])
+                assert code == EXIT_CONFIG
+                assert err == \
+                    f"error: {flag} cannot be combined with a graph file\n"
+                assert not out.exists()
+    cfg.write_text("n = 50\nradius = 0.3\np_asym = 0.2\n")
+    out = tmp_path / "ok"
+    assert run(["analyze", "--graph", str(graph_file), "--config", str(cfg),
+                "--out", str(out)]) == EXIT_OK
+    assert not config_line(out / "analysis.csv").keys() & set(cli.GENERATOR)
+
+
+@pytest.fixture(scope="module")
+def bare_graph_file(graph_file, tmp_path_factory):
+    """graph_file without its coord lines."""
+    path = tmp_path_factory.mktemp("bare") / "graph.txt"
+    path.write_text("".join(
+        ln for ln in graph_file.read_text().splitlines(keepends=True)
+        if not ln.startswith("coord ")))
+    return path
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("command", ["sweep", "simulate"])
+def test_slope_init_without_coordinates_exits_2_before_any_trial(
+        bare_graph_file, tmp_path, command, workers):
+    # each trial used to fail on its own: exit 3, a "trial i failed" line
+    # per trial and, from sweep, a sweep.csv of nan
+    out = tmp_path / "out"
+    argv = [command, "--graph", str(bare_graph_file), "--init", "slope",
+            "--trials", "3", "--threshold", "1e-3", "--workers", str(workers),
+            "--out", str(out)]
+    if command == "sweep":
+        argv += ["--grid", "0.5"]
+    assert run_captured(argv) == (
+        EXIT_CONFIG, "error: slope initialization needs node coordinates\n")
+    assert not out.exists()
+
+
+def test_monte_carlo_raises_on_a_slope_init_without_coordinates(
+        bare_graph_file):
+    g = graph.load_graph(bare_graph_file)
+    assert g.coords is None
+    scheme = build_scheme(SchemeKind.BBGA, g, 0.5)
+    with pytest.raises(MissingCoords):
+        sim.monte_carlo(scheme, g, sim.InitKind.SLOPE, 3, 1e-3, 5000, 0)
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as info:
         main(["--version"])
@@ -616,6 +681,18 @@ def test_workers_env_cap(graph_file, tmp_path, monkeypatch):
     assert strip(t1) == strip(t2)
 
 
+def fresh_python(script: str) -> list:
+    """The lines a new interpreter prints running script, with this
+    package importable."""
+    src = str(Path(gossiplab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
+
+
 def test_sweep_and_simulate_leave_numpy_ma_unimported(graph_file, tmp_path):
     # numpy imports numpy.ma on the first np.unique or np.median call,
     # 10-15 ms of every CLI process; sweep and simulate need neither
@@ -630,13 +707,7 @@ assert cli.main(["simulate", "--graph", g, "--schemes", "bbga,ubga1,classic",
                  "--svg", "--out", out + "/m"]) == 0
 print("numpy.ma imported:", "numpy.ma" in sys.modules)
 """
-    src = str(Path(gossiplab.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    done = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "numpy.ma imported: False"
+    assert fresh_python(script)[-1] == "numpy.ma imported: False"
 
 
 def test_importing_the_cli_loads_no_process_pool_and_no_formatter_tables():
@@ -651,13 +722,19 @@ print(sorted(m for m in sys.modules
              if m.split(".")[0] in ("multiprocessing", "concurrent")))
 print(sim._emit_tables.cache_info().currsize)
 """
-    src = str(Path(gossiplab.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    done = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == ["[]", "0"]
+    assert fresh_python(script) == ["[]", "0"]
+
+
+@pytest.mark.parametrize("layer", ["graph", "protocol", "spectra"])
+def test_importing_a_layer_loads_no_layer_above_it(layer):
+    # the package root imports nothing, so a layer brings in only the
+    # modules it imports itself
+    assert fresh_python(f"""
+import sys
+import gossiplab.{layer}
+print([m for m in ("gossiplab.sim", "gossiplab.analysis", "gossiplab.cli")
+       if m in sys.modules])
+""") == ["[]"]
 
 
 def test_infinite_threshold_exits_2_before_any_trial(graph_file, tmp_path,
