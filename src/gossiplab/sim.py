@@ -35,13 +35,15 @@ the rows of trial i share its stream at every scheme or grid point, so
 the comparison stays paired.  Broadcasters are drawn in blocks, which
 gives the same sequence as one draw at a time.  A row leaves when it
 converges, hits max_iters, or fails the mass check; a failure ends only
-that row, and the others run on unchanged.  An iteration only updates
-the state and keeps a snapshot of it; the stopping rule, the mass check
-and r and q are evaluated for every iteration, but once per block of up
-to CHECK_BLOCK iterations, from the snapshots.  A row that ends inside a
-block is read from the snapshot of its last iteration, and the
-iterations it ran past it are discarded.  Every row reproduces the
-record of the same trial run alone, bit for bit.
+that row, and the others run on unchanged.  The iterations run in
+blocks of up to CHECK_BLOCK, with one layout per check block; rows are
+packed at the end of the block they leave in.  An iteration only
+updates the state and keeps a snapshot of it; the stopping rule, the
+mass check and r and q are evaluated for every iteration, but once per
+block, from the snapshots.  A row that ends inside a block is read from
+the snapshot of its last iteration, and the iterations it ran past it
+are discarded.  Every row reproduces the record of the same trial run
+alone, bit for bit.
 """
 from __future__ import annotations
 
@@ -196,8 +198,10 @@ def _hearer_tables(schemes, n: int) -> tuple:
     at s*n + k: its first entry and its hearer count, and per entry the
     hearer's position relative to k (j - k) and the coefficients 1-a, a,
     eps*d, b as one row of an (entries, 4) table (np.take copies 32-byte
-    rows much faster than 40-byte ones; 1-eps*d is taken per chunk).
-    Hearers are sorted within a segment.  The arithmetic mirrors
+    rows much faster than 40-byte ones; 1-eps*d is taken per layout).
+    Hearers are sorted within a segment.  _prepare lays the steps out
+    from them, one layout per check block; rows are packed at the end of
+    the block they leave in.  The arithmetic mirrors
     protocol.local_update, so a replay through protocol.step reproduces
     every trial's states bit for bit."""
     parts = [np.nonzero(s.a.T) for s in schemes]    # k's hearers, sorted
@@ -211,13 +215,14 @@ def _hearer_tables(schemes, n: int) -> tuple:
 
 
 def _prepare(tables, ks: np.ndarray, toff: np.ndarray, n: int) -> tuple:
-    """The real hearer entries of a chunk of steps; ks holds the
-    broadcasters (steps x running rows) and toff each row's table offset.
-    Step c's entries are off[c]:off[c+1], one contiguous segment per row
-    in slot order: row p's starts at entry first[c, p] and has cnt[c, p]
-    entries.  Per entry: its flat slot g, its broadcaster's slot kg and
-    its coefficient columns co (1-a, a, eps*d, 1-eps*d, b).  kp holds the
-    broadcasters' slots."""
+    """The real hearer entries of one check block's steps: one layout
+    per check block, since rows are packed at the end of the block they
+    leave in.  ks holds the broadcasters (steps x running rows) and toff
+    each row's table offset.  Step c's entries are off[c]:off[c+1], one
+    contiguous segment per row in slot order: row p's starts at entry
+    first[c, p] and has cnt[c, p] entries.  Per entry: its flat slot g,
+    its broadcaster's slot kg and its coefficient columns co (1-a, a,
+    eps*d, 1-eps*d, b).  kp holds the broadcasters' slots."""
     starts, counts, rel, coef = tables
     steps, live = ks.shape
     tk = (ks + toff).ravel()
@@ -272,30 +277,29 @@ def _lockstep(rows, threshold: float, max_iters: int, *,
     iteration, each row on its own scheme, x0 and broadcaster stream.
 
     Rows sit back to back in flat value and companion vectors, the rows
-    still running always at the front.  Once per chunk of steps (about
-    ENTRY_CHUNK hearer entries) the real entries of every step are laid
-    out from the CSR hearer tables: their slots and coefficients, one
+    still running always at the front.  The steps run in check blocks of
+    at most CHECK_BLOCK steps, CHECK_VALUES snapshot values and about
+    ENTRY_CHUNK hearer entries (unless one step holds more), and one
+    layout per check block: the real entries of its steps are laid out
+    from the CSR hearer tables, their slots and coefficients, one
     contiguous segment per row.  A step only gathers, updates and
     scatters those entries with flat ufuncs, writing their old and new
-    values into buffers of the chunk, and copies the state into a
-    snapshot.  The rows are checked once per block of steps (at most
-    CHECK_BLOCK steps and, unless one step holds more, CHECK_VALUES
-    snapshot values; never across a chunk), over the whole block at once:
-    the full-state mass check of unbiased schemes (row sums of the
-    snapshots, the bits of a per-step check), the stopping rule, and r
-    and q of the recorded steps.  The stopping statistic is screened with
-    one segment sum per (step, row), which is not the bits of a lone
-    trial; only the exact per-row BLAS dots on a segment decide, in step
-    order, and only for the steps the screen puts near or under the
-    threshold.  A row ends at its first mass failure, its first stop or
-    max_iters, a failure winning over a stop at the same step; the steps
-    it ran past its end are ignored and its record is read from the
-    snapshot of its end.  At the block's end it is zeroed and carried
-    along unchecked until the chunk ends or a quarter of the chunk's rows
-    have left, so a leave rarely wastes the chunk's layout; the running
-    rows are then packed to the front and the next chunk is laid out for
-    them.  Overflow in a row run past its end or in a diverging scheme
-    raises no warning.  Returns per row its TrialRecord or the
+    values into buffers, and copies the state into a snapshot; both are
+    allocated once per call and sliced per block.  At the block's end
+    the rows are checked over the whole block at once: the full-state
+    mass check of unbiased schemes (row sums of the snapshots, the bits
+    of a per-step check), the stopping rule, and r and q of the recorded
+    steps.  The stopping statistic is screened with one segment sum per
+    (step, row), which is not the bits of a lone trial; only the exact
+    per-row BLAS dots on a segment decide, in step order, and only for
+    the steps the screen puts near or under the threshold.  A row ends
+    at its first mass failure, its first stop or max_iters, a failure
+    winning over a stop at the same step; the steps it ran past its end
+    are ignored and its record is read from the snapshot of its end.
+    Rows are packed at the end of the block they leave in: the running
+    rows move to the front and the next block is laid out for them.
+    Overflow in a row run past its end or in a diverging scheme raises
+    no warning.  Returns per row its TrialRecord or the
     MassConservationError it failed with.  Without keep_series, r and q
     are computed only at the stop.
     """
@@ -321,6 +325,13 @@ def _lockstep(rows, threshold: float, max_iters: int, *,
 
     tables = _hearer_tables(schemes, n)
     per_row = max(1.0, float(tables[1].mean()))   # mean hearers per broadcast
+    # the most (step, row) cells a block can hold, for its buffers: the
+    # entries' old and new values and the state after each step
+    cells = min(min(CHECK_BLOCK, DRAW_BLOCK, max_iters) * E,
+                max(E, min(CHECK_VALUES // (2 * n),
+                           int(ENTRY_CHUNK / per_row))))
+    entries = np.empty((4, cells * int(tables[1].max())))
+    snaps = np.empty(2 * cells * n)
     Z = np.zeros((2, E * n))          # values, then companions
     Z[0] = np.concatenate(x0)
     X, Y = Z
@@ -353,204 +364,173 @@ def _lockstep(rows, threshold: float, max_iters: int, *,
         tb = 0
         while tb < size:
             live = len(ids)
-            steps = min(size - tb, max(1, int(ENTRY_CHUNK / (live * per_row))))
-            span = min(steps, CHECK_BLOCK,
-                       max(1, CHECK_VALUES // (2 * live * n)))
+            k = min(size - tb, CHECK_BLOCK,
+                    max(1, CHECK_VALUES // (2 * live * n)),
+                    max(1, int(ENTRY_CHUNK / (live * per_row))))
             g, kg, (c_oma, c_a, c_ed, c_omed, c_b), kps, off, first, cnt = (
-                _prepare(tables, block[tb:tb + steps, srow], toff, n))
-            # reduceat cannot sum an empty segment; pad a block's sums
-            # with a zero and clear the empty segments' sums
-            empty = cnt == 0 if not cnt.all() else None
-            # the entries' old and new values; per block the state after
-            # each of its steps, and each broadcaster's slot in the
-            # snapshot before its step (before a block's first step the
-            # broadcasters' companions are read from the state, yk0)
-            XR, YR, NX, NY = np.empty((4, off[-1]))
-            snaps = np.empty((2, span, live, n))
-            sk = kps + ((np.arange(steps) % span - 1) * (live * n))[:, None]
-            running = np.ones(live, dtype=bool)
-            left = 0           # rows that left during this chunk
-            c = 0
-            while c < steps:
-                k = min(span, steps - c)
-                snap = snaps[:, :k]
-                yk0 = Y[kps[c]]
-                for j in range(c, c + k):
-                    e = slice(off[j], off[j + 1])
-                    gc = g[e]
-                    kc = kg[e]
-                    kp = kps[j]
-                    a = c_a[e]
-                    xr = XR[e]
-                    yr = YR[e]
-                    new_x = NX[e]
-                    new_y = NY[e]
-                    # mode="clip" writes into out without a buffer; the
-                    # slots are in range
-                    X.take(gc, out=xr, mode="clip")
-                    Y.take(gc, out=yr, mode="clip")
-                    xk = X[kc]
-                    np.multiply(c_oma[e], xr, out=new_x)
-                    new_x += a * xk
-                    new_x += c_ed[e] * yr
-                    np.subtract(xr, xk, out=new_y)
-                    new_y *= a
-                    new_y += c_omed[e] * yr
-                    new_y += c_b[e] * Y[kc]
-                    X[gc] = new_x
-                    Y[gc] = new_y
-                    Y[kp] = 0.0
-                    snap[:, j - c] = ZZ
-                t0 = t
-                t += k
+                _prepare(tables, block[tb:tb + k, srow], toff, n))
+            XR, YR, NX, NY = entries[:, :off[-1]]
+            snap = snaps[:2 * k * live * n].reshape(2, k, live, n)
+            # before the block's first step the broadcasters' companions
+            # are read from the state; later ones from the snapshots
+            yk0 = Y[kps[0]]
+            for j in range(k):
+                e = slice(off[j], off[j + 1])
+                gc = g[e]
+                kc = kg[e]
+                kp = kps[j]
+                a = c_a[e]
+                xr = XR[e]
+                yr = YR[e]
+                new_x = NX[e]
+                new_y = NY[e]
+                # mode="clip" writes into out without a buffer; the
+                # slots are in range
+                X.take(gc, out=xr, mode="clip")
+                Y.take(gc, out=yr, mode="clip")
+                xk = X[kc]
+                np.multiply(c_oma[e], xr, out=new_x)
+                new_x += a * xk
+                new_x += c_ed[e] * yr
+                np.subtract(xr, xk, out=new_y)
+                new_y *= a
+                new_y += c_omed[e] * yr
+                new_y += c_b[e] * Y[kc]
+                X[gc] = new_x
+                Y[gc] = new_y
+                Y[kp] = 0.0
+                snap[:, j] = ZZ
+            t0 = t
+            t += k
+            tb += k
 
-                # the block's checks, on (step, slot) pairs flat in step
-                # major order
-                e = slice(off[c], off[c + k])
-                seg = first[c:c + k].ravel() - off[c]
-                stop = {}          # slot: step of its first stop
-                stat = rq = None
-                if full_series or not spread:
-                    # the entries' changes replace their new values, and
-                    # the squares their old ones
-                    dx = np.subtract(NX[e], XR[e], out=NX[e])
-                    dy = np.subtract(NY[e], YR[e], out=NY[e])
-                if full_series:
-                    # recorded only; the row stops as any other row does
-                    yk = _block_yk(yk0, snap[1], sk[c + 1:c + k])
-                    stat = _exact_stat(dx, dy, yk, seg, cnt[c:c + k].ravel(),
-                                       range(k * live))
-                if not spread:
-                    sq = np.multiply(dx, dx, out=XR[e])
-                    sq += np.multiply(dy, dy, out=YR[e])
-                    if empty is None:
-                        sums = np.add.reduceat(sq, seg)
-                    else:
-                        sums = np.add.reduceat(np.append(sq, 0.0), seg)
-                        sums[empty[c:c + k].ravel()] = 0.0
-                    if left:
-                        sums.reshape(k, live)[:, ~running] = np.inf
-                    # yk * yk >= 0 only adds to a sum already over the screen
-                    if not np.minimum.reduce(sums) > screen:
-                        yk = _block_yk(yk0, snap[1], sk[c + 1:c + k])
-                        near = np.flatnonzero(~(sums + yk * yk > screen))
-                        exact = _exact_stat(dx, dy, yk, seg,
-                                            cnt[c:c + k].ravel(), near)
-                        stop = _first_stops(near[exact <= threshold], live,
-                                            running)
+            # the block's checks, on (step, slot) pairs flat in step
+            # major order
+            seg = first.ravel()
+            stop = {}          # slot: step of its first stop
+            stat = rq = None
+            if full_series or not spread:
+                # the entries' changes replace their new values, and the
+                # squares their old ones
+                dx = np.subtract(NX, XR, out=NX)
+                dy = np.subtract(NY, YR, out=NY)
+            if full_series:
+                # recorded only; the row stops as any other row does
+                yk = _block_yk(yk0, snap[1], kps)
+                stat = _exact_stat(dx, dy, yk, seg, cnt.ravel(),
+                                   range(k * live))
+            if not spread:
+                sq = np.multiply(dx, dx, out=XR)
+                sq += np.multiply(dy, dy, out=YR)
+                if cnt.all():
+                    sums = np.add.reduceat(sq, seg)
                 else:
-                    rq = _rq(snap[0], mu0)
-                    stop = _first_stops(
-                        np.flatnonzero(rq[1].ravel() <= threshold), live,
-                        running)
-                fail = {}          # slot: step of its first mass failure
-                if check_mass:
-                    drift = np.abs(np.add.reduce(np.add.reduce(snap, 3), 0)
-                                   - total0)
-                    bad = drift > mass_tol
-                    if np.count_nonzero(bad):
-                        fail = {p: int(bad[:, p].argmax())
-                                for p in np.flatnonzero(bad.any(0)).tolist()}
-                if log is not None:
-                    rec, next_thin = _recorded(t0, k, next_thin, full_series)
-                    if len(rec) == k:
-                        r, q = _rq(snap[0], mu0) if rq is None else rq
-                    elif rec:
-                        r, q = _rq(snap[0][rec], mu0)
-                    if rec:
-                        log.add([t0 + j + 1 for j in rec], r, q,
-                                *(() if stat is None else
-                                  (stat.reshape(k, live),)))
-                if t == max_iters:
-                    ending = np.flatnonzero(running).tolist()
-                else:
-                    ending = sorted(stop.keys() | fail.keys())
+                    # reduceat cannot sum an empty segment: pad the sums
+                    # with a zero and clear the empty segments' sums
+                    sums = np.add.reduceat(np.append(sq, 0.0), seg)
+                    sums[cnt.ravel() == 0] = 0.0
+                # yk * yk >= 0 only adds to a sum already over the screen
+                if not np.minimum.reduce(sums) > screen:
+                    yk = _block_yk(yk0, snap[1], kps)
+                    near = np.flatnonzero(~(sums + yk * yk > screen))
+                    exact = _exact_stat(dx, dy, yk, seg, cnt.ravel(), near)
+                    stop = _first_stops(near[exact <= threshold], live)
+            else:
+                rq = _rq(snap[0], mu0)
+                stop = _first_stops(
+                    np.flatnonzero(rq[1].ravel() <= threshold), live)
+            fail = {}          # slot: step of its first mass failure
+            if check_mass:
+                drift = np.abs(np.add.reduce(np.add.reduce(snap, 3), 0)
+                               - total0)
+                bad = drift > mass_tol
+                if np.count_nonzero(bad):
+                    fail = {p: int(bad[:, p].argmax())
+                            for p in np.flatnonzero(bad.any(0)).tolist()}
+            if log is not None:
+                rec, next_thin = _recorded(t0, k, next_thin, full_series)
+                if len(rec) == k:
+                    r, q = _rq(snap[0], mu0) if rq is None else rq
+                elif rec:
+                    r, q = _rq(snap[0][rec], mu0)
+                if rec:
+                    log.add([t0 + j + 1 for j in rec], r, q,
+                            *(() if stat is None else
+                              (stat.reshape(k, live),)))
+            if t == max_iters:
+                ending = list(range(live))
+            else:
+                ending = sorted(stop.keys() | fail.keys())
 
-                if ending:
-                    if log is not None:
-                        log.split(idl)
-                    done = []
-                    for p in ending:
-                        last = min(stop.get(p, k - 1), fail.get(p, k - 1))
-                        if fail.get(p) == last:
-                            out[idl[p]] = MassConservationError(
-                                f"mass drifted by {drift[last, p]:.3e} "
-                                f"at iteration {t0 + last + 1}")
-                        else:
-                            done.append((p, last))
-                    if done:
-                        ps, lasts = (list(v) for v in zip(*done))
-                        xs = snap[0][lasts, ps]
-                        r, q = _rq(xs, mu0[ps])
-                        means = np.add.reduce(xs, 1) / n
-                        # the largest drift up to each row's end
-                        peak = [None] * len(ps)
-                        if check_mass:
-                            upto = np.maximum.accumulate(drift, 0)[lasts, ps]
-                            peak = np.maximum(drift_max[ps], upto).tolist()
-                        for (p, last), rf, qf, mean, drift_p in zip(
-                                done, r.tolist(), q.tolist(), means.tolist(),
-                                peak):
-                            i = idl[p]
-                            te = t0 + last + 1
-                            series = None if log is None else log.series(
-                                i, te, None if last in rec else (rf, qf))
-                            out[i] = _trial_record(
-                                series, te if stop.get(p) == last else None,
-                                mean, rf, qf, rows[i].seed,
-                                drift_p if unbiased[p] else None)
-                if check_mass:
-                    np.maximum(drift_max, np.maximum.reduce(drift, 0),
-                               out=drift_max)
-                c += k
-                if not ending:
-                    continue
-                for p in ending:
-                    idl[p] = None
-                running[ending] = False
-                left += len(ending)
-                if left == live:
-                    return out
-                # rows that left stay in their slots, zeroed (so their
-                # entries change nothing) and never checked, until the
-                # chunk ends or a quarter of its rows have left; the
-                # steps are then laid out again without them
-                gone = ~running
-                ZZ[:, gone] = 0.0
-                mass_tol[gone] = np.inf
-                if 4 * left >= live:
-                    break
-            tb += c
-            if left:
+            if ending:
                 if log is not None:
                     log.split(idl)
-                # pack the running rows to the front
-                keep = np.flatnonzero(running)
-                moved = ZZ[:, keep].reshape(2, -1)
-                Z[:, :moved.shape[1]] = moved
-                ZZ = Z[:, :moved.shape[1]].reshape(2, keep.size, n)
-                ids, srow, toff, mu0, total0, mass_tol, drift_max, unbiased = (
-                    v[keep] for v in (ids, srow, toff, mu0, total0, mass_tol,
-                                      drift_max, unbiased))
-                idl = ids.tolist()
-                check_mass = bool(unbiased.any())
+                done = []
+                for p in ending:
+                    last = min(stop.get(p, k - 1), fail.get(p, k - 1))
+                    if fail.get(p) == last:
+                        out[idl[p]] = MassConservationError(
+                            f"mass drifted by {drift[last, p]:.3e} "
+                            f"at iteration {t0 + last + 1}")
+                    else:
+                        done.append((p, last))
+                if done:
+                    ps, lasts = (list(v) for v in zip(*done))
+                    xs = snap[0][lasts, ps]
+                    r, q = _rq(xs, mu0[ps])
+                    means = np.add.reduce(xs, 1) / n
+                    # the largest drift up to each row's end
+                    peak = [None] * len(ps)
+                    if check_mass:
+                        upto = np.maximum.accumulate(drift, 0)[lasts, ps]
+                        peak = np.maximum(drift_max[ps], upto).tolist()
+                    for (p, last), rf, qf, mean, drift_p in zip(
+                            done, r.tolist(), q.tolist(), means.tolist(),
+                            peak):
+                        i = idl[p]
+                        te = t0 + last + 1
+                        series = None if log is None else log.series(
+                            i, te, None if last in rec else (rf, qf))
+                        out[i] = _trial_record(
+                            series, te if stop.get(p) == last else None,
+                            mean, rf, qf, rows[i].seed,
+                            drift_p if unbiased[p] else None)
+            if check_mass:
+                np.maximum(drift_max, np.maximum.reduce(drift, 0),
+                           out=drift_max)
+            if not ending:
+                continue
+            if len(ending) == live:
+                return out
+            # pack the running rows to the front
+            keep = np.delete(np.arange(live), ending)
+            moved = ZZ[:, keep].reshape(2, -1)
+            Z[:, :moved.shape[1]] = moved
+            ZZ = Z[:, :moved.shape[1]].reshape(2, keep.size, n)
+            ids, srow, toff, mu0, total0, mass_tol, drift_max, unbiased = (
+                v[keep] for v in (ids, srow, toff, mu0, total0, mass_tol,
+                                  drift_max, unbiased))
+            idl = ids.tolist()
+            check_mass = bool(unbiased.any())
     return out
 
 
-def _block_yk(yk0: np.ndarray, ys: np.ndarray, sk: np.ndarray) -> np.ndarray:
+def _block_yk(yk0: np.ndarray, ys: np.ndarray, kps: np.ndarray) -> np.ndarray:
     """The broadcasters' companions before each step of a block: yk0
     before its first step, then read from the companions ys after each
-    step but the last at their slots sk."""
+    step but the last, at the next step's broadcaster slots kps."""
+    steps, live, n = ys.shape
+    sk = kps[1:] + np.arange(0, (steps - 1) * live * n, live * n)[:, None]
     return np.concatenate((yk0, ys.reshape(-1)[sk.ravel()]))
 
 
-def _first_stops(pairs: np.ndarray, live: int, running: np.ndarray) -> dict:
-    """Each running slot's first step among the (step, slot) pairs of a
-    block (flat, step major, ascending) that stop it."""
+def _first_stops(pairs: np.ndarray, live: int) -> dict:
+    """Each slot's first step among the (step, slot) pairs of a block
+    (flat, step major, ascending) that stop it."""
     stop = {}
     for f in pairs.tolist():
         step, p = divmod(f, live)
-        if p not in stop and running[p]:
+        if p not in stop:
             stop[p] = step
     return stop
 
@@ -575,8 +555,8 @@ class _SeriesLog:
     """The r, q and (with full_series) stopping-statistic series of the
     rows of a lockstep call.  Each check block logs its recorded
     iterations for every slot at once, as (iterations, slots) arrays.
-    They are handed to the rows whenever rows leave or the slots are
-    packed (the slots stay the same in between), so a value costs 8
+    They are handed to the rows whenever rows leave, before the slots
+    are packed (the slots stay the same in between), so a value costs 8
     bytes; a row that leaves inside a block drops what the block logged
     past its end."""
 
@@ -594,14 +574,13 @@ class _SeriesLog:
         self.blocks.append(cols)
 
     def split(self, ids: list) -> None:
-        """Hand everything logged so far to the rows `ids`, in slot order
-        (None for a row that has left)."""
+        """Hand everything logged so far to the rows `ids`, in slot
+        order."""
         if self.blocks:
             cols = [np.concatenate(c) for c in zip(*self.blocks)]
             self.blocks = []
             for p, i in enumerate(ids):
-                if i is not None:
-                    self.parts[i].append(tuple(c[:, p] for c in cols))
+                self.parts[i].append(tuple(c[:, p] for c in cols))
 
     def series(self, i: int, t: int, last) -> tuple:
         """Row i's t, r, q and stat arrays at its end at iteration t;
@@ -701,6 +680,8 @@ def _run_trials(schemes, g, init, trials: int, base_seed: int,
                                          (c + 1) * trials // nwork],
                  threshold, max_iters, opts) for c in range(nwork)]
     if nwork > 1:
+        # an init that cannot be drawn raises here, not in every worker
+        init_values(init, g, np.random.default_rng(base_seed))
         # imported here: it pulls in multiprocessing, which a serial run
         # does not need
         from concurrent.futures import ProcessPoolExecutor

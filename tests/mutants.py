@@ -46,7 +46,12 @@ MUTANTS = (
            "d = f + (frac > 0.5)", "d = f + 0",
            ("tests/test_emission.py",)),
     Mutant("lockstep: _first_stops keeps the last stop", "sim.py",
-           "if p not in stop and running[p]:", "if running[p]:",
+           "if p not in stop:", "if True:",
+           ("tests/test_lockstep.py",)),
+    # the broadcasters' companions after their own step, not before it
+    Mutant("lockstep: block snapshot slots read one step late", "sim.py",
+           "np.arange(0, (steps - 1) * live * n, live * n)",
+           "np.arange(live * n, steps * live * n, live * n)",
            ("tests/test_lockstep.py",)),
     Mutant("lockstep: mass check at twice the tolerance", "sim.py",
            "bad = drift > mass_tol", "bad = drift > 2 * mass_tol",

@@ -16,6 +16,8 @@ from gossiplab.errors import MassConservationError
 from gossiplab.sim import FULL_RECORD_LIMIT, THIN_FACTOR, TrialRecord
 
 
+# a diverging scheme may overflow, as in the lockstep kernel
+@np.errstate(over="ignore", invalid="ignore")
 def reference_trial(scheme, x0, threshold, max_iters, rng, *,
                     full_series=False, stop_rule="change"):
     n = scheme.n

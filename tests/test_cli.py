@@ -1,4 +1,5 @@
 """Command line front end: files, headers, exit codes, reproducibility."""
+import concurrent.futures
 import contextlib
 import hashlib
 import io
@@ -656,6 +657,21 @@ def test_monte_carlo_raises_on_a_slope_init_without_coordinates(
     scheme = build_scheme(SchemeKind.BBGA, g, 0.5)
     with pytest.raises(MissingCoords):
         sim.monte_carlo(scheme, g, sim.InitKind.SLOPE, 3, 1e-3, 5000, 0)
+
+
+def test_a_slope_init_without_coordinates_starts_no_process_pool(
+        bare_graph_file, monkeypatch):
+    # the init fails in the parent, before any worker is forked
+    def spy(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.delenv("GOSSIPLAB_THREADS", raising=False)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy)
+    g = graph.load_graph(bare_graph_file)
+    scheme = build_scheme(SchemeKind.BBGA, g, 0.5)
+    with pytest.raises(MissingCoords):
+        sim.monte_carlo(scheme, g, sim.InitKind.SLOPE, 4, 1e-3, 5000, 0,
+                        workers=2)
 
 
 def test_version_flag(capsys):

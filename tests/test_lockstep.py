@@ -5,6 +5,7 @@ lone run must equal the reference engine (the one-trial loop the kernel
 replaced, kept in reference_engine.py), and the reference's final state
 must equal a replay through protocol.step.
 """
+import bisect
 import math
 import re
 import warnings
@@ -387,6 +388,35 @@ def leave_time(ref):
     return int(ref.t_series[-1])
 
 
+def spy_layouts(monkeypatch) -> list:
+    """The (steps, rows) shape of every layout sim._prepare makes from
+    now on, in order."""
+    shapes = []
+    prepare = sim._prepare
+
+    def spy(tables, ks, *args):
+        shapes.append(ks.shape)
+        return prepare(tables, ks, *args)
+
+    monkeypatch.setattr(sim, "_prepare", spy)
+    return shapes
+
+
+def packed_rows(shapes, times) -> list:
+    """The rows of each layout of `shapes` when the rows leave at
+    `times` and are packed out at the end of the block they leave in."""
+    ends = np.cumsum([0] + [st for st, _ in shapes[:-1]])
+    return [sum(t > end for t in times) for end in ends.tolist()]
+
+
+def layout_of(shapes, t) -> tuple:
+    """The index of the layout of `shapes` that runs iteration t, and
+    t's step in it."""
+    starts = np.cumsum([0] + [st for st, _ in shapes]).tolist()
+    i = bisect.bisect_left(starts, t) - 1
+    return i, t - 1 - starts[i]
+
+
 def assert_rows_match(cases, refs, threshold, max_iters, **opts):
     """One lockstep call over the rows (rows with one seed share its
     stream); every row must equal its reference."""
@@ -409,7 +439,7 @@ def block_cases(g, with_failure):
 
 
 def chunk_entries(schemes, rows, steps):
-    """An ENTRY_CHUNK that lays out `steps` steps per chunk while `rows`
+    """An ENTRY_CHUNK that lays out `steps` steps per block while `rows`
     rows of these schemes run."""
     uniq = list({id(s): s for s in schemes}.values())
     per_row = max(1.0, float(sim._hearer_tables(uniq, uniq[0].n)[1].mean()))
@@ -418,36 +448,45 @@ def chunk_entries(schemes, rows, steps):
 
 @pytest.mark.parametrize("with_failure", [False, True])
 @pytest.mark.parametrize("offset", [-1, 0, 1])
-@pytest.mark.parametrize("chunk_per_block", [False, True])
+@pytest.mark.parametrize("entry_capped", [False, True])
 @pytest.mark.parametrize("full_series", [False, True])
 def test_rows_leaving_at_a_block_flush_keep_their_series(
-        graph16, monkeypatch, with_failure, offset, chunk_per_block,
+        graph16, monkeypatch, with_failure, offset, entry_capped,
         full_series):
     # The first row to leave (a stop at t=58, or a mass failure at t=20)
     # does so one iteration after the end of a check block (offset -1),
     # on the block's last iteration (0), or one before (1); the other
-    # rows leave later at other points of their blocks.  With
-    # chunk_per_block every chunk is one check block, so the rows are
-    # packed and their series handed over right at the block's end.
+    # rows leave later at other points of their blocks.  The rows are
+    # packed and their series handed over at the end of that block.  The
+    # block length is set by CHECK_BLOCK or, entry_capped, by
+    # ENTRY_CHUNK, whose blocks grow once fewer rows run.
     cases = block_cases(graph16, with_failure)
     refs = references(cases, 1e-5, 5000, full_series=full_series)
     times = [leave_time(ref) for ref in refs]
     first = min(times)
     assert first == (20 if with_failure else 58)
     assert sorted(times)[1] > first
-    monkeypatch.setattr(sim, "CHECK_BLOCK", first + offset)
-    if chunk_per_block:
+    span = first + offset
+    if entry_capped:
+        monkeypatch.setattr(sim, "CHECK_BLOCK", sim.DRAW_BLOCK)
         monkeypatch.setattr(sim, "ENTRY_CHUNK", chunk_entries(
-            [s for s, _, _ in cases], len(cases), first + offset))
+            [s for s, _, _ in cases], len(cases), span))
+    else:
+        monkeypatch.setattr(sim, "CHECK_BLOCK", span)
+    shapes = spy_layouts(monkeypatch)
     lock = assert_rows_match(cases, refs, 1e-5, 5000, full_series=full_series)
     assert isinstance(lock[-1], MassConservationError) == with_failure
+    assert [r for _, r in shapes] == packed_rows(shapes, times)
+    assert shapes[0] == (span, len(cases))
+    after = layout_of(shapes, first)[0] + 1
+    assert (shapes[after][0] > span) == entry_capped
 
 
 @pytest.mark.parametrize("block", [1, 2, 5, 32])
 def test_blocked_series_match_for_every_block_size(graph16, digraph16,
                                                    monkeypatch, block):
     # stops spread over many block positions, streams shared and not,
-    # chunks whose length is not a multiple of the block
+    # draw blocks whose length is not a multiple of the block
     monkeypatch.setattr(sim, "CHECK_BLOCK", block)
     cases = []
     for i, kind in enumerate(SchemeKind):
@@ -456,8 +495,6 @@ def test_blocked_series_match_for_every_block_size(graph16, digraph16,
             cases.append((build_scheme(kind, g, eps),
                           np.random.default_rng(50 + len(cases)).random(16),
                           i % 3))
-    monkeypatch.setattr(sim, "ENTRY_CHUNK", chunk_entries(
-        [s for s, _, _ in cases], len(cases), 3 * block + 1))
     refs = references(cases, 1e-4, 3000)
     assert len({leave_time(ref) for ref in refs}) > 5
     assert_rows_match(cases, refs, 1e-4, 3000)
@@ -478,8 +515,6 @@ def test_blocked_series_match_past_the_dense_record_limit(graph16,
               np.random.default_rng(seed).random(16), seed)
              for kind, eps, seed in kinds]
     monkeypatch.setattr(sim, "CHECK_BLOCK", 7)
-    monkeypatch.setattr(sim, "ENTRY_CHUNK", chunk_entries(
-        [s for s, _, _ in cases], len(cases), 20))
     horizon = FULL_RECORD_LIMIT + 6000
     refs = references(cases, 1e-12, horizon, full_series=full_series)
     times = [leave_time(ref) for ref in refs]
@@ -518,7 +553,7 @@ def test_campaigns_equal_one_campaign_per_scheme(graph16, monkeypatch):
                       base_seed=6)
 
 
-# ---- hearer entries laid out per chunk of steps ----
+# ---- hearer entries laid out per check block ----
 
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
@@ -532,7 +567,7 @@ def test_star_rows_match_the_reference(data, g, rows, chunk, stop_rule,
                                        threshold, max_iters, keep_series,
                                        full_series):
     # the hub has n-1 hearers and every other node one, the widest spread
-    # of segment lengths a step can mix; chunks of every size
+    # of segment lengths a step can mix; layouts of every size
     cases = []
     for _ in range(rows):
         seed = data.draw(st.integers(0, 2**32 - 1))
@@ -598,38 +633,55 @@ CHUNK_ROWS = [(SchemeKind.CLASSIC, 0.0, 1), (SchemeKind.CLASSIC, 0.0, 5),
               (SchemeKind.UBGA2, 0.4, 3), (SchemeKind.BBGA, 0.5, 3)]
 
 
-@pytest.mark.parametrize("steps, block", [
-    (5, 1024),      # t=36 is the first step of a chunk
-    (10, 1024),     # the sixth of ten
-    (6, 1024),      # the last of a chunk
-    (1000, 36),     # the last step of a draw block
-    (1000, 35),     # the first step of the next block
-])
+# t=36's step in its block, by (steps, block)
+LEAVE_STEP = {
+    (5, 1024): 0,       # the first step of a block
+    (10, 1024): 5,      # the sixth of ten
+    (6, 1024): 5,       # the last of a block
+    (1000, 36): 3,      # the last step of a draw block
+    (1000, 35): 0,      # the first step of the next draw block
+}
+
+
+@pytest.mark.parametrize("steps, block", list(LEAVE_STEP))
 @pytest.mark.parametrize("full_series", [False, True])
 def test_rows_leaving_at_any_step_of_a_chunk(graph16, monkeypatch, steps,
                                              block, full_series):
-    # The first row leaves at t=36, the next at 37 and 42.  With six rows
-    # the first leave keeps its chunk running (the row that left is only
-    # carried along); the next two lay the steps out again.
+    # The first row leaves at t=36, the next at 37 and 42.  ENTRY_CHUNK
+    # lays out `steps` steps per block while six rows run (more once
+    # fewer do), CHECK_BLOCK at most 32 and a draw block ends every
+    # block it runs into.
     cases = [(build_scheme(kind, graph16, eps),
               np.random.default_rng(seed).random(16), seed)
              for kind, eps, seed in CHUNK_ROWS]
     refs = references(cases, 1e-4, 5000, full_series=full_series)
-    assert sorted(leave_time(ref) for ref in refs)[:3] == [36, 37, 42]
-    shapes = []
-    prepare = sim._prepare
-
-    def spy(tables, ks, *args):
-        shapes.append(ks.shape)
-        return prepare(tables, ks, *args)
-
-    monkeypatch.setattr(sim, "_prepare", spy)
+    times = [leave_time(ref) for ref in refs]
+    assert sorted(times)[:3] == [36, 37, 42]
+    shapes = spy_layouts(monkeypatch)
     per_row = graph16.adjacency().sum() / graph16.n
     monkeypatch.setattr(sim, "ENTRY_CHUNK", (steps + 0.5) * 6 * per_row)
     monkeypatch.setattr(sim, "DRAW_BLOCK", block)
     assert_rows_match(cases, refs, 1e-4, 5000, full_series=full_series)
-    assert shapes[0] == (min(steps, block), 6)
-    assert shapes[1][0] == min(steps, block)
+    assert shapes[0] == (min(steps, block, sim.CHECK_BLOCK), 6)
+    assert [r for _, r in shapes] == packed_rows(shapes, times)
+    assert layout_of(shapes, 36)[1] == LEAVE_STEP[steps, block]
+
+
+def test_a_row_is_packed_out_at_the_end_of_the_block_it_leaves_in(
+        graph16, monkeypatch):
+    # Blocks of 4 steps: the row that leaves at t=36, the last step of
+    # the ninth block, is gone from the tenth block's layout, and the one
+    # that leaves at t=37 from the eleventh.
+    cases = [(build_scheme(kind, graph16, eps),
+              np.random.default_rng(seed).random(16), seed)
+             for kind, eps, seed in CHUNK_ROWS]
+    refs = references(cases, 1e-4, 5000)
+    assert sorted(leave_time(ref) for ref in refs)[:3] == [36, 37, 42]
+    shapes = spy_layouts(monkeypatch)
+    monkeypatch.setattr(sim, "CHECK_BLOCK", 4)
+    assert_rows_match(cases, refs, 1e-4, 5000)
+    assert [r for _, r in shapes[:11]] == [6] * 9 + [5, 4]
+    assert all(st == 4 for st, _ in shapes[:11])
 
 
 # ---- rows checked once per block of steps ----
@@ -642,9 +694,9 @@ POSITION_ROWS = [(SchemeKind.UBGA1, 0.5, 1), (SchemeKind.BBGA, 0.5, 3),
 @pytest.mark.parametrize("position", ["first", "middle", "last"])
 def test_first_leave_at_any_step_of_a_check_block(graph16, monkeypatch,
                                                   block, position):
-    # The first row stops at t=75.  Chunks, and so check blocks, restart
-    # with every draw block: a draw block of D = 74 - pos steps puts t=75
-    # at step pos of the second one's first check block.
+    # The first row stops at t=75.  Check blocks restart with every
+    # draw block: a draw block of D = 74 - pos steps puts t=75 at step
+    # pos of the second one's first check block.
     cases = [(build_scheme(kind, graph16, eps),
               np.random.default_rng(seed).random(16), seed)
              for kind, eps, seed in POSITION_ROWS]
@@ -654,18 +706,15 @@ def test_first_leave_at_any_step_of_a_check_block(graph16, monkeypatch,
     pos = {"first": 0, "middle": block // 2, "last": block - 1}[position]
     draw = 74 - pos
     assert draw >= block and 75 <= 2 * draw
-    shapes = []
-    prepare = sim._prepare
-
-    def spy(tables, ks, *args):
-        shapes.append(ks.shape)
-        return prepare(tables, ks, *args)
-
-    monkeypatch.setattr(sim, "_prepare", spy)
+    shapes = spy_layouts(monkeypatch)
     monkeypatch.setattr(sim, "CHECK_BLOCK", block)
     monkeypatch.setattr(sim, "DRAW_BLOCK", draw)
     assert_rows_match(cases, refs, 1e-6, 5000)
-    assert shapes[:2] == [(draw, 4), (draw, 4)]
+    first_draw = [block] * (draw // block) + [draw % block] * (draw % block > 0)
+    assert shapes[:len(first_draw) + 1] == [(st, 4) for st in first_draw
+                                            + [block]]
+    assert [r for _, r in shapes] == packed_rows(
+        shapes, [leave_time(ref) for ref in refs])
 
 
 def relabelled(scheme):
