@@ -13,8 +13,10 @@ Laplacian spectrum xi_1 <= ... <= xi_n of the mixing matrix:
 
     lambda_{k,1/2} = 1 - xi_k/n - eps/(2n) -/+ (1/n) sqrt(eps xi_k + eps^2/4)
 
-with the principal complex square root.  From it come the stability
-window eta and the optimal coupling eps* = xi_2 / 2.
+with the principal complex square root.  From it come the first-moment
+window eta (the unit eigenvalue is simple for couplings below it; the
+second moment can grow well inside it) and the optimal coupling
+eps* = xi_2 / 2.
 """
 from __future__ import annotations
 
@@ -31,7 +33,6 @@ from .errors import (
 )
 from .graph import DiGraph, laplacian
 from .protocol import ParamScheme, SchemeKind, assemble_Wk
-from .sim import fmt
 
 # An eigenvalue counts as the unit eigenvalue within this distance, and
 # the rest must stay below 1 - UNIT_MARGIN in modulus for a clean
@@ -313,20 +314,6 @@ def epsilon_report(g: DiGraph) -> EpsilonReport:
 
 def _complex_pair(z: complex) -> list:
     return [float(z.real), float(z.imag)]
-
-
-def analysis_csv_rows(points) -> str:
-    """CSV text for (epsilon, SpectralReport, eta, epsilon_star) tuples."""
-    lines = ["epsilon,second_largest_modulus,is_simple_one,eta,epsilon_star"]
-    for eps, report, eta, eps_star in points:
-        lines.append(",".join([
-            fmt(eps),
-            fmt(report.second_largest_modulus),
-            "true" if report.is_simple_one else "false",
-            fmt(eta),
-            fmt(eps_star),
-        ]))
-    return "\n".join(lines) + "\n"
 
 
 def spectral_report_dict(report: SpectralReport) -> dict:

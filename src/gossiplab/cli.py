@@ -76,7 +76,9 @@ SETTINGS = {
     "scheme": Setting("bbga", str, SCHEMED, "ubga1|ubga2|ubga3|bbga|classic"),
     "schemes": Setting(None, str, ("simulate",), "comma-separated schemes"),
     "epsilon": Setting("0.5", str, ("analyze", "simulate"),
-                       "number | auto-optimal | auto-eta-fraction:f"),
+                       "number | auto-optimal | auto-eta-fraction:f (f times "
+                       "eta, the first-moment window; the second moment "
+                       "can grow well inside it)"),
     "gamma": Setting(0.5, float, SCHEMED, "classic mixing weight"),
     "grid": Setting(None, str, ("sweep",), "comma-separated epsilon values "
                     "(default 0.02..1 step 0.02)"),
@@ -202,16 +204,14 @@ def epsilon_reports(g):
     return functools.cache(lambda: analysis.epsilon_report(g))
 
 
-def resolve_epsilon(spec: str, g, kind: SchemeKind, report=None) -> tuple:
+def resolve_epsilon(spec: str, kind: SchemeKind, report) -> tuple:
     """Turn an epsilon spec (literal, auto-optimal, auto-eta-fraction:f)
     into a number, with a note when the value is only approximate.  The
-    auto specs read g's epsilon report from `report`, a getter made by
-    epsilon_reports (a fresh one by default)."""
+    auto specs read the graph's epsilon report from `report`, a getter
+    made by epsilon_reports."""
     spec = spec.strip()
     if kind is SchemeKind.CLASSIC:
         return 0.0, ""
-    if report is None:
-        report = epsilon_reports(g)
     if spec == "auto-optimal":
         er = report()
         eps = er.epsilon_star
@@ -271,6 +271,14 @@ def warn_nonfinite(records, trials: int, where: str) -> None:
               f"non-finite state", file=sys.stderr)
 
 
+def analysis_csv(eps: float, report, eta: float, eps_star: float) -> str:
+    """analyze's one-row CSV summary of a SpectralReport at coupling eps."""
+    return ("epsilon,second_largest_modulus,is_simple_one,eta,epsilon_star\n"
+            + ",".join([sim.fmt(eps), sim.fmt(report.second_largest_modulus),
+                        str(report.is_simple_one).lower(), sim.fmt(eta),
+                        sim.fmt(eps_star)]) + "\n")
+
+
 # ---- subcommands ----
 
 def cmd_generate(cfg: argparse.Namespace) -> int:
@@ -295,7 +303,7 @@ def cmd_analyze(cfg: argparse.Namespace, check: str | None) -> int:
     g, extras = obtain_graph(cfg)
     kind = parse_scheme(cfg.scheme)
     eps_report = epsilon_reports(g)
-    eps, note = resolve_epsilon(cfg.epsilon, g, kind, eps_report)
+    eps, note = resolve_epsilon(cfg.epsilon, kind, eps_report)
     extras["epsilon_resolved"] = sim.fmt(eps)
     scheme = build_scheme(kind, g, eps, cfg.gamma)
     header = make_header("analyze", cfg, extras)
@@ -335,8 +343,9 @@ def cmd_analyze(cfg: argparse.Namespace, check: str | None) -> int:
         print(f"epsilon_star={eps_star:.17g}{marker} "
               f"lambda2_at_star={er.lambda2_at_star:.17g}")
 
-    csv = analysis.analysis_csv_rows([(eps, report, eta, eps_star)])
-    sim.write_text(out / "analysis.csv", csv, header_lines=header)
+    sim.write_text(out / "analysis.csv",
+                   analysis_csv(eps, report, eta, eps_star),
+                   header_lines=header)
     print(f"wrote {out / 'spectral_report.json'}")
     return EXIT_OK
 
@@ -400,7 +409,7 @@ def cmd_simulate(cfg: argparse.Namespace, per_trial: bool, svg: bool) -> int:
     epsilons, notes, schemes, headers = [], [], [], []
     eps_report = epsilon_reports(g)
     for kind in kinds:
-        eps, note = resolve_epsilon(cfg.epsilon, g, kind, eps_report)
+        eps, note = resolve_epsilon(cfg.epsilon, kind, eps_report)
         schemes.append(build_scheme(kind, g, eps, cfg.gamma))
         extras[f"epsilon_{kind.value}"] = sim.fmt(eps)
         epsilons.append(eps)
@@ -417,7 +426,7 @@ def cmd_simulate(cfg: argparse.Namespace, per_trial: bool, svg: bool) -> int:
         if res.records:
             series = sim.aggregate_series(res.records)
             sim.write_text(out / f"trajectory_{kind.value}.csv",
-                           sim.aggregate_csv(res.records, series),
+                           sim.aggregate_csv(series),
                            header_lines=header)
             if per_trial:
                 for rec in res.records:

@@ -68,9 +68,6 @@ class DiGraph:
     def in_degree(self, i: int) -> int:
         return int(self._adj[i - 1].sum())
 
-    def out_degree(self, k: int) -> int:
-        return int(self._adj[:, k - 1].sum())
-
     def is_symmetric(self) -> bool:
         """True when every link is bidirectional."""
         return all((j, i) in self.edges for (i, j) in self.edges)
@@ -106,17 +103,17 @@ def is_strongly_connected(g: DiGraph) -> bool:
     return g._strong
 
 
-def random_geometric_graph(n: int, radius: float, rng: np.random.Generator,
-                           retries: int = DEFAULT_RETRY_BUDGET) -> DiGraph:
+def random_geometric_graph(n: int, radius: float,
+                           rng: np.random.Generator) -> DiGraph:
     """Drop n points uniformly in the unit square and connect pairs within
     `radius` (both directions).  Redraws until connected; raises
-    RetryExhausted after `retries` failed attempts."""
+    RetryExhausted after DEFAULT_RETRY_BUDGET failed attempts."""
     if n < 2:
         raise ValueError("need at least two nodes")
     if not radius > 0.0:
         raise ValueError("radius must be positive")
     r2 = radius * radius
-    for _ in range(retries):
+    for _ in range(DEFAULT_RETRY_BUDGET):
         pts = rng.random((n, 2))
         diff = pts[:, None, :] - pts[None, :, :]
         d2 = np.einsum("ijk,ijk->ij", diff, diff)
@@ -128,18 +125,17 @@ def random_geometric_graph(n: int, radius: float, rng: np.random.Generator,
             )
             return DiGraph(n, edges, coords=pts)
     raise RetryExhausted(
-        f"no connected geometric graph in {retries} draws "
-        f"(n={n}, radius={radius:g})", attempts=retries)
+        f"no connected geometric graph in {DEFAULT_RETRY_BUDGET} draws "
+        f"(n={n}, radius={radius:g})", attempts=DEFAULT_RETRY_BUDGET)
 
 
-def directify(g: DiGraph, p_asym: float, rng: np.random.Generator,
-              retries: int = DEFAULT_RETRY_BUDGET) -> DiGraph:
+def directify(g: DiGraph, p_asym: float, rng: np.random.Generator) -> DiGraph:
     """Break symmetry of a connected undirected graph.
 
     Each bidirectional pair independently becomes one-directional with
     probability `p_asym` (surviving direction chosen by fair coin).
-    Redraws until the result is strongly connected.  `p_asym` = 0 returns
-    the input unchanged.
+    Redraws until the result is strongly connected, at most
+    DEFAULT_RETRY_BUDGET times.  `p_asym` = 0 returns the input unchanged.
     """
     if not 0.0 <= p_asym < 1.0:
         raise ValueError("p_asym must lie in [0, 1)")
@@ -150,7 +146,7 @@ def directify(g: DiGraph, p_asym: float, rng: np.random.Generator,
     if p_asym == 0.0:
         return g
     pairs = sorted({(min(i, j), max(i, j)) for (i, j) in g.edges})
-    for _ in range(retries):
+    for _ in range(DEFAULT_RETRY_BUDGET):
         edges = set()
         for (i, j) in pairs:
             if rng.random() < p_asym:
@@ -165,8 +161,8 @@ def directify(g: DiGraph, p_asym: float, rng: np.random.Generator,
         if is_strongly_connected(cand):
             return cand
     raise RetryExhausted(
-        f"no strongly connected orientation in {retries} draws "
-        f"(p_asym={p_asym:g})", attempts=retries)
+        f"no strongly connected orientation in {DEFAULT_RETRY_BUDGET} draws "
+        f"(p_asym={p_asym:g})", attempts=DEFAULT_RETRY_BUDGET)
 
 
 def laplacian(a: np.ndarray) -> np.ndarray:

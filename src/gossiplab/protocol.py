@@ -14,13 +14,13 @@ the stationary vector of B) instead of a biased one.
 
 Weight schemes
 --------------
-All schemes put d_jk = 1 / in_degree(j) on edges.  The three unbiased
-variants share column-stochastic B_jk = 1 / out_degree(k) and differ in
-the mixing weights: constant 1/2, 1/in_degree(j), or 1/out_degree(j).
-The biased variant uses row-stochastic B_jk = A_jk = 1/in_degree(j),
-which frees nodes from knowing their out-degree but tilts the limit
-toward the stationary weights of B.  The classic variant is the plain
-memoryless broadcast rule: eps = 0, B = 0, d = 0, a_jk = gamma.
+All schemes put d_jk = 1 / indeg(j) on edges.  The three unbiased
+variants share column-stochastic B_jk = 1 / outdeg(k) and differ in the
+mixing weights: constant 1/2, 1/indeg(j), or 1/outdeg(j).  The biased
+variant uses row-stochastic B_jk = A_jk = 1/indeg(j), which frees nodes
+from knowing their out-degree but tilts the limit toward the stationary
+weights of B.  The classic variant is the plain memoryless broadcast
+rule: eps = 0, B = 0, d = 0, a_jk = gamma.
 """
 from __future__ import annotations
 
@@ -61,7 +61,6 @@ class ParamScheme:
     b: np.ndarray
     d: np.ndarray
     epsilon: float
-    gamma: float = 0.5
 
     def __post_init__(self):
         for name in ("a", "b", "d"):
@@ -81,16 +80,15 @@ class ParamScheme:
 
 @dataclass
 class GossipState:
-    """Mutable network state: values x, companions y, step counter t."""
+    """Mutable network state: values x and companions y."""
 
     x: np.ndarray
     y: np.ndarray
-    t: int = 0
 
     @classmethod
     def initial(cls, x0) -> "GossipState":
         x0 = np.array(x0, dtype=float)
-        return cls(x=x0, y=np.zeros_like(x0), t=0)
+        return cls(x=x0, y=np.zeros_like(x0))
 
     def stacked(self) -> np.ndarray:
         """Concatenated (x, y) vector of length 2n."""
@@ -98,14 +96,13 @@ class GossipState:
 
 
 def build_scheme(kind: SchemeKind, g: DiGraph, epsilon: float,
-                 gamma: float = 0.5, a_matrix: np.ndarray | None = None) -> ParamScheme:
+                 gamma: float = 0.5) -> ParamScheme:
     """Assemble the weight matrices of a named scheme on a strongly
     connected digraph.
 
     epsilon must be positive and finite for companion-coupled kinds and
     exactly 0 for CLASSIC; gamma in (0, 1] is the CLASSIC mixing weight.
-    An explicit ``a_matrix`` overrides the kind's mixing rule; it must
-    match the graph's zero pattern with entries in (0, 1].
+    Any other weights go straight into a ParamScheme.
     """
     if isinstance(kind, str):
         kind = SchemeKind(kind.lower())
@@ -151,19 +148,7 @@ def build_scheme(kind: SchemeKind, g: DiGraph, epsilon: float,
             else:
                 a = adj * inv_out[:, None]
 
-    if a_matrix is not None:
-        a = np.asarray(a_matrix, dtype=float)
-        if a.shape != (n, n):
-            raise ValueError(f"a_matrix must have shape ({n}, {n})")
-        on_edges = adj != 0.0
-        if np.any(a[~on_edges] != 0.0):
-            raise ValueError("a_matrix has weight off the graph's edges")
-        vals = a[on_edges]
-        if np.any(vals <= 0.0) or np.any(vals > 1.0):
-            raise ValueError("a_matrix edge weights must lie in (0, 1]")
-
-    return ParamScheme(kind=kind, a=a, b=b, d=d, epsilon=float(epsilon),
-                       gamma=float(gamma))
+    return ParamScheme(kind=kind, a=a, b=b, d=d, epsilon=float(epsilon))
 
 
 def local_update(state: GossipState, k: int, scheme: ParamScheme) -> GossipState:
@@ -188,7 +173,7 @@ def local_update(state: GossipState, k: int, scheme: ParamScheme) -> GossipState
         x[recv] = (1.0 - a) * xr + a * state.x[kk] + eps * d * yr
         y[recv] = a * (xr - state.x[kk]) + (1.0 - eps * d) * yr + b * state.y[kk]
     y[kk] = 0.0
-    return GossipState(x=x, y=y, t=state.t + 1)
+    return GossipState(x=x, y=y)
 
 
 def assemble_Wk(scheme: ParamScheme, k: int) -> np.ndarray:

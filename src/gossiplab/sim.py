@@ -612,7 +612,7 @@ def _trial_record(series, converged_at, consensus, r_final, q_final, seed,
 
 def run_trial(scheme: ParamScheme, x0, threshold: float, max_iters: int,
               rng: np.random.Generator, *, full_series: bool = False,
-              seed: int | None = None, stop_rule: str = "change",
+              stop_rule: str = "change",
               keep_series: bool = True) -> TrialRecord:
     """Run one trial until the stacked state settles or max_iters is hit.
 
@@ -638,7 +638,7 @@ def run_trial(scheme: ParamScheme, x0, threshold: float, max_iters: int,
     sequence as single draws; the caller's `rng` may therefore end up to
     one block past the last draw the trial used.
     """
-    (res,) = _lockstep([Row(scheme, x0, rng, seed)], threshold,
+    (res,) = _lockstep([Row(scheme, x0, rng)], threshold,
                        max_iters, keep_series=keep_series,
                        full_series=full_series, stop_rule=stop_rule)
     if isinstance(res, MassConservationError):
@@ -735,8 +735,8 @@ def monte_carlo(scheme: ParamScheme, g: DiGraph, init, trials: int,
 
     All trials run as the rows of one lockstep call (one per chunk of
     seeds with a process pool); each record equals the trial run alone
-    through run_trial, with stop_rule="spread" for a spike init and the
-    default state-change rule otherwise.  Aggregates are computed over
+    through run_trial (but for its seed), with stop_rule="spread" for a
+    spike init and the default state-change rule otherwise.  Aggregates are computed over
     successful trials; a trial that fails the mass check is collected in
     failures instead of aborting the campaign.  An init that cannot be
     drawn (a slope init on a graph without coordinates) raises
@@ -836,23 +836,17 @@ def fmt(x: float) -> str:
     return NUMBER % float(x)
 
 
-def sweep_csv(points, analytic=None) -> str:
-    """Sweep curve; optional per-point analytic second-largest modulus
-    appends an `analytic_lambda2` column."""
-    cols = "epsilon,mean_broadcasts,median_broadcasts,mean_q_final,mean_r_final,trials"
-    if analytic is not None:
-        if len(analytic) != len(points):
-            raise ValueError("analytic column length mismatch")
-        cols += ",analytic_lambda2"
-    lines = [cols]
-    for i, pt in enumerate(points):
+def sweep_csv(points, analytic) -> str:
+    """Sweep curve, one row per point, with the point's analytic second
+    largest modulus in the `analytic_lambda2` column."""
+    lines = ["epsilon,mean_broadcasts,median_broadcasts,mean_q_final,"
+             "mean_r_final,trials,analytic_lambda2"]
+    for pt, lam in zip(points, analytic, strict=True):
         res = pt.result
-        row = [fmt(pt.epsilon), fmt(res.mean_broadcasts),
-               fmt(res.median_broadcasts), fmt(res.mean_q_final),
-               fmt(res.mean_r_final), str(res.trials)]
-        if analytic is not None:
-            row.append(fmt(analytic[i]))
-        lines.append(",".join(row))
+        lines.append(",".join([
+            fmt(pt.epsilon), fmt(res.mean_broadcasts),
+            fmt(res.median_broadcasts), fmt(res.mean_q_final),
+            fmt(res.mean_r_final), str(res.trials), fmt(lam)]))
     return "\n".join(lines) + "\n"
 
 
@@ -1039,11 +1033,8 @@ def trial_csv(record: TrialRecord) -> str:
                        record.q_series)
 
 
-def aggregate_csv(records, series=None) -> str:
-    """The mean r and q curves of the records; `series` is their
-    aggregate_series when the caller has it already."""
-    if series is None:
-        series = aggregate_series(records)
+def aggregate_csv(series) -> str:
+    """The mean r and q curves that aggregate_series returns."""
     return _series_csv("t,mean_r,mean_q", *series)
 
 

@@ -16,19 +16,19 @@ _WIDTH, _HEIGHT = 640, 420
 
 def line_chart(series, *, title="", xlabel="", ylabel="",
                log_y=False) -> str:
-    """Render labeled (label, xs, ys) series to an SVG string; with log_y
-    the points with y <= 0 are left out."""
+    """Render labeled (label, xs, ys) series to an SVG string.  Only the
+    points with finite x and y are drawn, and with log_y only those with
+    y > 0."""
     if not series:
         raise ValueError("no series to plot")
     pts = []
     for _, xs, ys in series:
         if len(xs) != len(ys):
             raise ValueError("series length mismatch")
-        if log_y:
-            pts.append([(float(a), math.log10(b))
-                        for a, b in zip(xs, ys) if b > 0])
-        else:
-            pts.append([(float(a), float(b)) for a, b in zip(xs, ys)])
+        curve = [(float(a), float(b)) for a, b in zip(xs, ys)
+                 if math.isfinite(a) and math.isfinite(b)
+                 and (b > 0 or not log_y)]
+        pts.append([(a, math.log10(b)) for a, b in curve] if log_y else curve)
     allx = [p[0] for curve in pts for p in curve]
     ally = [p[1] for curve in pts for p in curve]
     if not allx:

@@ -73,6 +73,17 @@ MUTANTS = (
     Mutant("lockstep: SCREEN_RTOL = 0", "sim.py",
            "SCREEN_RTOL = 1e-6", "SCREEN_RTOL = 0",
            ("tests/test_lockstep.py",)),
+    # the paper's first-moment closed forms
+    Mutant("closed forms: eta_bound drops the factor 2 on xi_n",
+           "analysis.py", "(2.0 * n) - 2.0 * xi_n", "(2.0 * n) - xi_n",
+           ("tests/test_first_moment.py",)),
+    Mutant("closed forms: optimal_epsilon returns xi_2", "analysis.py",
+           "return xi2 / 2.0, 1.0", "return xi2, 1.0",
+           ("tests/test_first_moment.py",)),
+    Mutant("closed forms: bbga_closed_eigs loses the eps/(2n) shift",
+           "analysis.py", "base = 1.0 - xi / n - epsilon / (2.0 * n)",
+           "base = 1.0 - xi / n - epsilon / n",
+           ("tests/test_first_moment.py",)),
     # a wider screen only sends more segments to the exact statistic
     Mutant("control: SCREEN_RTOL = 1e-2", "sim.py",
            "SCREEN_RTOL = 1e-6", "SCREEN_RTOL = 1e-2",

@@ -13,7 +13,7 @@ from gossiplab.errors import (
 from gossiplab.graph import DiGraph, laplacian
 from gossiplab.protocol import ParamScheme, SchemeKind, build_scheme
 from gossiplab.analysis import (
-    analysis_csv_rows, bbga_closed_eigs, classify_expectation,
+    bbga_closed_eigs, classify_expectation,
     epsilon_report, epsilon_report_dict, eta_bound, eta_practical,
     expected_matrix, indegree_laplacian, optimal_epsilon,
     save_report_json, second_largest_moduli, second_moment_matrix,
@@ -185,19 +185,6 @@ def test_epsilon_report_real_and_complex_spectra(graph16, digraph16):
     erd = epsilon_report(digraph16)
     assert not erd.spectrum_real
     assert erd.epsilon_star > 0.0
-
-
-def test_analysis_csv_format(graph16):
-    s = build_scheme(SchemeKind.BBGA, graph16, 0.5)
-    rep = classify_expectation(s)
-    text = analysis_csv_rows([(0.5, rep, 29.5, 0.25)])
-    lines = text.splitlines()
-    assert lines[0] == "epsilon,second_largest_modulus,is_simple_one,eta,epsilon_star"
-    cells = lines[1].split(",")
-    assert cells[0] == "0.5" and cells[2] == "true"
-    assert float(cells[1]) == rep.second_largest_modulus
-    assert cells[3] == "29.5" and cells[4] == "0.25"
-    assert text.endswith("\n")
 
 
 def test_report_dicts_serialize(tmp_path, graph16):

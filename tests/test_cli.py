@@ -21,7 +21,8 @@ import gossiplab
 from gossiplab import analysis, cli, graph, sim, spectra
 from gossiplab.cli import (
     DEFAULT_GRID, EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_RETRY,
-    ConfigError, load_config_file, main, parse_grid, resolve_epsilon,
+    ConfigError, analysis_csv, epsilon_reports, load_config_file, main,
+    parse_grid, resolve_epsilon,
 )
 from gossiplab.errors import MissingCoords
 from gossiplab.protocol import SchemeKind, build_scheme
@@ -175,15 +176,28 @@ def test_analyze_rejects_bad_config(graph_file, tmp_path):
 def test_resolve_epsilon_variants(graph_file):
     g = graph.load_graph(graph_file)
     er = analysis.epsilon_report(g)
-    from gossiplab.protocol import SchemeKind
-    assert resolve_epsilon("0.4", g, SchemeKind.BBGA) == (0.4, "")
-    eps, note = resolve_epsilon("auto-optimal", g, SchemeKind.BBGA)
+    report = epsilon_reports(g)
+    assert resolve_epsilon("0.4", SchemeKind.BBGA, report) == (0.4, "")
+    eps, note = resolve_epsilon("auto-optimal", SchemeKind.BBGA, report)
     assert eps == pytest.approx(er.epsilon_star) and note == ""
-    eps, _ = resolve_epsilon("auto-eta-fraction:0.5", g, SchemeKind.UBGA1)
+    eps, _ = resolve_epsilon("auto-eta-fraction:0.5", SchemeKind.UBGA1, report)
     assert eps == pytest.approx(0.5 * er.eta_formula)
-    assert resolve_epsilon("0.9", g, SchemeKind.CLASSIC) == (0.0, "")
+    assert resolve_epsilon("0.9", SchemeKind.CLASSIC, report) == (0.0, "")
     with pytest.raises(ConfigError):
-        resolve_epsilon("auto-eta-fraction:x", g, SchemeKind.BBGA)
+        resolve_epsilon("auto-eta-fraction:x", SchemeKind.BBGA, report)
+
+
+def test_analysis_csv_format(graph16):
+    s = build_scheme(SchemeKind.BBGA, graph16, 0.5)
+    rep = analysis.classify_expectation(s)
+    text = analysis_csv(0.5, rep, 29.5, 0.25)
+    lines = text.splitlines()
+    assert lines[0] == "epsilon,second_largest_modulus,is_simple_one,eta,epsilon_star"
+    cells = lines[1].split(",")
+    assert cells[0] == "0.5" and cells[2] == "true"
+    assert float(cells[1]) == rep.second_largest_modulus
+    assert cells[3] == "29.5" and cells[4] == "0.25"
+    assert text.endswith("\n") and len(lines) == 2
 
 
 def test_sweep(graph_file, tmp_path, capsys, monkeypatch):
@@ -741,15 +755,16 @@ print(sim._emit_tables.cache_info().currsize)
     assert fresh_python(script) == ["[]", "0"]
 
 
-@pytest.mark.parametrize("layer", ["graph", "protocol", "spectra"])
+@pytest.mark.parametrize("layer", ["graph", "protocol", "spectra",
+                                   "analysis"])
 def test_importing_a_layer_loads_no_layer_above_it(layer):
     # the package root imports nothing, so a layer brings in only the
-    # modules it imports itself
+    # modules it imports itself; analysis needs no part of the engine
     assert fresh_python(f"""
 import sys
 import gossiplab.{layer}
 print([m for m in ("gossiplab.sim", "gossiplab.analysis", "gossiplab.cli")
-       if m in sys.modules])
+       if m in sys.modules and m != "gossiplab.{layer}"])
 """) == ["[]"]
 
 

@@ -118,5 +118,5 @@ def test_diverging_series_match_the_reference():
             "t,r,q", rec.t_series, rec.r_series, rec.q_series)
     series = aggregate_series(res.records)
     assert np.isnan(series[1]).any()
-    assert aggregate_csv(res.records) == reference_series_csv(
+    assert aggregate_csv(series) == reference_series_csv(
         "t,mean_r,mean_q", *series)

@@ -34,15 +34,15 @@ def assert_bitwise(scheme):
        a_seed=st.one_of(st.none(), st.integers(0, 2**32 - 1)))
 def test_expected_map_is_bitwise_the_per_broadcaster_sum(g, kind, eps, gamma,
                                                          a_seed):
-    a_matrix = None
-    if a_seed is not None:
-        # an explicit mixing override with weights in (0, 1] on the edges
-        rng = np.random.default_rng(a_seed)
-        a_matrix = g.adjacency() * (1.0 - rng.random((g.n, g.n)))
     if kind is SchemeKind.CLASSIC:
-        scheme = build_scheme(kind, g, 0.0, gamma=gamma, a_matrix=a_matrix)
+        scheme = build_scheme(kind, g, 0.0, gamma=gamma)
     else:
-        scheme = build_scheme(kind, g, eps, a_matrix=a_matrix)
+        scheme = build_scheme(kind, g, eps)
+    if a_seed is not None:
+        # custom mixing weights in (0, 1] on the edges, the kind's b and d
+        rng = np.random.default_rng(a_seed)
+        a = g.adjacency() * (1.0 - rng.random((g.n, g.n)))
+        scheme = ParamScheme(kind, a, scheme.b, scheme.d, scheme.epsilon)
     assert_bitwise(scheme)
 
 

@@ -50,7 +50,6 @@ def test_neighbor_and_degree_conventions():
     assert np.flatnonzero(adj[:, 2]).tolist() == [0, 1]    # 1, 2 hear 3
     assert np.flatnonzero(adj[:, 1]).tolist() == [0]       # 1 hears 2
     assert g.in_degree(1) == 2
-    assert g.out_degree(1) == 1
     assert adj[0, 1] == 1.0 and adj[0, 2] == 1.0 and adj[1, 0] == 0.0
     assert adj.sum() == len(TRIANGLE_EDGES)
 
@@ -93,9 +92,18 @@ def test_random_geometric_graph_reproducible():
     assert np.array_equal(a.coords, b.coords)
 
 
-def test_random_geometric_graph_retry_budget():
+def test_random_geometric_graph_retry_budget(monkeypatch):
+    monkeypatch.setattr(graph, "DEFAULT_RETRY_BUDGET", 3)
     with pytest.raises(RetryExhausted) as info:
-        random_geometric_graph(50, 0.01, np.random.default_rng(0), retries=3)
+        random_geometric_graph(50, 0.01, np.random.default_rng(0))
+    assert info.value.attempts == 3
+
+
+def test_directify_retry_budget(monkeypatch):
+    # a one-way link leaves two nodes not strongly connected
+    monkeypatch.setattr(graph, "DEFAULT_RETRY_BUDGET", 3)
+    with pytest.raises(RetryExhausted) as info:
+        directify(DiGraph(2, {(1, 2), (2, 1)}), 0.99, np.random.default_rng(0))
     assert info.value.attempts == 3
 
 

@@ -76,25 +76,7 @@ def test_weight_structure(digraph16):
     c = make(SchemeKind.CLASSIC, g, gamma=0.25)
     assert np.array_equal(c.a, 0.25 * adj)
     assert np.all(c.b == 0.0) and np.all(c.d == 0.0)
-    assert c.epsilon == 0.0 and c.gamma == 0.25
-
-
-def test_custom_mixing_matrix(graph16):
-    base = make(SchemeKind.BBGA, graph16)
-    custom = np.where(graph16.adjacency() != 0.0, 0.3, 0.0)
-    s = build_scheme(SchemeKind.BBGA, graph16, 0.5, a_matrix=custom)
-    assert np.array_equal(s.a, custom)
-    assert np.array_equal(s.b, base.b)      # override touches only a
-
-    off = custom.copy()
-    off[0, 0] = 0.3                         # weight off the edge set
-    with pytest.raises(ValueError):
-        build_scheme(SchemeKind.BBGA, graph16, 0.5, a_matrix=off)
-    big = np.where(graph16.adjacency() != 0.0, 1.5, 0.0)
-    with pytest.raises(ValueError):
-        build_scheme(SchemeKind.BBGA, graph16, 0.5, a_matrix=big)
-    with pytest.raises(ValueError):
-        build_scheme(SchemeKind.BBGA, graph16, 0.5, a_matrix=np.ones((2, 2)))
+    assert c.epsilon == 0.0
 
 
 def test_scheme_arrays_are_frozen(graph16):
@@ -120,7 +102,6 @@ def test_two_node_broadcast_by_hand():
     out = local_update(state, 2, s)
     assert np.allclose(out.x, [0.0, 0.0])
     assert np.allclose(out.y, [1.0, 0.0])
-    assert out.t == 1
     # the original state is untouched
     assert np.array_equal(state.x, [1.0, 0.0])
     assert np.array_equal(state.y, [0.0, 0.0])
@@ -186,7 +167,6 @@ def test_step_draws_uniform_broadcaster(graph16):
     rng = np.random.default_rng(123)
     new_state, k = step(state, s, rng)
     assert 1 <= k <= 16
-    assert new_state.t == 1
     # the same seed replays the same broadcaster
     rng2 = np.random.default_rng(123)
     assert int(rng2.integers(1, 17)) == k
@@ -195,5 +175,4 @@ def test_step_draws_uniform_broadcaster(graph16):
 def test_gossip_state_initial():
     st = GossipState.initial([1.0, 2.0, 3.0])
     assert np.array_equal(st.y, np.zeros(3))
-    assert st.t == 0
     assert np.array_equal(st.stacked(), [1.0, 2.0, 3.0, 0.0, 0.0, 0.0])

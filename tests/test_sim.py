@@ -139,10 +139,9 @@ def test_campaign_stop_rule_follows_the_init(graph16):
             for rec in res.records:
                 rng = np.random.default_rng(rec.seed)
                 x0 = init_values(init, graph16, rng)
-                alone = run_trial(s, x0, 1e-5, 100_000, rng, seed=rec.seed,
-                                  stop_rule=rule)
+                alone = run_trial(s, x0, 1e-5, 100_000, rng, stop_rule=rule)
                 for f in ("converged_at", "consensus_value", "r_final",
-                          "q_final", "seed", "max_drift"):
+                          "q_final", "max_drift"):
                     assert getattr(rec, f) == getattr(alone, f), f
                 for f in ("t_series", "r_series", "q_series"):
                     assert np.array_equal(getattr(rec, f),
@@ -187,7 +186,8 @@ def test_monte_carlo_worker_count_does_not_change_results(graph16, monkeypatch):
                          base_seed=7, workers=1)
     parallel = monte_carlo(s, graph16, InitKind.UNIFORM, 4, 1e-3, 100_000,
                            base_seed=7, workers=2)
-    assert aggregate_csv(serial.records) == aggregate_csv(parallel.records)
+    assert aggregate_csv(aggregate_series(serial.records)) == \
+        aggregate_csv(aggregate_series(parallel.records))
     assert [r.converged_at for r in serial.records] == \
         [r.converged_at for r in parallel.records]
     assert serial.mean_broadcasts == parallel.mean_broadcasts
@@ -258,25 +258,22 @@ def test_aggregate_series_step_interpolation():
 def test_csv_emission(tmp_path, graph16):
     points = epsilon_sweep(SchemeKind.BBGA, graph16, [0.4], 2, 1e-3,
                            100_000, base_seed=3)
-    text = sweep_csv(points)
+    text = sweep_csv(points, [0.98])
     lines = text.splitlines()
     assert lines[0] == ("epsilon,mean_broadcasts,median_broadcasts,"
-                        "mean_q_final,mean_r_final,trials")
+                        "mean_q_final,mean_r_final,trials,analytic_lambda2")
     assert len(lines) == 2
     cells = lines[1].split(",")
     assert float(cells[0]) == 0.4 and cells[5] == "2"
-
-    with_analytic = sweep_csv(points, analytic=[0.98])
-    assert with_analytic.splitlines()[0].endswith(",analytic_lambda2")
-    assert with_analytic.splitlines()[1].endswith(",0.97999999999999998")
+    assert cells[6] == "0.97999999999999998"
     with pytest.raises(ValueError):
-        sweep_csv(points, analytic=[0.98, 0.99])
+        sweep_csv(points, [0.98, 0.99])
 
     rec = make_record([0, 5], [1.0, 0.5], [1.0, 0.25])
     ttext = trial_csv(rec)
     assert ttext.splitlines()[0] == "t,r,q"
     assert ttext.splitlines()[2] == "5,0.5,0.25"
-    atext = aggregate_csv([rec])
+    atext = aggregate_csv(aggregate_series([rec]))
     assert atext.splitlines()[0] == "t,mean_r,mean_q"
 
     out = tmp_path / "x.csv"
