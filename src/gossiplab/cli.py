@@ -79,7 +79,8 @@ SETTINGS = {
                        "number | auto-optimal | auto-eta-fraction:f (f times "
                        "eta, the first-moment window; the second moment "
                        "can grow well inside it)"),
-    "gamma": Setting(0.5, float, SCHEMED, "classic mixing weight"),
+    "gamma": Setting(0.5, float, ("analyze", "simulate"),
+                     "classic mixing weight"),
     "grid": Setting(None, str, ("sweep",), "comma-separated epsilon values "
                     "(default 0.02..1 step 0.02)"),
     "trials": Setting(100, int, RUNS, "trials per grid point or scheme"),
@@ -156,7 +157,7 @@ def resolve_config(args: argparse.Namespace) -> argparse.Namespace:
 
 
 def config_echo(cfg: argparse.Namespace, extras: dict) -> str:
-    pairs = {k: sim.fmt(v) if isinstance(v, float) else str(v)
+    pairs = {k: f"{v:.17g}" if isinstance(v, float) else str(v)
              for k, v in vars(cfg).items() if v is not None}
     pairs.update({k: str(v) for k, v in extras.items()})
     return " ".join(f"{k}={pairs[k]}" for k in sorted(pairs))
@@ -187,15 +188,17 @@ def obtain_graph(cfg: argparse.Namespace) -> tuple:
     g = graph.random_geometric_graph(cfg.n, radius, rng)
     if cfg.p_asym != 0.0:
         g = graph.directify(g, cfg.p_asym, rng)
-    return g, {"radius_resolved": sim.fmt(radius)}
+    return g, {"radius_resolved": f"{radius:.17g}"}
 
 
-def parse_scheme(token: str) -> SchemeKind:
+def parse_choice(kind: type, token: str, what: str):
+    """The member of the enum `kind` that `token` names (case and outer
+    blanks ignored); an unknown name is a ConfigError listing them all."""
     try:
-        return SchemeKind(token.strip().lower())
+        return kind(token.strip().lower())
     except ValueError:
-        names = ", ".join(k.value for k in SchemeKind)
-        raise ConfigError(f"unknown scheme {token!r} (choose from {names})")
+        names = ", ".join(k.value for k in kind)
+        raise ConfigError(f"unknown {what} {token!r} (choose from {names})")
 
 
 def epsilon_reports(g):
@@ -274,9 +277,9 @@ def warn_nonfinite(records, trials: int, where: str) -> None:
 def analysis_csv(eps: float, report, eta: float, eps_star: float) -> str:
     """analyze's one-row CSV summary of a SpectralReport at coupling eps."""
     return ("epsilon,second_largest_modulus,is_simple_one,eta,epsilon_star\n"
-            + ",".join([sim.fmt(eps), sim.fmt(report.second_largest_modulus),
-                        str(report.is_simple_one).lower(), sim.fmt(eta),
-                        sim.fmt(eps_star)]) + "\n")
+            + f"{eps:.17g},{report.second_largest_modulus:.17g},"
+            f"{str(report.is_simple_one).lower()},{eta:.17g},"
+            f"{eps_star:.17g}\n")
 
 
 # ---- subcommands ----
@@ -301,10 +304,10 @@ def cmd_generate(cfg: argparse.Namespace) -> int:
 
 def cmd_analyze(cfg: argparse.Namespace, check: str | None) -> int:
     g, extras = obtain_graph(cfg)
-    kind = parse_scheme(cfg.scheme)
+    kind = parse_choice(SchemeKind, cfg.scheme, "scheme")
     eps_report = epsilon_reports(g)
     eps, note = resolve_epsilon(cfg.epsilon, kind, eps_report)
-    extras["epsilon_resolved"] = sim.fmt(eps)
+    extras["epsilon_resolved"] = f"{eps:.17g}"
     scheme = build_scheme(kind, g, eps, cfg.gamma)
     header = make_header("analyze", cfg, extras)
 
@@ -352,14 +355,15 @@ def cmd_analyze(cfg: argparse.Namespace, check: str | None) -> int:
 
 def cmd_sweep(cfg: argparse.Namespace, svg: bool) -> int:
     g, extras = obtain_graph(cfg)
-    kind = parse_scheme(cfg.scheme)
+    kind = parse_choice(SchemeKind, cfg.scheme, "scheme")
     if kind is SchemeKind.CLASSIC:
         raise ConfigError("sweep varies the companion coupling; "
                           "the classic scheme has none")
+    init = parse_choice(sim.InitKind, cfg.init, "init")
     grid = parse_grid(cfg.grid)
     points = sim.epsilon_sweep(kind, g, grid, cfg.trials, cfg.threshold,
-                               cfg.max_iters, cfg.seed, gamma=cfg.gamma,
-                               init=cfg.init, workers=cfg.workers)
+                               cfg.max_iters, cfg.seed, init=init,
+                               workers=cfg.workers)
     analytic = analysis.second_largest_moduli([p.scheme for p in points])
     out = _outdir(cfg)
     header = make_header("sweep", cfg, extras)
@@ -397,9 +401,11 @@ def cmd_sweep(cfg: argparse.Namespace, svg: bool) -> int:
 def cmd_simulate(cfg: argparse.Namespace, per_trial: bool, svg: bool) -> int:
     g, extras = obtain_graph(cfg)
     tokens = (cfg.schemes or cfg.scheme).split(",")
-    kinds = [parse_scheme(tok) for tok in tokens if tok.strip()]
+    kinds = [parse_choice(SchemeKind, tok, "scheme")
+             for tok in tokens if tok.strip()]
     if not kinds:
         raise ConfigError("no schemes given")
+    init = parse_choice(sim.InitKind, cfg.init, "init")
     # each scheme names its own files
     for i, kind in enumerate(kinds):
         if kind in kinds[:i]:
@@ -411,11 +417,11 @@ def cmd_simulate(cfg: argparse.Namespace, per_trial: bool, svg: bool) -> int:
     for kind in kinds:
         eps, note = resolve_epsilon(cfg.epsilon, kind, eps_report)
         schemes.append(build_scheme(kind, g, eps, cfg.gamma))
-        extras[f"epsilon_{kind.value}"] = sim.fmt(eps)
+        extras[f"epsilon_{kind.value}"] = f"{eps:.17g}"
         epsilons.append(eps)
         notes.append(note)
         headers.append(make_header("simulate", cfg, extras))
-    results = sim.campaigns(schemes, g, cfg.init, cfg.trials, cfg.threshold,
+    results = sim.campaigns(schemes, g, init, cfg.trials, cfg.threshold,
                             cfg.max_iters, cfg.seed, workers=cfg.workers,
                             keep_series=True)
     out = _outdir(cfg)

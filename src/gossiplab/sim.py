@@ -28,22 +28,22 @@ sequence, so results do not depend on the worker count.
 
 One kernel runs every trial.  It advances E lockstep rows, each with its
 own scheme, its own x0 and its own broadcaster stream: a lone trial
-(run_trial) is one row, a campaign runs all its trials as one call (one
-per chunk of seeds with a process pool), campaigns over several schemes
-run schemes x trials rows, and a coupling sweep runs grid x trials rows;
-the rows of trial i share its stream at every scheme or grid point, so
-the comparison stays paired.  Broadcasters are drawn in blocks, which
-gives the same sequence as one draw at a time.  A row leaves when it
-converges, hits max_iters, or fails the mass check; a failure ends only
-that row, and the others run on unchanged.  The iterations run in
-blocks of up to CHECK_BLOCK, with one layout per check block; rows are
-packed at the end of the block they leave in.  An iteration only
-updates the state and keeps a snapshot of it; the stopping rule, the
-mass check and r and q are evaluated for every iteration, but once per
-block, from the snapshots.  A row that ends inside a block is read from
-the snapshot of its last iteration, and the iterations it ran past it
-are discarded.  Every row reproduces the record of the same trial run
-alone, bit for bit.
+(run_trial) is one row.  Every campaign and every sweep runs through
+campaigns(), which runs schemes x trials rows as one call (one per chunk
+of seeds with a process pool); a monte_carlo campaign is one scheme, and
+a coupling sweep has one scheme per grid point.  The rows of trial i
+share its stream at every scheme or grid point, so the comparison stays
+paired.  Broadcasters are drawn in blocks, which gives the same sequence
+as one draw at a time.  A row leaves when it converges, hits max_iters,
+or fails the mass check; a failure ends only that row, and the others
+run on unchanged.  The iterations run in blocks of up to CHECK_BLOCK,
+with one layout per check block; rows are packed at the end of the block
+they leave in.  An iteration only updates the state and keeps a snapshot
+of it; the stopping rule, the mass check and r and q are evaluated for
+every iteration, but once per block, from the snapshots.  A row that
+ends inside a block is read from the snapshot of its last iteration, and
+the iterations it ran past it are discarded.  Every row reproduces the
+record of the same trial run alone, bit for bit.
 """
 from __future__ import annotations
 
@@ -153,8 +153,7 @@ def resolve_workers(requested: int | None = None) -> int:
 
 def init_values(kind: InitKind, g: DiGraph, rng: np.random.Generator) -> np.ndarray:
     """Draw an initial value vector for the nodes of g."""
-    if isinstance(kind, str):
-        kind = InitKind(kind.lower())
+    kind = InitKind(kind)
     n = g.n
     if kind is InitKind.UNIFORM:
         return rng.random(n)
@@ -612,8 +611,7 @@ def _trial_record(series, converged_at, consensus, r_final, q_final, seed,
 
 def run_trial(scheme: ParamScheme, x0, threshold: float, max_iters: int,
               rng: np.random.Generator, *, full_series: bool = False,
-              stop_rule: str = "change",
-              keep_series: bool = True) -> TrialRecord:
+              stop_rule: str = "change") -> TrialRecord:
     """Run one trial until the stacked state settles or max_iters is hit.
 
     The default stopping rule fires at the first iteration whose state
@@ -627,8 +625,6 @@ def run_trial(scheme: ParamScheme, x0, threshold: float, max_iters: int,
     relative drift beyond 1e-9; the record's max_drift is the largest
     drift it saw (None for biased schemes).
 
-    keep_series=False records no r/q series (nor stat series) and
-    computes r and q only at the stop; the finals are the same.
     full_series records every iteration and the stopping statistic of
     each in stat_series; the trial stops as it does without it.
 
@@ -638,8 +634,7 @@ def run_trial(scheme: ParamScheme, x0, threshold: float, max_iters: int,
     sequence as single draws; the caller's `rng` may therefore end up to
     one block past the last draw the trial used.
     """
-    (res,) = _lockstep([Row(scheme, x0, rng)], threshold,
-                       max_iters, keep_series=keep_series,
+    (res,) = _lockstep([Row(scheme, x0, rng)], threshold, max_iters,
                        full_series=full_series, stop_rule=stop_rule)
     if isinstance(res, MassConservationError):
         raise res
@@ -659,38 +654,6 @@ def _trial_block(payload) -> list:
         rows += [Row(s, x0, rng, seed) for s in schemes]
     return [o if isinstance(o, TrialRecord) else f"{type(o).__name__}: {o}"
             for o in _lockstep(rows, threshold, max_iters, **opts)]
-
-
-def _run_trials(schemes, g, init, trials: int, base_seed: int,
-                threshold: float, max_iters: int, workers,
-                keep_series: bool) -> list:
-    """Trials base_seed + i at every scheme: one lockstep call, or one
-    per contiguous chunk of seeds when a process pool is used.  A spike
-    init stops on the spread rule, any other on the state change.
-    Returns the per-trial outcome lists of every scheme, in trial order."""
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    if isinstance(init, str):
-        init = InitKind(init.lower())
-    opts = dict(keep_series=keep_series,
-                stop_rule="spread" if init is InitKind.SPIKE else "change")
-    seeds = range(base_seed, base_seed + trials)
-    nwork = min(resolve_workers(workers), trials)
-    payloads = [(schemes, g, init, seeds[c * trials // nwork:
-                                         (c + 1) * trials // nwork],
-                 threshold, max_iters, opts) for c in range(nwork)]
-    if nwork > 1:
-        # an init that cannot be drawn raises here, not in every worker
-        init_values(init, g, np.random.default_rng(base_seed))
-        # imported here: it pulls in multiprocessing, which a serial run
-        # does not need
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=nwork) as pool:
-            blocks = list(pool.map(_trial_block, payloads))
-    else:
-        blocks = [_trial_block(payloads[0])]
-    flat = [o for block in blocks for o in block]
-    return [flat[j::len(schemes)] for j in range(len(schemes))]
 
 
 def _campaign_result(outcomes: list, max_iters: int) -> MonteCarloResult:
@@ -753,43 +716,60 @@ def monte_carlo(scheme: ParamScheme, g: DiGraph, init, trials: int,
 def campaigns(schemes, g: DiGraph, init, trials: int, threshold: float,
               max_iters: int, base_seed: int, *, workers: int | None = None,
               keep_series: bool = True) -> list:
-    """One monte_carlo campaign per scheme, all of them run as the rows
-    of one lockstep call (one per chunk of seeds with a process pool).
-    Trial i's rows share generator base_seed + i, which draws their x0 and
-    then the broadcaster stream each scheme's lone campaign draws, so
-    every result equals monte_carlo(schemes[j], ...)."""
+    """One monte_carlo campaign per scheme.  Every campaign and every
+    sweep runs through here: the schemes x trials rows run as one
+    lockstep call, or one per contiguous chunk of seeds when a process
+    pool is used.  Trial i's rows share generator base_seed + i, which
+    draws their x0 and then the broadcaster stream each scheme's lone
+    campaign draws, so every result equals monte_carlo(schemes[j], ...).
+    A spike init stops on the spread rule, any other on the state
+    change."""
     schemes = list(schemes)
     if not schemes:
         raise ValueError("need at least one scheme")
-    per_scheme = _run_trials(
-        schemes, g, init, trials, base_seed, threshold, max_iters, workers,
-        keep_series)
-    return [_campaign_result(o, max_iters) for o in per_scheme]
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    init = InitKind(init)
+    opts = dict(keep_series=keep_series,
+                stop_rule="spread" if init is InitKind.SPIKE else "change")
+    seeds = range(base_seed, base_seed + trials)
+    nwork = min(resolve_workers(workers), trials)
+    payloads = [(schemes, g, init, seeds[c * trials // nwork:
+                                         (c + 1) * trials // nwork],
+                 threshold, max_iters, opts) for c in range(nwork)]
+    if nwork > 1:
+        # an init that cannot be drawn raises here, not in every worker
+        init_values(init, g, np.random.default_rng(base_seed))
+        # imported here: it pulls in multiprocessing, which a serial run
+        # does not need
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=nwork) as pool:
+            blocks = list(pool.map(_trial_block, payloads))
+    else:
+        blocks = [_trial_block(payloads[0])]
+    flat = [o for block in blocks for o in block]
+    return [_campaign_result(flat[j::len(schemes)], max_iters)
+            for j in range(len(schemes))]
 
 
 def epsilon_sweep(kind: SchemeKind, g: DiGraph, grid, trials: int,
                   threshold: float, max_iters: int, base_seed: int, *,
-                  gamma: float = 0.5, init=InitKind.UNIFORM,
-                  workers: int | None = None) -> list:
-    """One Monte Carlo campaign per coupling strength on `grid`.
+                  init=InitKind.UNIFORM, workers: int | None = None) -> list:
+    """One Monte Carlo campaign per coupling strength on `grid`, run as
+    campaigns() over the grid's schemes.
 
     Every grid point reuses the same base_seed, so trial i sees the same
     initial values and broadcast order at every epsilon; the sweep curve
-    is then a paired comparison rather than independent noise.  All
-    grid x trials rows run in one lockstep call (one per chunk of seeds
-    with a process pool), trial i's rows at every point sharing one
-    broadcaster stream.  Series are not kept.
+    is then a paired comparison rather than independent noise.  Series
+    are not kept.
     """
     grid = [float(e) for e in grid]
-    if not grid:
-        raise ValueError("empty epsilon grid")
     # building every scheme first validates the whole grid up front
-    schemes = [build_scheme(kind, g, eps, gamma) for eps in grid]
-    per_point = _run_trials(schemes, g, init, trials, base_seed, threshold,
-                            max_iters, workers, keep_series=False)
-    return [SweepPoint(epsilon=eps, result=_campaign_result(o, max_iters),
-                       scheme=s)
-            for eps, s, o in zip(grid, schemes, per_point)]
+    schemes = [build_scheme(kind, g, eps) for eps in grid]
+    results = campaigns(schemes, g, init, trials, threshold, max_iters,
+                        base_seed, workers=workers, keep_series=False)
+    return [SweepPoint(eps, res, s)
+            for eps, s, res in zip(grid, schemes, results)]
 
 
 def first_crossing(record: TrialRecord, level: float) -> int | None:
@@ -827,13 +807,7 @@ def aggregate_series(records) -> tuple:
 
 # ---- CSV emission (17 significant digits throughout) ----
 
-NUMBER = "%.17g"
-_T_R_Q = f"%d,{NUMBER},{NUMBER}"
-
-
-def fmt(x: float) -> str:
-    """x with 17 significant digits, the bits of format(x, ".17g")."""
-    return NUMBER % float(x)
+_T_R_Q = "%d,%.17g,%.17g"
 
 
 def sweep_csv(points, analytic) -> str:
@@ -843,10 +817,9 @@ def sweep_csv(points, analytic) -> str:
              "mean_r_final,trials,analytic_lambda2"]
     for pt, lam in zip(points, analytic, strict=True):
         res = pt.result
-        lines.append(",".join([
-            fmt(pt.epsilon), fmt(res.mean_broadcasts),
-            fmt(res.median_broadcasts), fmt(res.mean_q_final),
-            fmt(res.mean_r_final), str(res.trials), fmt(lam)]))
+        lines.append(f"{pt.epsilon:.17g},{res.mean_broadcasts:.17g},"
+                     f"{res.median_broadcasts:.17g},{res.mean_q_final:.17g},"
+                     f"{res.mean_r_final:.17g},{res.trials},{lam:.17g}")
     return "\n".join(lines) + "\n"
 
 

@@ -56,6 +56,10 @@ MUTANTS = (
     Mutant("lockstep: mass check at twice the tolerance", "sim.py",
            "bad = drift > mass_tol", "bad = drift > 2 * mass_tol",
            ("tests/test_lockstep.py",)),
+    # two workers' chunks overlap by one seed
+    Mutant("campaigns: seed chunks overlap", "sim.py",
+           "(c + 1) * trials // nwork", "(c + 1) * trials // nwork + 1",
+           ("tests/test_lockstep.py",)),
     Mutant("lockstep: row end one step early", "sim.py",
            "te = t0 + last + 1", "te = t0 + last",
            ("tests/test_lockstep.py",)),

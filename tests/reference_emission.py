@@ -5,9 +5,7 @@ It turns the arrays into Python ints and floats and formats the whole
 body with one % of "%d,%.17g,%.17g\\n" repeated per line, so every byte
 is Python's own %d and %.17g.
 """
-from gossiplab.sim import NUMBER
-
-T_R_Q = f"%d,{NUMBER},{NUMBER}"
+T_R_Q = "%d,%.17g,%.17g"
 
 
 def reference_series_csv(header: str, t, r, q) -> str:

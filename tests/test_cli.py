@@ -224,7 +224,7 @@ def test_sweep(graph_file, tmp_path, capsys, monkeypatch):
     for line, eps in zip(data[1:], (0.3, 0.5)):
         rep = analysis.classify_expectation(
             build_scheme(SchemeKind.BBGA, g, eps))
-        assert line.split(",")[-1] == sim.fmt(rep.second_largest_modulus)
+        assert line.split(",")[-1] == f"{rep.second_largest_modulus:.17g}"
     svg = (tmp_path / "sweep.svg").read_text()
     assert svg.startswith("<!-- gossiplab 0.1.0 -->\n")
     assert "<svg " in svg
@@ -531,7 +531,7 @@ ECHOED = {
                  "radius_resolved"},
     "analyze": {"graph", "seed", "out", "workers", "scheme", "epsilon",
                 "gamma", "epsilon_resolved"},
-    "sweep": {"graph", "seed", "out", "workers", "scheme", "gamma", "grid",
+    "sweep": {"graph", "seed", "out", "workers", "scheme", "grid",
               "trials", "init", "threshold", "max_iters"},
     "simulate": {"graph", "seed", "out", "workers", "scheme", "schemes",
                  "epsilon", "gamma", "trials", "init", "threshold",
@@ -582,6 +582,8 @@ def test_headers_echo_only_the_settings_their_command_reads(graph_file,
     ["sweep", "--scheme", "bbga", "--grid", "0.5", "--epsilon", "7",
      "--trials", "2"],
     ["generate", "--n", "8", "--graph", "g.txt"],
+    # only the classic scheme reads gamma, and sweep refuses it
+    ["sweep", "--gamma", "0.3", "--grid", "0.5", "--trials", "1"],
 ])
 def test_flags_a_command_does_not_read_are_rejected(graph_file, tmp_path,
                                                     argv):
@@ -635,6 +637,45 @@ def test_generator_settings_are_not_read_with_a_graph_file(graph_file,
     assert run(["analyze", "--graph", str(graph_file), "--config", str(cfg),
                 "--out", str(out)]) == EXIT_OK
     assert not config_line(out / "analysis.csv").keys() & set(cli.GENERATOR)
+
+
+def test_an_unknown_init_lists_the_choices(graph_file, tmp_path):
+    # parsed as schemes are: the error names the choices, from a flag and
+    # from a config file alike
+    cfg = tmp_path / "init.cfg"
+    cfg.write_text("init = nosuch\n")
+    for command in cli.RUNS:
+        for given in (["--init", "nosuch"], ["--config", str(cfg)]):
+            out = tmp_path / "never"
+            code, err = run_captured([command, "--graph", str(graph_file),
+                                      *given, "--trials", "1",
+                                      "--out", str(out)])
+            assert code == EXIT_CONFIG
+            assert err == ("error: unknown init 'nosuch' (choose from "
+                           "uniform, gaussian, spike, slope)\n")
+            assert not out.exists()
+
+
+def test_sweep_and_simulate_each_run_one_campaigns_call(graph_file, tmp_path,
+                                                        monkeypatch):
+    # campaigns is the one runner: a sweep's grid points, like simulate's
+    # schemes, are the schemes of a single call
+    calls = []
+    real = sim.campaigns
+
+    def spy(schemes, *args, **kwargs):
+        calls.append(len(schemes))
+        return real(schemes, *args, **kwargs)
+
+    monkeypatch.setattr(sim, "campaigns", spy)
+    base = ["--graph", str(graph_file), "--trials", "2", "--threshold",
+            "1e-3", "--max-iters", "20000"]
+    assert run(["sweep", *base, "--grid", "0.3,0.5",
+                "--out", str(tmp_path / "s")]) == EXIT_OK
+    assert calls == [2]
+    assert run(["simulate", *base, "--schemes", "bbga,ubga1,classic",
+                "--out", str(tmp_path / "m")]) == EXIT_OK
+    assert calls == [2, 3]
 
 
 @pytest.fixture(scope="module")

@@ -272,9 +272,8 @@ def test_independent_rows_match_the_reference(
             continue
         assert_same(run_trial(s, x0, threshold, max_iters,
                               np.random.default_rng(seed),
-                              full_series=full_series, stop_rule=stop_rule,
-                              keep_series=keep_series),
-                    ref if keep_series else stripped(ref))
+                              full_series=full_series, stop_rule=stop_rule),
+                    ref)
         ref = replace(ref, seed=seed)
         assert_same(row, ref if keep_series else stripped(ref))
 
