@@ -28,8 +28,7 @@ import numpy as np
 
 from . import spectra
 from .errors import (
-    BadStationaryVector, BadXi, NoConvergence, NotSimple, SizeOverflow,
-    XiOutOfRange,
+    BadStationaryVector, BadXi, NotSimple, SizeOverflow, XiOutOfRange,
 )
 from .graph import DiGraph, laplacian
 from .protocol import ParamScheme, SchemeKind, assemble_Wk
@@ -171,17 +170,11 @@ def second_largest_moduli(schemes) -> list:
     """The second largest eigenvalue modulus of each scheme's expected
     update, as classify_expectation reports it, without the left
     eigenvector.  The schemes need the same number of nodes; their maps
-    are solved in one stacked eigvals call, which gives each map the bits
-    of its own call."""
+    are solved as one stack, which gives each map the bits of its own
+    call."""
     maps = np.stack([expected_matrix(s) for s in schemes])
-    if not np.all(np.isfinite(maps)):
-        raise ValueError("matrix has non-finite entries")
-    try:
-        values = np.linalg.eigvals(maps)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"eigenvalue iteration failed: {exc}") from exc
-    return [float(np.abs(_split_spectrum(spectra.sort_spectrum(v))[2]))
-            for v in values]
+    return [float(np.abs(_split_spectrum(v)[2]))
+            for v in spectra.eigenvalues(maps)]
 
 
 def stationary_vector(scheme: ParamScheme) -> np.ndarray:

@@ -4,8 +4,8 @@ coupling-strength sweeps, and Monte Carlo campaigns.
 Every output file starts with comment headers carrying the tool version,
 the resolved settings its command read, and the seed; reruns with the same
 configuration reproduce files byte for byte (no timestamps anywhere).
-Exit codes: 0 success, 2 invalid configuration, 3 numerical failure,
-4 retry budget exhausted.
+Exit codes: 0 success, 2 invalid configuration or an output that cannot
+be written, 3 numerical failure, 4 retry budget exhausted.
 """
 from __future__ import annotations
 
@@ -40,7 +40,7 @@ class ConfigError(GossipLabError):
 EXIT_CODES = (
     (RetryExhausted, EXIT_RETRY),
     ((ConfigError, InvalidEpsilon, NotStronglyConnected, MissingCoords,
-      ValueError), EXIT_CONFIG),
+      ValueError, OSError), EXIT_CONFIG),
     (GossipLabError, EXIT_NUMERIC),
 )
 
@@ -71,8 +71,8 @@ SETTINGS = {
                       "probability a link becomes one-directional"),
     "seed": Setting(0, int, ALL, "master seed (default 0)"),
     "out": Setting(".", str, ALL, "output directory (default .)"),
-    "workers": Setting(None, int, ALL, "parallel worker processes, at "
-                       "least 1 (capped by GOSSIPLAB_THREADS)"),
+    "workers": Setting(None, int, SCHEMED, "parallel worker processes, at "
+                       "least 1 (capped by the CPU count)"),
     "scheme": Setting("bbga", str, SCHEMED, "ubga1|ubga2|ubga3|bbga|classic"),
     "schemes": Setting(None, str, ("simulate",), "comma-separated schemes"),
     "epsilon": Setting("0.5", str, ("analyze", "simulate"),
@@ -148,7 +148,7 @@ def resolve_config(args: argparse.Namespace) -> argparse.Namespace:
                                   "combined with a graph file")
             del values[k]
     cfg = argparse.Namespace(**values)
-    if cfg.workers is not None and cfg.workers < 1:
+    if values.get("workers") is not None and cfg.workers < 1:
         raise ConfigError(f"workers must be at least 1, got {cfg.workers}")
     # every trial would "converge" at its first step
     if "threshold" in values and not np.isfinite(cfg.threshold):
@@ -291,7 +291,7 @@ def cmd_generate(cfg: argparse.Namespace) -> int:
     out = _outdir(cfg)
     path = out / "graph.txt"
     graph.save_graph(g, path, header_lines=make_header("generate", cfg, extras))
-    xi = spectra.eigenvalues(analysis.indegree_laplacian(g))
+    xi = analysis.epsilon_report(g).xi
     sc = "yes" if graph.is_strongly_connected(g) else "no"
     radius = float(extras["radius_resolved"])
     print(f"n={g.n} edges={len(g.edges)} strongly_connected={sc} "
@@ -493,7 +493,7 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return cmd_sweep(cfg, args.svg)
         return cmd_simulate(cfg, args.per_trial, args.svg)
-    except (GossipLabError, ValueError) as exc:
+    except (GossipLabError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for cls, code in EXIT_CODES if isinstance(exc, cls))
 

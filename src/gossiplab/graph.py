@@ -42,6 +42,8 @@ class DiGraph:
             c = np.array(self.coords, dtype=float)
             if c.shape != (self.n, 2):
                 raise ValueError(f"coords must have shape ({self.n}, 2)")
+            if not np.all(np.isfinite(c)):
+                raise ValueError("coords must be finite")
             c.setflags(write=False)
             object.__setattr__(self, "coords", c)
 

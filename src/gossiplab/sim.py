@@ -70,7 +70,6 @@ SCREEN_RTOL = 1e-6           # relative slack of the stopping-statistic screen
 SCREEN_FLOOR = 1e-290        # segment sums up to here always get the exact check
 CHECK_BLOCK = 32             # steps whose rows are checked at once
 CHECK_VALUES = 65_536        # state values a check block's snapshots hold
-THREADS_ENV = "GOSSIPLAB_THREADS"
 
 
 class InitKind(Enum):
@@ -137,18 +136,6 @@ class SweepPoint:
     @property
     def mean_broadcasts(self) -> float:
         return self.result.mean_broadcasts
-
-
-def resolve_workers(requested: int | None = None) -> int:
-    """Worker count clamped by the GOSSIPLAB_THREADS environment variable."""
-    w = 1 if requested is None else max(1, int(requested))
-    cap = os.environ.get(THREADS_ENV)
-    if cap is not None:
-        try:
-            w = min(w, max(1, int(cap)))
-        except ValueError:
-            raise ValueError(f"{THREADS_ENV} must be an integer, got {cap!r}")
-    return w
 
 
 def init_values(kind: InitKind, g: DiGraph, rng: np.random.Generator) -> np.ndarray:
@@ -733,7 +720,8 @@ def campaigns(schemes, g: DiGraph, init, trials: int, threshold: float,
     opts = dict(keep_series=keep_series,
                 stop_rule="spread" if init is InitKind.SPIKE else "change")
     seeds = range(base_seed, base_seed + trials)
-    nwork = min(resolve_workers(workers), trials)
+    # more processes than CPUs would only take turns
+    nwork = min(max(1, workers or 1), os.cpu_count() or 1, trials)
     payloads = [(schemes, g, init, seeds[c * trials // nwork:
                                          (c + 1) * trials // nwork],
                  threshold, max_iters, opts) for c in range(nwork)]

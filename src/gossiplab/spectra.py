@@ -3,7 +3,8 @@
 Everything here wraps LAPACK's general eigensolver (via numpy) and adds
 the conventions the rest of the package relies on: a canonical spectrum
 ordering and residual-checked left eigenvectors.  Matrices are dense and
-small (a few hundred rows at most), so no sparse path is provided.
+small (a few hundred rows at most), so no sparse path is provided.  No
+other module of the package calls numpy.linalg.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ RESIDUAL_RTOL = 1e-8      # eigenpair residual, relative to the matrix norm
 
 def _as_square(m) -> np.ndarray:
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise ValueError("matrix must be square")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix has non-finite entries")
@@ -26,14 +27,18 @@ def _as_square(m) -> np.ndarray:
 
 
 def sort_spectrum(values) -> np.ndarray:
-    """Canonical order: increasing real part, ties by increasing imaginary
-    part.  Conjugate pairs therefore appear lower half-plane first."""
+    """Canonical order along the last axis: increasing real part, ties by
+    increasing imaginary part.  Conjugate pairs therefore appear lower
+    half-plane first."""
     vals = np.asarray(values, dtype=complex)
-    return vals[np.lexsort((vals.imag, vals.real))]
+    order = np.lexsort((vals.imag, vals.real), axis=-1)
+    return np.take_along_axis(vals, order, axis=-1)
 
 
 def eigenvalues(m) -> np.ndarray:
-    """Complex spectrum of a real square matrix in canonical order."""
+    """Complex spectrum of a real square matrix in canonical order; for a
+    stack (..., k, k) the spectrum of each matrix, which LAPACK solves
+    with the same bits as a call on that matrix alone."""
     m = _as_square(m)
     try:
         vals = np.linalg.eigvals(m)
@@ -44,8 +49,7 @@ def eigenvalues(m) -> np.ndarray:
 
 def spectral_radius(m) -> float:
     """max |eigenvalue|; 0.0 for the zero matrix."""
-    vals = eigenvalues(m)
-    return float(np.max(np.abs(vals)))
+    return float(np.max(np.abs(eigenvalues(m))))
 
 
 def left_eigenvector(m, lam, mask) -> np.ndarray:
@@ -58,6 +62,8 @@ def left_eigenvector(m, lam, mask) -> np.ndarray:
     imaginary part is negligible.
     """
     m = _as_square(m)
+    if m.ndim != 2:
+        raise ValueError("need a single matrix")
     scale = max(np.linalg.norm(m), 1.0)
     try:
         # Plain transpose (no conjugation): rows of vecs.T satisfy u^T M = lam u^T.

@@ -44,3 +44,10 @@ def graph50():
     """50-node connected geometric graph for the larger campaigns."""
     rng = np.random.default_rng(21)
     return random_geometric_graph(50, connectivity_radius(50), rng)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """os.cpu_count() reads 2, so workers=2 starts a pool of two workers
+    on any machine."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)

@@ -60,6 +60,9 @@ MUTANTS = (
     Mutant("campaigns: seed chunks overlap", "sim.py",
            "(c + 1) * trials // nwork", "(c + 1) * trials // nwork + 1",
            ("tests/test_lockstep.py",)),
+    # a pool of one process per trial, whatever the CPU count
+    Mutant("campaigns: no CPU cap on the workers", "sim.py",
+           "os.cpu_count() or 1, ", "", ("tests/test_sim.py",)),
     Mutant("lockstep: row end one step early", "sim.py",
            "te = t0 + last + 1", "te = t0 + last",
            ("tests/test_lockstep.py",)),

@@ -527,8 +527,7 @@ def test_config_file_errors(tmp_path):
 # the file's graph is loaded, so n, radius and p_asym are read only by
 # generate, which generates its graph
 ECHOED = {
-    "generate": {"n", "radius", "p_asym", "seed", "out", "workers",
-                 "radius_resolved"},
+    "generate": {"n", "radius", "p_asym", "seed", "out", "radius_resolved"},
     "analyze": {"graph", "seed", "out", "workers", "scheme", "epsilon",
                 "gamma", "epsilon_resolved"},
     "sweep": {"graph", "seed", "out", "workers", "scheme", "grid",
@@ -584,6 +583,8 @@ def test_headers_echo_only_the_settings_their_command_reads(graph_file,
     ["generate", "--n", "8", "--graph", "g.txt"],
     # only the classic scheme reads gamma, and sweep refuses it
     ["sweep", "--gamma", "0.3", "--grid", "0.5", "--trials", "1"],
+    # generate runs no trials
+    ["generate", "--n", "8", "--workers", "2"],
 ])
 def test_flags_a_command_does_not_read_are_rejected(graph_file, tmp_path,
                                                     argv):
@@ -612,6 +613,11 @@ def test_config_keys_a_command_does_not_read_are_checked_not_applied(
     assert run(base + ["--out", str(tmp_path / "b")]) == EXIT_OK
     echoed = config_line(tmp_path / "b" / "analysis.csv")
     assert "threshold" not in echoed and "grid" not in echoed
+    # nor is a worker count generate would refuse as a flag
+    cfg.write_text("workers = 0\n")
+    assert run(["generate", "--n", "8", "--config", str(cfg),
+                "--out", str(tmp_path / "c")]) == EXIT_OK
+    assert "workers" not in config_line(tmp_path / "c" / "graph.txt")
 
 
 def test_generator_settings_are_not_read_with_a_graph_file(graph_file,
@@ -691,7 +697,7 @@ def bare_graph_file(graph_file, tmp_path_factory):
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("command", ["sweep", "simulate"])
 def test_slope_init_without_coordinates_exits_2_before_any_trial(
-        bare_graph_file, tmp_path, command, workers):
+        bare_graph_file, tmp_path, command, workers, two_cpus):
     # each trial used to fail on its own: exit 3, a "trial i failed" line
     # per trial and, from sweep, a sweep.csv of nan
     out = tmp_path / "out"
@@ -715,12 +721,11 @@ def test_monte_carlo_raises_on_a_slope_init_without_coordinates(
 
 
 def test_a_slope_init_without_coordinates_starts_no_process_pool(
-        bare_graph_file, monkeypatch):
+        bare_graph_file, monkeypatch, two_cpus):
     # the init fails in the parent, before any worker is forked
     def spy(*args, **kwargs):
         raise AssertionError("a process pool was started")
 
-    monkeypatch.delenv("GOSSIPLAB_THREADS", raising=False)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy)
     g = graph.load_graph(bare_graph_file)
     scheme = build_scheme(SchemeKind.BBGA, g, 0.5)
@@ -736,12 +741,18 @@ def test_version_flag(capsys):
     assert "gossiplab 0.1.0" in capsys.readouterr().out
 
 
-def test_workers_env_cap(graph_file, tmp_path, monkeypatch):
+def test_workers_cpu_cap(graph_file, tmp_path, monkeypatch):
     out1 = tmp_path / "a"
     assert run(["simulate", "--graph", str(graph_file), "--scheme", "bbga",
                 "--trials", "2", "--threshold", "1e-3",
                 "--out", str(out1)]) == EXIT_OK
-    monkeypatch.setenv("GOSSIPLAB_THREADS", "1")
+
+    # one CPU: six workers asked for, none started
+    def spy(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy)
     out2 = tmp_path / "b"
     assert run(["simulate", "--graph", str(graph_file), "--scheme", "bbga",
                 "--trials", "2", "--threshold", "1e-3", "--workers", "6",
@@ -970,3 +981,38 @@ def test_bad_input_exits_with_one_error_line(graph_file, bad, data):
     else:
         # argparse's: usage lines, then "gossiplab <command>: error: ..."
         assert err.splitlines()[-1] == errors[0]
+
+
+@pytest.mark.parametrize("command", cli.ALL)
+def test_an_out_that_is_a_file_exits_2_with_one_error_line(graph_file,
+                                                          tmp_path, command):
+    # the output directory cannot be made: main reports the OSError
+    # (after any results already printed) and leaves the file alone
+    blocker = tmp_path / "afile"
+    blocker.write_text("keep\n")
+    argv = [command, "--out", str(blocker)]
+    argv += (["--n", "8"] if command == "generate"
+             else ["--graph", str(graph_file)])
+    if command in cli.RUNS:
+        argv += ["--trials", "1", "--max-iters", "200"]
+    if command == "sweep":
+        argv += ["--grid", "0.5"]
+    code, err = run_captured(argv)
+    assert code == EXIT_CONFIG
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert blocker.read_text() == "keep\n"
+
+
+def test_a_graph_file_with_a_nan_coordinate_exits_2(graph_file, tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("".join(
+        "coord 1 nan 0.5\n" if ln.startswith("coord 1 ") else ln
+        for ln in graph_file.read_text().splitlines(keepends=True)))
+    out = tmp_path / "out"
+    code, err = run_captured(
+        ["simulate", "--graph", str(bad), "--schemes", "ubga1", "--init",
+         "slope", "--trials", "2", "--max-iters", "2000", "--out", str(out)])
+    assert (code, err) == (
+        EXIT_CONFIG, f"error: cannot load graph {bad}: coords must be finite\n")
+    assert not out.exists()

@@ -189,6 +189,11 @@ def test_reader_rejects_malformed_input():
     with pytest.raises(ValueError):
         # coords must cover every node once
         graph_from_text("2 1\n1 2\ncoord 1 0.5 0.5\n")
+    # a slope init from such a coordinate would run every trial on nan
+    for value in ("nan", "inf", "-inf"):
+        with pytest.raises(ValueError, match="coords must be finite"):
+            graph_from_text(f"2 1\n1 2\ncoord 1 0.5 {value}\n"
+                            "coord 2 0.25 0.75\n")
 
 
 def test_save_and_load_with_headers(tmp_path, graph16):

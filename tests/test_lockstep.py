@@ -185,8 +185,7 @@ def test_mass_failure_in_one_row_leaves_the_others_unchanged(graph16):
 
 
 def test_epsilon_sweep_worker_count_does_not_change_results(graph16,
-                                                             monkeypatch):
-    monkeypatch.delenv("GOSSIPLAB_THREADS", raising=False)
+                                                             two_cpus):
     grid = [0.2, 0.5, 0.8]
     serial = epsilon_sweep(SchemeKind.BBGA, graph16, grid, 4, 1e-4, 100_000,
                            base_seed=13, workers=1)
@@ -332,8 +331,7 @@ def test_mass_failure_among_independent_rows(graph16, digraph16):
 
 
 def test_monte_carlo_rows_equal_one_row_calls_for_any_worker_count(
-        graph16, monkeypatch):
-    monkeypatch.delenv("GOSSIPLAB_THREADS", raising=False)
+        graph16, two_cpus):
     seen_failure = False
     for scheme in (build_scheme(SchemeKind.UBGA1, graph16, 0.5),
                    build_scheme(SchemeKind.UBGA3, graph16, 50.0),
@@ -525,10 +523,9 @@ def test_blocked_series_match_past_the_dense_record_limit(graph16,
     assert (lock[2].t_series.size == horizon + 1) == full_series
 
 
-def test_campaigns_equal_one_campaign_per_scheme(graph16, monkeypatch):
+def test_campaigns_equal_one_campaign_per_scheme(graph16, two_cpus):
     # schemes x trials rows in one call; each scheme's result must equal
     # its lone monte_carlo campaign field for field, for any worker count
-    monkeypatch.delenv("GOSSIPLAB_THREADS", raising=False)
     schemes = [build_scheme(SchemeKind.BBGA, graph16, 0.5),
                build_scheme(SchemeKind.UBGA1, graph16, 0.5),
                build_scheme(SchemeKind.UBGA3, graph16, 50.0),

@@ -1,4 +1,7 @@
 """Monte Carlo engine: trials, campaigns, sweeps, and CSV emission."""
+import concurrent.futures
+import os
+
 import numpy as np
 import pytest
 
@@ -9,8 +12,7 @@ from gossiplab.protocol import SchemeKind, build_scheme
 from gossiplab.sim import (
     FULL_RECORD_LIMIT, InitKind, TrialRecord, aggregate_csv,
     aggregate_series, campaigns, epsilon_sweep, first_crossing,
-    init_values, monte_carlo, resolve_workers, run_trial, sweep_csv,
-    trial_csv, write_text,
+    init_values, monte_carlo, run_trial, sweep_csv, trial_csv, write_text,
 )
 
 PATH4 = DiGraph(4, {(1, 2), (2, 1), (2, 3), (3, 2), (3, 4), (4, 3)})
@@ -23,17 +25,40 @@ def make_record(ts, rs, qs):
                        q_series=np.asarray(qs))
 
 
-def test_resolve_workers(monkeypatch):
-    monkeypatch.delenv("GOSSIPLAB_THREADS", raising=False)
-    assert resolve_workers() == 1
-    assert resolve_workers(4) == 4
-    assert resolve_workers(0) == 1
-    monkeypatch.setenv("GOSSIPLAB_THREADS", "2")
-    assert resolve_workers(8) == 2
-    assert resolve_workers() == 1
-    monkeypatch.setenv("GOSSIPLAB_THREADS", "zero")
-    with pytest.raises(ValueError):
-        resolve_workers(4)
+def test_campaigns_start_at_most_one_worker_per_cpu_and_trial(monkeypatch):
+    # the pool runs its chunks in this process and records its size
+    started = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, payloads):
+            return map(fn, payloads)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    s = build_scheme(SchemeKind.BBGA, PATH4, 0.5)
+
+    def run(trials, workers):
+        (res,) = campaigns([s], PATH4, "uniform", trials, 1e-3, 2000,
+                           base_seed=5, workers=workers)
+        return [(r.seed, r.converged_at, r.consensus_value)
+                for r in res.records]
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    serial = run(10, 1)
+    assert run(10, 64) == serial and started == [3]
+    run(2, 64)
+    assert started == [3, 2]
+    # an unknown CPU count runs serially
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert run(10, 64) == serial and started == [3, 2]
 
 
 def test_init_values(graph16):
@@ -179,8 +204,8 @@ def test_monte_carlo_campaign(graph16):
     assert short.censored == 3 and short.mean_broadcasts == 50.0
 
 
-def test_monte_carlo_worker_count_does_not_change_results(graph16, monkeypatch):
-    monkeypatch.delenv("GOSSIPLAB_THREADS", raising=False)
+def test_monte_carlo_worker_count_does_not_change_results(graph16, two_cpus,
+                                                          monkeypatch):
     s = build_scheme(SchemeKind.BBGA, graph16, 0.5)
     serial = monte_carlo(s, graph16, InitKind.UNIFORM, 4, 1e-3, 100_000,
                          base_seed=7, workers=1)
@@ -192,7 +217,7 @@ def test_monte_carlo_worker_count_does_not_change_results(graph16, monkeypatch):
         [r.converged_at for r in parallel.records]
     assert serial.mean_broadcasts == parallel.mean_broadcasts
 
-    monkeypatch.setenv("GOSSIPLAB_THREADS", "1")
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
     capped = monte_carlo(s, graph16, InitKind.UNIFORM, 4, 1e-3, 100_000,
                          base_seed=7, workers=8)
     assert capped.mean_broadcasts == serial.mean_broadcasts

@@ -1,6 +1,8 @@
 """Dense eigen-analysis helpers."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gossiplab.errors import NotSimple
 from gossiplab.spectra import (
@@ -34,7 +36,25 @@ def test_eigenvalues_rejects_bad_matrices():
     with pytest.raises(ValueError):
         eigenvalues(np.array([[np.nan, 0.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
-        eigenvalues(np.zeros((2, 2, 2)))
+        eigenvalues(np.zeros(4))
+    # eigenvalues takes a stack of matrices, left_eigenvector only one
+    with pytest.raises(ValueError):
+        left_eigenvector(np.stack([np.eye(2), np.eye(2)]), 1.0,
+                         mask=np.ones(2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), k=st.integers(2, 12), count=st.integers(1, 6))
+def test_stacked_eigenvalues_equal_the_lone_ones(data, k, count):
+    # sweep.csv's analytic_lambda2 column solves its maps as one stack;
+    # each spectrum must keep the bits of its own call
+    seeds = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=count,
+                               max_size=count))
+    ms = [np.random.default_rng(s).standard_normal((k, k)) for s in seeds]
+    stacked = eigenvalues(np.stack(ms))
+    assert stacked.shape == (count, k)
+    for row, m in zip(stacked, ms):
+        assert row.tobytes() == eigenvalues(m).tobytes()
 
 
 def test_spectral_radius():
