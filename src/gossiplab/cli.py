@@ -427,8 +427,8 @@ def cmd_simulate(cfg: argparse.Namespace, per_trial: bool, svg: bool) -> int:
     out = _outdir(cfg)
     any_failures = False
     curves = []
-    for kind, eps, note, header, res in zip(kinds, epsilons, notes, headers,
-                                            results):
+    for kind, eps, note, header in zip(kinds, epsilons, notes, headers):
+        res = results.pop(0)
         if res.records:
             series = sim.aggregate_series(res.records)
             sim.write_text(out / f"trajectory_{kind.value}.csv",
@@ -452,6 +452,7 @@ def cmd_simulate(cfg: argparse.Namespace, per_trial: bool, svg: bool) -> int:
         warn_censored(res.censored, res.trials, cfg.max_iters,
                       f"scheme={kind.value}: ")
         warn_nonfinite(res.records, res.trials, f"scheme={kind.value}: ")
+        del res     # its records are written; the chart needs only curves
     if svg and curves:
         svgplot.save_chart(out / "trajectories.svg", curves,
                            header_lines=make_header("simulate", cfg, extras),

@@ -208,7 +208,10 @@ def graph_from_text(text: str) -> DiGraph:
         if parts[0] == "coord":
             if len(parts) != 4:
                 raise ValueError(f"bad coord line: {ln!r}")
-            coords[int(parts[1])] = (float(parts[2]), float(parts[3]))
+            node = int(parts[1])
+            if node in coords:
+                raise ValueError(f"coord line for node {node} given twice")
+            coords[node] = (float(parts[2]), float(parts[3]))
         else:
             if len(parts) != 2:
                 raise ValueError(f"bad edge line: {ln!r}")

@@ -47,7 +47,6 @@ record of the same trial run alone, bit for bit.
 """
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 import os
@@ -86,12 +85,14 @@ class TrialRecord:
     converged_at is None when max_iters ran out.  The series arrays share
     one index: entry m holds r and q at iteration t_series[m]; they are
     subsampled past FULL_RECORD_LIMIT unless the trial ran with
-    full_series, in which case stat_series additionally holds the
-    engine's stopping statistic for every iteration from t=1 on.
-    r_final and q_final always refer to the last iteration executed, even
-    when the series have been stripped to save memory.  max_drift is the
-    largest mass drift the engine saw along the trial (nan once the state
-    is no longer finite), None for biased schemes, which it does not check.
+    full_series, in which case stat_series additionally holds the engine's
+    stopping statistic for every iteration from t=1 on.  t_series is a
+    read-only view of the grid that all records of one max_iters share
+    (copy it before changing it).  r_final and q_final always refer to the
+    last iteration executed, even when the series have been stripped to
+    save memory.  max_drift is the largest mass drift the engine saw along
+    the trial (nan once the state is no longer finite), None for biased
+    schemes, which it does not check.
     """
 
     converged_at: int | None
@@ -239,19 +240,19 @@ def _index(items) -> tuple:
     return uniq, np.array(pos, dtype=np.intp)
 
 
-def _recorded(t0: int, k: int, next_thin: int, full: bool) -> tuple:
-    """The iterations among t0+1 .. t0+k that the series record, as
-    positions in that span, and the next point of the thinned grid."""
-    if full or t0 + k <= FULL_RECORD_LIMIT:
-        return range(k), next_thin
-    pos = []
-    for j in range(k):
-        t = t0 + j + 1
-        if t <= FULL_RECORD_LIMIT or t >= next_thin:
-            pos.append(j)
-            while next_thin <= t:
-                next_thin = max(next_thin + 1, int(next_thin * THIN_FACTOR))
-    return pos, next_thin
+@functools.lru_cache(maxsize=8)
+def _record_grid(max_iters: int) -> np.ndarray:
+    """The iterations a series records up to max_iters, shared read-only
+    by every record of that max_iters: each one up to FULL_RECORD_LIMIT,
+    then a geometric grid of ratio THIN_FACTOR."""
+    grid = list(range(min(max_iters, FULL_RECORD_LIMIT) + 1))
+    t = int(math.ceil(FULL_RECORD_LIMIT * THIN_FACTOR))
+    while t <= max_iters:
+        grid.append(t)
+        t = max(t + 1, int(t * THIN_FACTOR))
+    grid = np.array(grid, dtype=np.int64)
+    grid.flags.writeable = False
+    return grid
 
 
 # a row run past its end, or a diverging scheme, may overflow
@@ -338,8 +339,8 @@ def _lockstep(rows, threshold: float, max_iters: int, *,
     drift_max = np.zeros(E)
     check_mass = bool(unbiased.any())
     out = [None] * E
-    log = _SeriesLog(ZZ[0], mu0, full_series) if keep_series else None
-    next_thin = int(math.ceil(FULL_RECORD_LIMIT * THIN_FACTOR))
+    grid = None if full_series or not keep_series else _record_grid(max_iters)
+    log = _SeriesLog(ZZ[0], mu0, grid) if keep_series else None
 
     t = 0
     while t < max_iters:
@@ -386,6 +387,8 @@ def _lockstep(rows, threshold: float, max_iters: int, *,
                 Y[gc] = new_y
                 Y[kp] = 0.0
                 snap[:, j] = ZZ
+            # the block's layout goes before the next block's is made
+            del g, kg, gc, kc, a, c_oma, c_a, c_ed, c_omed, c_b
             t0 = t
             t += k
             tb += k
@@ -434,19 +437,19 @@ def _lockstep(rows, threshold: float, max_iters: int, *,
                     fail = {p: int(bad[:, p].argmax())
                             for p in np.flatnonzero(bad.any(0)).tolist()}
             if log is not None:
-                rec, next_thin = _recorded(t0, k, next_thin, full_series)
+                rec = range(k)
+                if grid is not None:
+                    lo, hi = grid.searchsorted((t0 + 1, t + 1)).tolist()
+                    rec = (grid[lo:hi] - (t0 + 1)).tolist()
                 if len(rec) == k:
                     r, q = _rq(snap[0], mu0) if rq is None else rq
                 elif rec:
                     r, q = _rq(snap[0][rec], mu0)
                 if rec:
-                    log.add([t0 + j + 1 for j in rec], r, q,
-                            *(() if stat is None else
-                              (stat.reshape(k, live),)))
-            if t == max_iters:
-                ending = list(range(live))
-            else:
-                ending = sorted(stop.keys() | fail.keys())
+                    log.blocks.append((r, q) if stat is None else
+                                      (r, q, stat.reshape(k, live)))
+            ending = (list(range(live)) if t == max_iters
+                      else sorted(stop.keys() | fail.keys()))
 
             if ending:
                 if log is not None:
@@ -475,12 +478,12 @@ def _lockstep(rows, threshold: float, max_iters: int, *,
                             peak):
                         i = idl[p]
                         te = t0 + last + 1
-                        series = None if log is None else log.series(
-                            i, te, None if last in rec else (rf, qf))
-                        out[i] = _trial_record(
-                            series, te if stop.get(p) == last else None,
-                            mean, rf, qf, rows[i].seed,
-                            drift_p if unbiased[p] else None)
+                        out[i] = TrialRecord(
+                            te if stop.get(p) == last else None, mean, rf, qf,
+                            seed=rows[i].seed,
+                            max_drift=drift_p if unbiased[p] else None,
+                            **(_NO_SERIES if log is None else log.series(
+                                i, te, None if last in rec else (rf, qf))))
             if check_mass:
                 np.maximum(drift_max, np.maximum.reduce(drift, 0),
                            out=drift_max)
@@ -541,23 +544,18 @@ class _SeriesLog:
     """The r, q and (with full_series) stopping-statistic series of the
     rows of a lockstep call.  Each check block logs its recorded
     iterations for every slot at once, as (iterations, slots) arrays.
-    They are handed to the rows whenever rows leave, before the slots
-    are packed (the slots stay the same in between), so a value costs 8
-    bytes; a row that leaves inside a block drops what the block logged
-    past its end."""
+    They are handed to the rows whenever rows leave, before the slots are
+    packed (the slots stay the same in between), each row taking a copy of
+    its columns; a row that leaves inside a block drops what the block
+    logged past its end.  A row's m-th value is at iteration grid[m], or m
+    with full_series (grid None)."""
 
-    def __init__(self, x0: np.ndarray, mu0: np.ndarray, full: bool):
+    def __init__(self, x0: np.ndarray, mu0: np.ndarray, grid):
         r0, q0 = _rq(x0, mu0)
-        self.times = [0]
+        self.grid = grid
         self.blocks = []       # (r, q[, stat]) per check block
-        start = (np.empty(0),) if full else ()
+        start = () if grid is not None else (np.empty(0),)
         self.parts = [[(r, q) + start] for r, q in zip(r0[:, None], q0[:, None])]
-
-    def add(self, times: list, *cols) -> None:
-        """Log the iterations `times`: per column an (iterations, slots)
-        array."""
-        self.times += times
-        self.blocks.append(cols)
 
     def split(self, ids: list) -> None:
         """Hand everything logged so far to the rows `ids`, in slot
@@ -566,34 +564,28 @@ class _SeriesLog:
             cols = [np.concatenate(c) for c in zip(*self.blocks)]
             self.blocks = []
             for p, i in enumerate(ids):
-                self.parts[i].append(tuple(c[:, p] for c in cols))
+                self.parts[i].append(tuple(c[:, p].copy() for c in cols))
 
-    def series(self, i: int, t: int, last) -> tuple:
-        """Row i's t, r, q and stat arrays at its end at iteration t;
-        `last` is the (r, q) of that iteration if it was not recorded."""
+    def series(self, i: int, t: int, last) -> dict:
+        """Row i's series at its end at iteration t, as TrialRecord
+        fields; `last` is the (r, q) of that iteration if it was not
+        recorded.  The times are a view of the shared grid unless t is
+        off it."""
         parts, self.parts[i] = self.parts[i], None
-        cols = [np.concatenate(c) for c in zip(*parts)]
-        m = bisect.bisect_right(self.times, t)
-        times, r, q = self.times[:m], cols[0][:m], cols[1][:m]
-        if last is not None:
-            times.append(t)
-            r = np.append(r, last[0])
-            q = np.append(q, last[1])
-        stats = cols[2][:t] if len(cols) == 3 else None
-        return np.array(times, dtype=np.int64), r, q, stats
+        r, q, *stat = (np.concatenate(c) for c in zip(*parts))
+        if self.grid is None:
+            return dict(t_series=np.arange(t + 1), r_series=r[:t + 1],
+                        q_series=q[:t + 1], stat_series=stat[0][:t])
+        m = int(self.grid.searchsorted(t, "right"))
+        times, r, q = self.grid[:m], r[:m], q[:m]
+        if last is not None:            # an end off the grid
+            times, r, q = (np.append(a, v) for a, v in
+                           zip((times, r, q), (t, *last)))
+        return dict(t_series=times, r_series=r, q_series=q)
 
 
-def _trial_record(series, converged_at, consensus, r_final, q_final, seed,
-                  max_drift) -> TrialRecord:
-    if series is None:
-        empty = np.empty(0)
-        ts, rs, qs, stats = np.empty(0, dtype=np.int64), empty, empty, None
-    else:
-        ts, rs, qs, stats = series
-    return TrialRecord(
-        converged_at=converged_at, consensus_value=consensus,
-        r_final=r_final, q_final=q_final, t_series=ts, r_series=rs,
-        q_series=qs, seed=seed, stat_series=stats, max_drift=max_drift)
+_NO_SERIES = dict(t_series=np.empty(0, dtype=np.int64), r_series=np.empty(0),
+                  q_series=np.empty(0))
 
 
 def run_trial(scheme: ParamScheme, x0, threshold: float, max_iters: int,
@@ -779,7 +771,8 @@ def aggregate_series(records) -> tuple:
     if not records:
         raise ValueError("no records with stored series")
     # the sorted distinct iterations; np.unique would import numpy.ma
-    ts = np.sort(np.concatenate([r.t_series for r in records]))
+    ts = np.concatenate([r.t_series for r in records])
+    ts.sort()
     grid = ts[np.append(True, ts[1:] != ts[:-1])]
     mean_r = np.zeros(grid.size)
     mean_q = np.zeros(grid.size)

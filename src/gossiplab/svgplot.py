@@ -1,4 +1,4 @@
-"""Tiny dependency-free SVG line charts for convergence curves.
+"""Tiny SVG line charts for convergence curves, on numpy alone.
 
 Data emission is CSV-first; this writer exists so a sweep or trajectory
 can be eyeballed without any plotting stack.  The x axis is linear, the
@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64, 16, 28, 44
 _WIDTH, _HEIGHT = 640, 420
@@ -18,23 +20,23 @@ def line_chart(series, *, title="", xlabel="", ylabel="",
                log_y=False) -> str:
     """Render labeled (label, xs, ys) series to an SVG string.  Only the
     points with finite x and y are drawn, and with log_y only those with
-    y > 0."""
+    y > 0.  The points are filtered and scaled as float arrays."""
     if not series:
         raise ValueError("no series to plot")
     pts = []
     for _, xs, ys in series:
         if len(xs) != len(ys):
             raise ValueError("series length mismatch")
-        curve = [(float(a), float(b)) for a, b in zip(xs, ys)
-                 if math.isfinite(a) and math.isfinite(b)
-                 and (b > 0 or not log_y)]
-        pts.append([(a, math.log10(b)) for a, b in curve] if log_y else curve)
-    allx = [p[0] for curve in pts for p in curve]
-    ally = [p[1] for curve in pts for p in curve]
-    if not allx:
+        xy = np.array((xs, ys), dtype=float)
+        xy = xy[:, np.isfinite(xy).all(0) & ((xy[1] > 0) | (not log_y))]
+        if log_y:       # math.log10 per value: its bits, not np.log10's
+            xy[1] = [math.log10(b) for b in xy[1].tolist()]
+        pts.append(xy)
+    drawn = [xy for xy in pts if xy.size]
+    if not drawn:
         raise ValueError("no finite points to plot")
-    x0, x1 = min(allx), max(allx)
-    y0, y1 = min(ally), max(ally)
+    x0, y0 = np.min([xy.min(1) for xy in drawn], 0).tolist()
+    x1, y1 = np.max([xy.max(1) for xy in drawn], 0).tolist()
     if x1 == x0:
         x1 = x0 + 1.0
     if y1 == y0:
@@ -78,8 +80,9 @@ def line_chart(series, *, title="", xlabel="", ylabel="",
                    f'transform="rotate(-90 14 {_MARGIN_T + ih / 2:.1f})">{ylabel}</text>')
     for i, ((label, _, _), curve) in enumerate(zip(series, pts)):
         color = _PALETTE[i % len(_PALETTE)]
-        if curve:
-            path = " ".join(f"{px(a):.2f},{py(b):.2f}" for a, b in curve)
+        if curve.size:
+            path = " ".join(map("{:.2f},{:.2f}".format, px(curve[0]).tolist(),
+                                py(curve[1]).tolist()))
             out.append(f'<polyline points="{path}" fill="none" stroke="{color}" '
                        'stroke-width="1.5"/>')
         lx = _MARGIN_L + iw - 8

@@ -66,9 +66,9 @@ MUTANTS = (
     Mutant("lockstep: row end one step early", "sim.py",
            "te = t0 + last + 1", "te = t0 + last",
            ("tests/test_lockstep.py",)),
-    Mutant("series: _recorded thins one point late", "sim.py",
-           "t <= FULL_RECORD_LIMIT or t >= next_thin",
-           "t <= FULL_RECORD_LIMIT or t > next_thin",
+    # the grid loses a point that falls on max_iters
+    Mutant("series: the record grid stops one point short", "sim.py",
+           "while t <= max_iters:", "while t < max_iters:",
            ("tests/test_sim.py", "tests/test_lockstep.py")),
     # a statistic equal to the threshold stops the trial; full_series
     # rows stop through the same screen and exact dot

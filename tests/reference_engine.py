@@ -107,3 +107,20 @@ def reference_trial(scheme, x0, threshold, max_iters, rng, *,
         max_drift=drift_max if check_mass else None,
     )
     return record, x, y
+
+
+def recorded(t0: int, k: int, next_thin: int, full: bool) -> tuple:
+    """The per-step recording rule the lockstep kernel used before its
+    shared record grid: the iterations among t0+1 .. t0+k that the series
+    record, as positions in that span, and the next point of the thinned
+    grid (ceil(FULL_RECORD_LIMIT * THIN_FACTOR) before the first call)."""
+    if full or t0 + k <= FULL_RECORD_LIMIT:
+        return range(k), next_thin
+    pos = []
+    for j in range(k):
+        t = t0 + j + 1
+        if t <= FULL_RECORD_LIMIT or t >= next_thin:
+            pos.append(j)
+            while next_thin <= t:
+                next_thin = max(next_thin + 1, int(next_thin * THIN_FACTOR))
+    return pos, next_thin

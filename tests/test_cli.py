@@ -1016,3 +1016,17 @@ def test_a_graph_file_with_a_nan_coordinate_exits_2(graph_file, tmp_path):
     assert (code, err) == (
         EXIT_CONFIG, f"error: cannot load graph {bad}: coords must be finite\n")
     assert not out.exists()
+
+
+def test_a_graph_file_giving_a_node_two_coordinates_exits_2(graph_file,
+                                                           tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(graph_file.read_text() + "coord 3 5 5\n")
+    out = tmp_path / "out"
+    code, err = run_captured(
+        ["simulate", "--graph", str(bad), "--schemes", "ubga1", "--init",
+         "slope", "--trials", "2", "--max-iters", "2000", "--out", str(out)])
+    assert (code, err) == (
+        EXIT_CONFIG,
+        f"error: cannot load graph {bad}: coord line for node 3 given twice\n")
+    assert not out.exists()

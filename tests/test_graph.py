@@ -189,6 +189,10 @@ def test_reader_rejects_malformed_input():
     with pytest.raises(ValueError):
         # coords must cover every node once
         graph_from_text("2 1\n1 2\ncoord 1 0.5 0.5\n")
+    with pytest.raises(ValueError, match="node 2 given twice"):
+        # a second coord line for a node is not a correction of the first
+        graph_from_text("2 1\n1 2\ncoord 1 0.5 0.5\ncoord 2 1 1\n"
+                        "coord 2 5 5\n")
     # a slope init from such a coordinate would run every trial on nan
     for value in ("nan", "inf", "-inf"):
         with pytest.raises(ValueError, match="coords must be finite"):

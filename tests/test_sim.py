@@ -1,5 +1,6 @@
 """Monte Carlo engine: trials, campaigns, sweeps, and CSV emission."""
 import concurrent.futures
+import math
 import os
 
 import numpy as np
@@ -14,6 +15,8 @@ from gossiplab.sim import (
     aggregate_series, campaigns, epsilon_sweep, first_crossing,
     init_values, monte_carlo, run_trial, sweep_csv, trial_csv, write_text,
 )
+
+from reference_engine import recorded
 
 PATH4 = DiGraph(4, {(1, 2), (2, 1), (2, 3), (3, 2), (3, 4), (4, 3)})
 
@@ -121,6 +124,54 @@ def test_series_recording_and_thinning(graph16):
     assert rec.r_series.shape == ts.shape and rec.q_series.shape == ts.shape
     assert rec.r_final == rec.r_series[-1]
     assert rec.stat_series is None
+
+
+@pytest.mark.parametrize("max_iters", [1, FULL_RECORD_LIMIT,
+                                       FULL_RECORD_LIMIT + 1, 10_500,
+                                       10_000_000])
+def test_record_grid_equals_the_per_step_rule(max_iters):
+    # the per-step rule over spans of DRAW_BLOCK steps; its positions do
+    # not depend on the span
+    times = [0]
+    next_thin = int(math.ceil(FULL_RECORD_LIMIT * sim.THIN_FACTOR))
+    for t0 in range(0, max_iters, sim.DRAW_BLOCK):
+        k = min(sim.DRAW_BLOCK, max_iters - t0)
+        pos, next_thin = recorded(t0, k, next_thin, False)
+        times += [t0 + j + 1 for j in pos]
+    grid = sim._record_grid(max_iters)
+    assert grid.dtype == np.int64 and not grid.flags.writeable
+    assert grid.tolist() == times
+
+
+def test_the_records_of_a_campaign_share_one_read_only_grid(graph16):
+    res = monte_carlo(build_scheme(SchemeKind.UBGA1, graph16, 0.5), graph16,
+                      InitKind.UNIFORM, 4, 1e-4, 5000, base_seed=3)
+    grid = sim._record_grid(5000)
+    ends = {r.converged_at for r in res.records}
+    assert len(ends) == 4 and None not in ends
+    for rec in res.records:
+        assert np.shares_memory(rec.t_series, grid)
+        assert not rec.t_series.flags.writeable
+        assert np.array_equal(rec.t_series, np.arange(rec.converged_at + 1))
+    with pytest.raises(ValueError):
+        res.records[0].t_series[0] = 1
+
+
+@pytest.mark.parametrize("horizon", [12_000, 11_025])
+def test_a_row_ending_off_the_grid_still_gets_its_last_point(graph16,
+                                                             horizon):
+    # 12,000 lies between the grid points 11,576 and 12,154; 11,025 is one
+    s = build_scheme(SchemeKind.BBGA, graph16, 0.5)
+    rec = run_trial(s, np.random.default_rng(4).random(16), 1e-300, horizon,
+                    np.random.default_rng(5))
+    grid = sim._record_grid(horizon)
+    on_grid = horizon in grid
+    assert rec.converged_at is None and rec.t_series[-1] == horizon
+    assert np.array_equal(rec.t_series[:grid.size], grid)
+    assert rec.t_series.size == grid.size + (not on_grid)
+    assert np.shares_memory(rec.t_series, grid) == on_grid
+    assert rec.r_series.size == rec.q_series.size == rec.t_series.size
+    assert (rec.r_series[-1], rec.q_series[-1]) == (rec.r_final, rec.q_final)
 
 
 def test_full_series_records_every_stopping_statistic(graph16):

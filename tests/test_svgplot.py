@@ -2,6 +2,8 @@
 import math
 import re
 
+import numpy as np
+
 from gossiplab.svgplot import line_chart
 
 
@@ -12,12 +14,22 @@ def polyline_points(svg):
 
 def test_line_chart_draws_only_finite_points():
     inf, nan = math.inf, math.nan
-    xs = [0, 1, 2, 3, 4, 5, inf, 7]
-    ys = [1.0, 0.5, inf, nan, 0.25, 0.0, 0.1, 0.125]
-    for log_y, kept in ((True, [0, 1, 4, 7]), (False, [0, 1, 4, 5, 7])):
-        svg = line_chart([("r", xs, ys)], log_y=log_y)
-        assert not re.search(r"nan|inf", svg)
-        clean = line_chart([("r", [xs[i] for i in kept],
-                             [ys[i] for i in kept])], log_y=log_y)
-        assert svg == clean
-        assert len(polyline_points(svg)) == len(kept)
+    cases = (
+        # xs, ys, the points kept with log_y and without
+        ([0, 1, 2, 3, 4, 5, inf, 7],
+         [1.0, 0.5, inf, nan, 0.25, 0.0, 0.1, 0.125],
+         [0, 1, 4, 7], [0, 1, 4, 5, 7]),
+        ([-2, -1, 0, 1, 2, 3, nan, 5, 6],
+         [-1.0, 3.0, 0.0, -0.0, 2e-300, -inf, 1.0, 7.5, nan],
+         [1, 4, 7], [0, 1, 2, 3, 4, 7]),
+    )
+    for xs, ys, kept_log, kept_linear in cases:
+        for log_y, kept in ((True, kept_log), (False, kept_linear)):
+            svg = line_chart([("r", xs, ys)], log_y=log_y)
+            assert not re.search(r"nan|inf", svg)
+            assert line_chart([("r", np.array(xs), np.array(ys))],
+                              log_y=log_y) == svg
+            clean = line_chart([("r", [xs[i] for i in kept],
+                                 [ys[i] for i in kept])], log_y=log_y)
+            assert svg == clean
+            assert len(polyline_points(svg)) == len(kept)
