@@ -20,7 +20,6 @@ eps* = xi_2 / 2.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -329,9 +328,3 @@ def epsilon_report_dict(report: EpsilonReport) -> dict:
         "xi": [_complex_pair(z) for z in report.xi],
         "spectrum_real": report.spectrum_real,
     }
-
-
-def save_report_json(data: dict, path) -> None:
-    with open(path, "w") as f:
-        json.dump(data, f, indent=2, sort_keys=True)
-        f.write("\n")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import sys
 from pathlib import Path
 from typing import NamedTuple
@@ -77,8 +78,9 @@ SETTINGS = {
     "schemes": Setting(None, str, ("simulate",), "comma-separated schemes"),
     "epsilon": Setting("0.5", str, ("analyze", "simulate"),
                        "number | auto-optimal | auto-eta-fraction:f (f times "
-                       "eta, the first-moment window; the second moment "
-                       "can grow well inside it)"),
+                       "eta, BBGA's first-moment window; other schemes' "
+                       "windows differ, and the second moment can grow "
+                       "well inside it)"),
     "gamma": Setting(0.5, float, ("analyze", "simulate"),
                      "classic mixing weight"),
     "grid": Setting(None, str, ("sweep",), "comma-separated epsilon values "
@@ -274,12 +276,17 @@ def warn_nonfinite(records, trials: int, where: str) -> None:
               f"non-finite state", file=sys.stderr)
 
 
-def analysis_csv(eps: float, report, eta: float, eps_star: float) -> str:
+def analysis_csv(eps: float, report, eta: float, eps_star: float) -> bytes:
     """analyze's one-row CSV summary of a SpectralReport at coupling eps."""
     return ("epsilon,second_largest_modulus,is_simple_one,eta,epsilon_star\n"
             + f"{eps:.17g},{report.second_largest_modulus:.17g},"
             f"{str(report.is_simple_one).lower()},{eta:.17g},"
-            f"{eps_star:.17g}\n")
+            f"{eps_star:.17g}\n").encode()
+
+
+def report_json(data: dict) -> bytes:
+    """A report dict as indented JSON with sorted keys, byte-stable."""
+    return (json.dumps(data, indent=2, sort_keys=True) + "\n").encode()
 
 
 # ---- subcommands ----
@@ -327,7 +334,7 @@ def cmd_analyze(cfg: argparse.Namespace, check: str | None) -> int:
 
     out = _outdir(cfg)
     sdict["header"] = header
-    analysis.save_report_json(sdict, out / "spectral_report.json")
+    sim.write_text(out / "spectral_report.json", report_json(sdict))
 
     if kind is SchemeKind.CLASSIC:
         # stability window and optimal coupling are defined through the
@@ -339,7 +346,7 @@ def cmd_analyze(cfg: argparse.Namespace, check: str | None) -> int:
         er = eps_report()
         edict = analysis.epsilon_report_dict(er)
         edict["header"] = header
-        analysis.save_report_json(edict, out / "epsilon_report.json")
+        sim.write_text(out / "epsilon_report.json", report_json(edict))
         eta, eps_star = er.eta_formula, er.epsilon_star
         marker = "" if er.spectrum_real else " (approximate, complex spectrum)"
         print(f"eta={eta:.17g} eta_practical={er.eta_practical:.17g}")

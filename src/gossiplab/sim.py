@@ -48,6 +48,7 @@ record of the same trial run alone, bit for bit.
 from __future__ import annotations
 
 import functools
+import locale
 import math
 import os
 from dataclasses import dataclass, field
@@ -791,7 +792,7 @@ def aggregate_series(records) -> tuple:
 _T_R_Q = "%d,%.17g,%.17g"
 
 
-def sweep_csv(points, analytic) -> str:
+def sweep_csv(points, analytic) -> bytes:
     """Sweep curve, one row per point, with the point's analytic second
     largest modulus in the `analytic_lambda2` column."""
     lines = ["epsilon,mean_broadcasts,median_broadcasts,mean_q_final,"
@@ -801,7 +802,7 @@ def sweep_csv(points, analytic) -> str:
         lines.append(f"{pt.epsilon:.17g},{res.mean_broadcasts:.17g},"
                      f"{res.median_broadcasts:.17g},{res.mean_q_final:.17g},"
                      f"{res.mean_r_final:.17g},{res.trials},{lam:.17g}")
-    return "\n".join(lines) + "\n"
+    return ("\n".join(lines) + "\n").encode()
 
 
 # The t,r,q series are written by a numpy kernel that gives exactly the
@@ -955,45 +956,40 @@ def _lines(t: np.ndarray, r: np.ndarray, q: np.ndarray) -> tuple:
     return w, t_ok & ok.all(axis=1)
 
 
-def _series_csv(header: str, t, r, q) -> str:
-    """One t,r,q line per point (t integer), the bytes of _T_R_Q: laid
-    out by _lines in blocks of _EMIT_BLOCK lines, and with _T_R_Q for the
-    lines _lines does not certify."""
-    t = np.asarray(t)
-    r = np.asarray(r, dtype=float)
-    q = np.asarray(q, dtype=float)
+def _series_csv(header: str, t, r, q) -> bytes:
+    """One t,r,q line per point (t integer), the bytes of _T_R_Q, laid
+    out by _lines in blocks of _EMIT_BLOCK lines.  A line _lines does not
+    certify is formatted with _T_R_Q into its cleared row: the longest,
+    t = -2**63 and two negative subnormals, takes 71 of its 80 bytes."""
+    t, r, q = np.asarray(t), np.asarray(r, float), np.asarray(q, float)
     parts = [header.encode() + b"\n"]
     for start in range(0, t.size, _EMIT_BLOCK):
-        stop = min(start + _EMIT_BLOCK, t.size)
-        w, good = _lines(t[start:stop], r[start:stop], q[start:stop])
+        tb, rb, qb = (v[start:start + _EMIT_BLOCK] for v in (t, r, q))
+        w, good = _lines(tb, rb, qb)
         bad = np.flatnonzero(~good)
         w[bad] = 0
-        w[bad, 0] = 1               # a 0x01 byte marks each such line
-        text = w.tobytes().translate(None, b"\0")
-        if not bad.size:
-            parts.append(text)
-            continue
-        pieces = text.split(b"\x01")
-        bad += start
-        for piece, row in zip(pieces, zip(t[bad].tolist(), r[bad].tolist(),
-                                          q[bad].tolist())):
-            parts += (piece, (_T_R_Q % row).encode() + b"\n")
-        parts.append(pieces[-1])
-    return b"".join(parts).decode("ascii")
+        rows = w.view(np.uint8)
+        for i, row in zip(bad.tolist(), zip(tb[bad].tolist(), rb[bad].tolist(),
+                                            qb[bad].tolist())):
+            line = (_T_R_Q % row).encode() + b"\n"
+            rows[i, :len(line)] = np.frombuffer(line, np.uint8)
+        parts.append(w.tobytes().translate(None, b"\0"))
+    return b"".join(parts)
 
 
-def trial_csv(record: TrialRecord) -> str:
+def trial_csv(record: TrialRecord) -> bytes:
     return _series_csv("t,r,q", record.t_series, record.r_series,
                        record.q_series)
 
 
-def aggregate_csv(series) -> str:
+def aggregate_csv(series) -> bytes:
     """The mean r and q curves that aggregate_series returns."""
     return _series_csv("t,mean_r,mean_q", *series)
 
 
-def write_text(path, text: str, header_lines=()) -> None:
-    with open(path, "w") as f:
-        for ln in header_lines:
-            f.write(f"# {ln}\n")
-        f.write(text)
+def write_text(path, body: bytes, header_lines=()) -> None:
+    """The `# ` header lines, encoded as a text-mode file encodes them,
+    then body."""
+    head = "".join(f"# {ln}\n" for ln in header_lines)
+    with open(path, "wb") as f:
+        f.writelines((head.encode(locale.getpreferredencoding(False)), body))

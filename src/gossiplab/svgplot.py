@@ -37,10 +37,12 @@ def line_chart(series, *, title="", xlabel="", ylabel="",
         raise ValueError("no finite points to plot")
     x0, y0 = np.min([xy.min(1) for xy in drawn], 0).tolist()
     x1, y1 = np.max([xy.max(1) for xy in drawn], 0).tolist()
+    # a single value spans +1.0, or 2**-20 of itself toward zero where
+    # adding 1.0 leaves it unchanged
     if x1 == x0:
-        x1 = x0 + 1.0
+        x0, x1 = sorted((x0, x0 + 1.0 if x0 + 1.0 != x0 else x0 - x0 / 2**20))
     if y1 == y0:
-        y1 = y0 + 1.0
+        y0, y1 = sorted((y0, y0 + 1.0 if y0 + 1.0 != y0 else y0 - y0 / 2**20))
     iw = _WIDTH - _MARGIN_L - _MARGIN_R
     ih = _HEIGHT - _MARGIN_T - _MARGIN_B
 

@@ -45,6 +45,10 @@ MUTANTS = (
     Mutant("emission: _decimal truncates", "sim.py",
            "d = f + (frac > 0.5)", "d = f + 0",
            ("tests/test_emission.py",)),
+    # an uncertified line is written over its row's old words, which
+    # then show after it
+    Mutant("emission: the row of an uncertified line is not cleared",
+           "sim.py", "w[bad] = 0", "pass", ("tests/test_emission.py",)),
     Mutant("lockstep: _first_stops keeps the last stop", "sim.py",
            "if p not in stop:", "if True:",
            ("tests/test_lockstep.py",)),

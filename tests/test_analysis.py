@@ -16,9 +16,11 @@ from gossiplab.analysis import (
     bbga_closed_eigs, classify_expectation,
     epsilon_report, epsilon_report_dict, eta_bound, eta_practical,
     expected_matrix, indegree_laplacian, optimal_epsilon,
-    save_report_json, second_largest_moduli, second_moment_matrix,
+    second_largest_moduli, second_moment_matrix,
     spectral_report_dict, stationary_vector,
 )
+from gossiplab.cli import report_json
+from gossiplab.sim import write_text
 from gossiplab.spectra import eigenvalues, spectral_radius
 from reference_analysis import expected_blocks, monotonicity_check
 from strategies import strong_digraphs
@@ -198,7 +200,7 @@ def test_report_dicts_serialize(tmp_path, graph16):
     assert edict["spectrum_real"] is True
 
     path = tmp_path / "report.json"
-    save_report_json(sdict, path)
+    write_text(path, report_json(sdict))
     text = path.read_text()
     assert text.endswith("\n")
     back = json.loads(text)

@@ -190,14 +190,14 @@ def test_resolve_epsilon_variants(graph_file):
 def test_analysis_csv_format(graph16):
     s = build_scheme(SchemeKind.BBGA, graph16, 0.5)
     rep = analysis.classify_expectation(s)
-    text = analysis_csv(0.5, rep, 29.5, 0.25)
-    lines = text.splitlines()
-    assert lines[0] == "epsilon,second_largest_modulus,is_simple_one,eta,epsilon_star"
-    cells = lines[1].split(",")
-    assert cells[0] == "0.5" and cells[2] == "true"
+    body = analysis_csv(0.5, rep, 29.5, 0.25)
+    lines = body.splitlines()
+    assert lines[0] == b"epsilon,second_largest_modulus,is_simple_one,eta,epsilon_star"
+    cells = lines[1].split(b",")
+    assert cells[0] == b"0.5" and cells[2] == b"true"
     assert float(cells[1]) == rep.second_largest_modulus
-    assert cells[3] == "29.5" and cells[4] == "0.25"
-    assert text.endswith("\n") and len(lines) == 2
+    assert cells[3] == b"29.5" and cells[4] == b"0.25"
+    assert body.endswith(b"\n") and len(lines) == 2
 
 
 def test_sweep(graph_file, tmp_path, capsys, monkeypatch):

@@ -1,5 +1,7 @@
 """Series CSV emission: the vectorized t,r,q formatter of gossiplab.sim
 against the one-% reference it replaced, byte for byte."""
+import itertools
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -84,6 +86,22 @@ def test_exact_ties_below_ten_are_left_to_the_reference():
     t = np.arange(v.size)
     assert sim._series_csv("t,r,q", t, v, -v) == \
         reference_series_csv("t,r,q", t, v, -v)
+
+
+def test_uncertified_lines_at_their_longest():
+    # t at both int64 limits with every pair of the widest values %.17g
+    # writes, each line between two certified ones: -2**63 with two
+    # negative subnormals is the longest line, 71 of its row's 80 bytes
+    wide = (-4.9406564584124654e-324, -1.7976931348623157e308, np.nan,
+            -np.inf, -0.0)
+    rows = list(itertools.product((-2 ** 63, 2 ** 63 - 1), wide, wide))
+    rows = [x for i, row in enumerate(rows) for x in ((i, 0.25, 0.5), row)]
+    rows.append((7, 0.125, 3.0))
+    t = np.array([row[0] for row in rows], np.int64)
+    r, q = (np.array([row[k] for row in rows]) for k in (1, 2))
+    body = sim._series_csv("t,r,q", t, r, q)
+    assert body == reference_series_csv("t,r,q", t, r, q)
+    assert max(map(len, body.splitlines(keepends=True))) == 71
 
 
 @settings(max_examples=200, deadline=None)

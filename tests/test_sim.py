@@ -334,28 +334,41 @@ def test_aggregate_series_step_interpolation():
 def test_csv_emission(tmp_path, graph16):
     points = epsilon_sweep(SchemeKind.BBGA, graph16, [0.4], 2, 1e-3,
                            100_000, base_seed=3)
-    text = sweep_csv(points, [0.98])
-    lines = text.splitlines()
-    assert lines[0] == ("epsilon,mean_broadcasts,median_broadcasts,"
-                        "mean_q_final,mean_r_final,trials,analytic_lambda2")
+    lines = sweep_csv(points, [0.98]).splitlines()
+    assert lines[0] == (b"epsilon,mean_broadcasts,median_broadcasts,"
+                        b"mean_q_final,mean_r_final,trials,analytic_lambda2")
     assert len(lines) == 2
-    cells = lines[1].split(",")
-    assert float(cells[0]) == 0.4 and cells[5] == "2"
-    assert cells[6] == "0.97999999999999998"
+    cells = lines[1].split(b",")
+    assert float(cells[0]) == 0.4 and cells[5] == b"2"
+    assert cells[6] == b"0.97999999999999998"
     with pytest.raises(ValueError):
         sweep_csv(points, [0.98, 0.99])
 
     rec = make_record([0, 5], [1.0, 0.5], [1.0, 0.25])
-    ttext = trial_csv(rec)
-    assert ttext.splitlines()[0] == "t,r,q"
-    assert ttext.splitlines()[2] == "5,0.5,0.25"
-    atext = aggregate_csv(aggregate_series([rec]))
-    assert atext.splitlines()[0] == "t,mean_r,mean_q"
+    tbody = trial_csv(rec)
+    assert tbody.splitlines()[0] == b"t,r,q"
+    assert tbody.splitlines()[2] == b"5,0.5,0.25"
+    abody = aggregate_csv(aggregate_series([rec]))
+    assert abody.splitlines()[0] == b"t,mean_r,mean_q"
 
+    header = ["alpha", "beta", "graph=r\u00e9seau_\u03b5.txt"]
     out = tmp_path / "x.csv"
-    write_text(out, ttext, header_lines=["alpha", "beta"])
-    body = out.read_text()
-    assert body.startswith("# alpha\n# beta\nt,r,q\n")
+    old = tmp_path / "old.csv"
+    try:
+        # the text-mode writer that wrote every CSV before the bodies
+        # were bytes
+        with open(old, "w") as f:
+            for ln in header:
+                f.write(f"# {ln}\n")
+            f.write(tbody.decode("ascii"))
+    except UnicodeEncodeError:      # a locale that cannot encode it
+        with pytest.raises(UnicodeEncodeError):
+            write_text(out, tbody, header_lines=header)
+    else:
+        write_text(out, tbody, header_lines=header)
+        assert out.read_bytes() == old.read_bytes()
+    write_text(out, tbody, header_lines=header[:2])
+    assert out.read_bytes().startswith(b"# alpha\n# beta\nt,r,q\n")
 
 
 def test_early_stop_accuracy_improves_with_tighter_threshold(graph16):

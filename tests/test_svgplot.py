@@ -33,3 +33,14 @@ def test_line_chart_draws_only_finite_points():
                                  [ys[i] for i in kept])], log_y=log_y)
             assert svg == clean
             assert len(polyline_points(svg)) == len(kept)
+    # one drawn value too large for +1.0 to widen its range, as y and as
+    # x, and the largest doubles: every coordinate stays finite
+    big = 1.7976931348623157e308
+    for xs, ys in (([0, 1], [1e300, 1e300]), ([1e300, 1e300], [0, 1]),
+                   ([-big, -big], [big, big]), ([2.0 ** 53] * 2, [5, 5])):
+        svg = line_chart([("r", xs, ys)])
+        assert not re.search(r"nan|inf", svg)
+        points = polyline_points(svg)
+        coords = [float(v) for v in re.findall(r' [xy][12]?="([^"]*)"', svg)]
+        assert all(map(math.isfinite, coords + [v for p in points for v in p]))
+        assert len(points) == 2
