@@ -5,8 +5,10 @@ uniformly random broadcasts, and declares convergence at the first
 iteration where the stacked state moves less than `threshold` in
 Euclidean norm.  That statistic equals the successive difference of the
 error vector relative to the eventual consensus, since the two differ by
-a constant along a trial; the engine computes it from the entries a
-broadcast actually touches.
+a constant along a trial.  It has one definition, from the entries a
+broadcast actually touches: the square root of the np.add.reduceat sum
+of their squared value and companion changes, dx**2 + dy**2, plus the
+square of the broadcaster's companion, which the broadcast zeroes.
 
 Campaigns and sweeps take the stopping rule from the initial condition:
 a spike stops on the spread, q(t) <= threshold, because a broadcast in
@@ -66,8 +68,6 @@ THIN_FACTOR = 1.05           # then sample on a geometric grid
 MASS_RTOL = 1e-9
 DRAW_BLOCK = 1024            # broadcasters drawn per generator call
 ENTRY_CHUNK = 16_384         # hearer entries of the steps laid out at once
-SCREEN_RTOL = 1e-6           # relative slack of the stopping-statistic screen
-SCREEN_FLOOR = 1e-290        # segment sums up to here always get the exact check
 CHECK_BLOCK = 32             # steps whose rows are checked at once
 CHECK_VALUES = 65_536        # state values a check block's snapshots hold
 
@@ -277,10 +277,9 @@ def _lockstep(rows, threshold: float, max_iters: int, *,
     the rows are checked over the whole block at once: the full-state
     mass check of unbiased schemes (row sums of the snapshots, the bits
     of a per-step check), the stopping rule, and r and q of the recorded
-    steps.  The stopping statistic is screened with one segment sum per
-    (step, row), which is not the bits of a lone trial; only the exact
-    per-row BLAS dots on a segment decide, in step order, and only for
-    the steps the screen puts near or under the threshold.  A row ends
+    steps.  The stopping statistic of every (step, row) comes from one
+    np.add.reduceat over the block's squared entry changes, and that one
+    array both decides the stops and fills stat_series.  A row ends
     at its first mass failure, its first stop or max_iters, a failure
     winning over a stop at the same step; the steps it ran past its end
     are ignored and its record is read from the snapshot of its end.
@@ -297,6 +296,8 @@ def _lockstep(rows, threshold: float, max_iters: int, *,
         raise ValueError("threshold must be positive and finite")
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
+    if max_iters >= 2**63:      # records hold iterations as int64
+        raise ValueError("max_iters must be below 2**63")
     E = len(rows)
     schemes, scheme_of = _index([r.scheme for r in rows])
     n = schemes[0].n
@@ -308,8 +309,6 @@ def _lockstep(rows, threshold: float, max_iters: int, *,
     rngs, srow = _index([r.rng for r in rows])
     full_series = full_series and keep_series
     spread = stop_rule == "spread"
-    # a segment sum above this cannot belong to a statistic <= threshold
-    screen = max(threshold * threshold * (1.0 + SCREEN_RTOL), SCREEN_FLOOR)
 
     tables = _hearer_tables(schemes, n)
     per_row = max(1.0, float(tables[1].mean()))   # mean hearers per broadcast
@@ -396,39 +395,27 @@ def _lockstep(rows, threshold: float, max_iters: int, *,
 
             # the block's checks, on (step, slot) pairs flat in step
             # major order
-            seg = first.ravel()
-            stop = {}          # slot: step of its first stop
             stat = rq = None
             if full_series or not spread:
                 # the entries' changes replace their new values, and the
-                # squares their old ones
+                # squares their old ones; reduceat cannot sum an empty
+                # segment, so only the others are summed
                 dx = np.subtract(NX, XR, out=NX)
                 dy = np.subtract(NY, YR, out=NY)
-            if full_series:
-                # recorded only; the row stops as any other row does
-                yk = _block_yk(yk0, snap[1], kps)
-                stat = _exact_stat(dx, dy, yk, seg, cnt.ravel(),
-                                   range(k * live))
-            if not spread:
                 sq = np.multiply(dx, dx, out=XR)
                 sq += np.multiply(dy, dy, out=YR)
-                if cnt.all():
-                    sums = np.add.reduceat(sq, seg)
-                else:
-                    # reduceat cannot sum an empty segment: pad the sums
-                    # with a zero and clear the empty segments' sums
-                    sums = np.add.reduceat(np.append(sq, 0.0), seg)
-                    sums[cnt.ravel() == 0] = 0.0
-                # yk * yk >= 0 only adds to a sum already over the screen
-                if not np.minimum.reduce(sums) > screen:
-                    yk = _block_yk(yk0, snap[1], kps)
-                    near = np.flatnonzero(~(sums + yk * yk > screen))
-                    exact = _exact_stat(dx, dy, yk, seg, cnt.ravel(), near)
-                    stop = _first_stops(near[exact <= threshold], live)
-            else:
+                full = np.flatnonzero(cnt)
+                sums = np.zeros(k * live)
+                sums[full] = np.add.reduceat(sq, first.ravel()[full])
+                yk = _block_yk(yk0, snap[1], kps)
+                sums += yk * yk
+                stat = np.sqrt(sums, out=sums)
+            if spread:
                 rq = _rq(snap[0], mu0)
                 stop = _first_stops(
                     np.flatnonzero(rq[1].ravel() <= threshold), live)
+            else:
+                stop = _first_stops(np.flatnonzero(stat <= threshold), live)
             fail = {}          # slot: step of its first mass failure
             if check_mass:
                 drift = np.abs(np.add.reduce(np.add.reduce(snap, 3), 0)
@@ -447,8 +434,8 @@ def _lockstep(rows, threshold: float, max_iters: int, *,
                 elif rec:
                     r, q = _rq(snap[0][rec], mu0)
                 if rec:
-                    log.blocks.append((r, q) if stat is None else
-                                      (r, q, stat.reshape(k, live)))
+                    log.blocks.append((r, q, stat.reshape(k, live))
+                                      if full_series else (r, q))
             ending = (list(range(live)) if t == max_iters
                       else sorted(stop.keys() | fail.keys()))
 
@@ -523,22 +510,6 @@ def _first_stops(pairs: np.ndarray, live: int) -> dict:
         if p not in stop:
             stop[p] = step
     return stop
-
-
-def _exact_stat(dx: np.ndarray, dy: np.ndarray, yk: np.ndarray,
-                seg: np.ndarray, cnt: np.ndarray, slots) -> np.ndarray:
-    """The stopping statistic of the given segments: the BLAS dots of the
-    change vectors' contiguous segments (segment p starts at seg[p] and
-    has cnt[p] entries), the bits a lone trial computes."""
-    seg = seg.tolist()
-    cnt = cnt.tolist()
-    sums = []
-    for p in slots:
-        u = dx[seg[p]:seg[p] + cnt[p]]
-        v = dy[seg[p]:seg[p] + cnt[p]]
-        sums.append(u.dot(u) + v.dot(v))
-    yk = yk[slots]
-    return np.sqrt(np.array(sums) + yk * yk)
 
 
 class _SeriesLog:

@@ -8,6 +8,7 @@ feature list.
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 
@@ -97,8 +98,11 @@ def line_chart(series, *, title="", xlabel="", ylabel="",
 
 
 def save_chart(path, series, header_lines=(), **kwargs) -> None:
-    """Write a chart; header lines become XML comments before the root."""
+    """Write a chart; header lines become XML comments before the root.
+    XML forbids "--" in a comment, so a space goes between any two
+    hyphens of a line, and the space before "-->" keeps a line that ends
+    in "-" from ending the comment with it."""
     with open(path, "w") as f:
         for ln in header_lines:
-            f.write(f"<!-- {ln} -->\n")
+            f.write(f"<!-- {re.sub('-(?=-)', '- ', ln)} -->\n")
         f.write(line_chart(series, **kwargs))

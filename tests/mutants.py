@@ -74,16 +74,14 @@ MUTANTS = (
     Mutant("series: the record grid stops one point short", "sim.py",
            "while t <= max_iters:", "while t < max_iters:",
            ("tests/test_sim.py", "tests/test_lockstep.py")),
-    # a statistic equal to the threshold stops the trial; full_series
-    # rows stop through the same screen and exact dot
-    Mutant("lockstep: the exact statistic stops only below the threshold",
-           "sim.py", "near[exact <= threshold]", "near[exact < threshold]",
+    # a statistic equal to the threshold stops the trial
+    Mutant("lockstep: the statistic stops only below the threshold",
+           "sim.py", "stat <= threshold", "stat < threshold",
            ("tests/test_lockstep.py",)),
-    # without its slack the screen skips segments whose segment sums
-    # round above threshold**2 while their exact statistic does not
-    Mutant("lockstep: SCREEN_RTOL = 0", "sim.py",
-           "SCREEN_RTOL = 1e-6", "SCREEN_RTOL = 0",
-           ("tests/test_lockstep.py",)),
+    # the broadcaster's companion, which its broadcast zeroes, is part
+    # of the state change
+    Mutant("lockstep: the statistic drops the broadcaster's companion",
+           "sim.py", "sums += yk * yk", "pass", ("tests/test_lockstep.py",)),
     # the paper's first-moment closed forms
     Mutant("closed forms: eta_bound drops the factor 2 on xi_n",
            "analysis.py", "(2.0 * n) - 2.0 * xi_n", "(2.0 * n) - xi_n",
@@ -95,9 +93,10 @@ MUTANTS = (
            "analysis.py", "base = 1.0 - xi / n - epsilon / (2.0 * n)",
            "base = 1.0 - xi / n - epsilon / n",
            ("tests/test_first_moment.py",)),
-    # a wider screen only sends more segments to the exact statistic
-    Mutant("control: SCREEN_RTOL = 1e-2", "sim.py",
-           "SCREEN_RTOL = 1e-6", "SCREEN_RTOL = 1e-2",
+    # smaller layouts only split the same steps into more check blocks;
+    # each row's segment sums stay the same
+    Mutant("control: ENTRY_CHUNK = 4_096", "sim.py",
+           "ENTRY_CHUNK = 16_384", "ENTRY_CHUNK = 4_096",
            ("tests/test_lockstep.py", "tests/test_sim.py"), control=True),
 )
 

@@ -4,8 +4,13 @@ gossiplab.sim replaced, kept as the slow oracle for differential tests.
 It draws one broadcaster per iteration, updates the receivers in place
 and recomputes r, q and the mass check on every step, keeping the
 largest drift (nan once the state is no longer finite, as np.maximum
-gives).  Besides the TrialRecord it returns the final (x, y) state so
-tests can replay the trial through protocol.step.
+gives).  The stopping statistic has the engine's one definition: the
+square root of the np.add.reduceat sum of the receivers' squared changes
+dx**2 + dy**2 plus yk**2, the square of the broadcaster's companion.
+reduceat, not np.add.reduce or a dot product: those may sum the same
+entries in another order and round differently.  Besides the TrialRecord
+it returns the final (x, y) state so tests can replay the trial through
+protocol.step.
 """
 import math
 
@@ -62,7 +67,8 @@ def reference_trial(scheme, x0, threshold, max_iters, rng, *,
             dy = new_y - yr
             x[recv] = new_x
             y[recv] = new_y
-            delta2 = float(dx @ dx) + float(dy @ dy) + yk * yk
+            sq = dx * dx + dy * dy
+            delta2 = float(np.add.reduceat(sq, [0])[0]) + yk * yk
         else:
             delta2 = yk * yk
         y[k] = 0.0

@@ -904,6 +904,10 @@ BAD_INPUTS = [
     Bad("threshold", "0", EXIT_CONFIG), Bad("threshold", "-1e-3", EXIT_CONFIG),
     Bad("threshold", "nan", EXIT_CONFIG), Bad("threshold", "inf", EXIT_CONFIG),
     Bad("max_iters", "0", EXIT_CONFIG), Bad("max_iters", "1.5", EXIT_CONFIG),
+    # records hold iterations as int64: 10**20 overflowed simulate's
+    # record grid, and 2**63 is the first value past int64
+    Bad("max_iters", str(10**20), EXIT_CONFIG, ("simulate",)),
+    Bad("max_iters", str(2**63), EXIT_CONFIG, ("sweep",)),
     Bad("workers", "0", EXIT_CONFIG), Bad("workers", "-3", EXIT_CONFIG),
     Bad("workers", "two", EXIT_CONFIG),
     Bad("scheme", "nosuch", EXIT_CONFIG),

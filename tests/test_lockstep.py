@@ -95,6 +95,14 @@ def test_lockstep_rows_match_lone_runs_reference_and_replay(
         (alone,) = lockstep([s], x0, threshold, max_iters,
                             np.random.default_rng(seed), **opts)
         assert_same(row, alone)
+        if (isinstance(row, TrialRecord) and stop_rule == "change"
+                and full_series and keep_series):
+            # the recorded statistic is the one that stops the row: its
+            # first value <= threshold is at the row's last iteration
+            hits = np.flatnonzero(row.stat_series <= threshold).tolist()
+            assert len(row.stat_series) == row.t_series[-1]
+            assert hits == ([] if row.converged_at is None
+                            else [row.converged_at - 1])
 
         try:
             ref, x_end, y_end = reference_trial(
@@ -277,12 +285,12 @@ def test_independent_rows_match_the_reference(
         assert_same(row, ref if keep_series else stripped(ref))
 
 
-def test_exact_dot_decides_a_threshold_equal_to_the_statistic(graph16,
-                                                              digraph16):
-    # The threshold is a statistic the reference computes exactly, at the
-    # first iteration it is reached; one ulp below it, the trial must run
-    # on.  Rows of other schemes and streams sit alongside, and the
-    # screen's segment sums are not the bits that decide.
+def test_a_threshold_equal_to_the_statistic_stops_the_trial(graph16,
+                                                            digraph16):
+    # The threshold is a statistic the reference computes, at the first
+    # iteration it is reached: the trial stops there, and one ulp below
+    # it the trial must run on.  Rows of other schemes and streams sit
+    # alongside, whose segments share the block's one segment sum.
     schemes = [build_scheme(SchemeKind.BBGA, graph16, 0.3),
                build_scheme(SchemeKind.UBGA1, digraph16, 0.5),
                build_scheme(SchemeKind.UBGA3, graph16, 0.8),
@@ -581,6 +589,37 @@ def test_star_rows_match_the_reference(data, g, rows, chunk, stop_rule,
         mp.setattr(sim, "ENTRY_CHUNK", chunk)
         assert_rows_match(cases, refs, threshold, max_iters,
                           keep_series=keep_series, **opts)
+
+
+def test_a_hub_segment_past_the_pairwise_block_matches_lone_runs():
+    # A 140-node star: the hub's 139 hearers make one segment longer
+    # than the 128 entries of numpy's pairwise summation block, so its
+    # segment sum is not a left-to-right sum.  Batched rows, lone rows
+    # and the reference must agree bit for bit, statistic series too,
+    # whether the rows run to max_iters or stop.
+    n = 140
+    g = DiGraph(n, {e for j in range(2, n + 1) for e in ((1, j), (j, 1))})
+    schemes = [build_scheme(SchemeKind.BBGA, g, 0.5),
+               build_scheme(SchemeKind.UBGA1, g, 0.5),
+               build_scheme(SchemeKind.UBGA3, g, 0.8),
+               build_scheme(SchemeKind.CLASSIC, g, 0.0)]
+    assert max(len(r) for r in schemes[0].receivers) == n - 1
+    cases = [(s, np.random.default_rng(i).random(n), seed)
+             for i, s in enumerate(schemes) for seed in (5, 6)]
+    for seed in (5, 6):     # the hub broadcasts within the first 600 steps
+        assert (np.random.default_rng(seed).integers(1, n + 1, 600) == 1).any()
+    for threshold, max_iters in ((1e-300, 600), (1e-2, 3000)):
+        refs = references(cases, threshold, max_iters, full_series=True)
+        assert all(isinstance(r, TrialRecord) for r in refs)
+        lock = assert_rows_match(cases, refs, threshold, max_iters,
+                                 full_series=True)
+        for (s, x0, seed), ref in zip(cases, refs):
+            (alone,) = _lockstep([Row(s, x0, np.random.default_rng(seed),
+                                      seed)], threshold, max_iters,
+                                 full_series=True)
+            assert_same(alone, ref)
+        if threshold > 1e-300:
+            assert all(r.converged_at is not None for r in lock)
 
 
 @pytest.mark.parametrize("chunk", [1, 3, sim.ENTRY_CHUNK])

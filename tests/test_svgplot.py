@@ -1,10 +1,11 @@
 """SVG line charts."""
 import math
 import re
+import xml.etree.ElementTree as ET
 
 import numpy as np
 
-from gossiplab.svgplot import line_chart
+from gossiplab.svgplot import line_chart, save_chart
 
 
 def polyline_points(svg):
@@ -44,3 +45,15 @@ def test_line_chart_draws_only_finite_points():
         coords = [float(v) for v in re.findall(r' [xy][12]?="([^"]*)"', svg)]
         assert all(map(math.isfinite, coords + [v for p in points for v in p]))
         assert len(points) == 2
+
+
+def test_saved_header_lines_are_well_formed_comments(tmp_path):
+    # "--" may not occur in an XML comment, nor may one end in "-"
+    path = tmp_path / "chart.svg"
+    lines = ["out=run--a", "a---b", "ends-"]
+    save_chart(path, [("r", [0, 1], [1.0, 0.5])], lines)
+    root = ET.parse(path).getroot()
+    assert root.tag == "{http://www.w3.org/2000/svg}svg"
+    head = path.read_text().splitlines()[:len(lines)]
+    assert [h.replace(" ", "") for h in head] == \
+        [f"<!--{ln}-->" for ln in lines]
