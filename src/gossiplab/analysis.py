@@ -21,7 +21,7 @@ eps* = xi_2 / 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -304,27 +304,11 @@ def epsilon_report(g: DiGraph) -> EpsilonReport:
 
 # ---- serialization ----
 
-def _complex_pair(z: complex) -> list:
-    return [float(z.real), float(z.imag)]
-
-
-def spectral_report_dict(report: SpectralReport) -> dict:
-    return {
-        "spectrum": [_complex_pair(z) for z in report.spectrum],
-        "is_simple_one": report.is_simple_one,
-        "second_largest_modulus": report.second_largest_modulus,
-        "second_largest_value": _complex_pair(report.second_largest_value),
-        "w1": None if report.w1 is None else [float(v) for v in report.w1],
-        "w2": None if report.w2 is None else [float(v) for v in report.w2],
-    }
-
-
-def epsilon_report_dict(report: EpsilonReport) -> dict:
-    return {
-        "eta_formula": report.eta_formula,
-        "eta_practical": report.eta_practical,
-        "epsilon_star": report.epsilon_star,
-        "lambda2_at_star": report.lambda2_at_star,
-        "xi": [_complex_pair(z) for z in report.xi],
-        "spectrum_real": report.spectrum_real,
-    }
+def report_dict(report) -> dict:
+    """A report's fields as JSON data under their own names: arrays
+    become lists, and complex numbers [re, im] pairs."""
+    def plain(v):
+        if isinstance(v, np.ndarray):
+            return [plain(e) for e in v.tolist()]
+        return [v.real, v.imag] if isinstance(v, complex) else v
+    return {f.name: plain(getattr(report, f.name)) for f in fields(report)}

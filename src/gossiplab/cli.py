@@ -266,16 +266,6 @@ def warn_censored(censored: int, trials: int, max_iters: int,
               f"averages count them as {max_iters}", file=sys.stderr)
 
 
-def warn_nonfinite(records, trials: int, where: str) -> None:
-    """Say on stderr when trials ended in a non-finite state (their
-    final mean, r or q is inf or nan); they count as censored."""
-    bad = sum(not np.isfinite((r.consensus_value, r.r_final, r.q_final)).all()
-              for r in records)
-    if bad:
-        print(f"warning: {where}{bad} of {trials} trials reached a "
-              f"non-finite state", file=sys.stderr)
-
-
 def analysis_csv(eps: float, report, eta: float, eps_star: float) -> bytes:
     """analyze's one-row CSV summary of a SpectralReport at coupling eps."""
     return ("epsilon,second_largest_modulus,is_simple_one,eta,epsilon_star\n"
@@ -319,7 +309,7 @@ def cmd_analyze(cfg: argparse.Namespace, check: str | None) -> int:
     header = make_header("analyze", cfg, extras)
 
     report = analysis.classify_expectation(scheme)
-    sdict = analysis.spectral_report_dict(report)
+    sdict = analysis.report_dict(report)
     print(f"scheme={kind.value} epsilon={eps:.17g}"
           + (f" note={note}" if note else ""))
     print(f"is_simple_one={str(report.is_simple_one).lower()} "
@@ -344,7 +334,7 @@ def cmd_analyze(cfg: argparse.Namespace, check: str | None) -> int:
         eta = eps_star = float("nan")
     else:
         er = eps_report()
-        edict = analysis.epsilon_report_dict(er)
+        edict = analysis.report_dict(er)
         edict["header"] = header
         sim.write_text(out / "epsilon_report.json", report_json(edict))
         eta, eps_star = er.eta_formula, er.epsilon_star
@@ -385,8 +375,6 @@ def cmd_sweep(cfg: argparse.Namespace, svg: bool) -> int:
             print(f"  epsilon={p.epsilon:.17g} trial {idx} failed: {msg}",
                   file=sys.stderr)
     warn_censored(censored, len(points) * cfg.trials, cfg.max_iters)
-    warn_nonfinite([r for p in points for r in p.result.records],
-                   len(points) * cfg.trials, f"scheme={kind.value}: ")
     # a point whose every trial failed has a nan mean and takes no part
     finite = [p for p in points if np.isfinite(p.result.mean_broadcasts)]
     if finite:
@@ -458,7 +446,6 @@ def cmd_simulate(cfg: argparse.Namespace, per_trial: bool, svg: bool) -> int:
                 print(f"  trial {idx} failed: {msg}", file=sys.stderr)
         warn_censored(res.censored, res.trials, cfg.max_iters,
                       f"scheme={kind.value}: ")
-        warn_nonfinite(res.records, res.trials, f"scheme={kind.value}: ")
         del res     # its records are written; the chart needs only curves
     if svg and curves:
         svgplot.save_chart(out / "trajectories.svg", curves,

@@ -59,6 +59,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import analysis
 from .errors import MassConservationError, MissingCoords
 from .graph import DiGraph
 from .protocol import ParamScheme, SchemeKind, build_scheme
@@ -92,8 +93,8 @@ class TrialRecord:
     (copy it before changing it).  r_final and q_final always refer to the
     last iteration executed, even when the series have been stripped to
     save memory.  max_drift is the largest mass drift the engine saw along
-    the trial (nan once the state is no longer finite), None for biased
-    schemes, which it does not check.
+    the trial, a number within its tolerance; it is None only for classic
+    schemes, which conserve no total.
     """
 
     converged_at: int | None
@@ -202,6 +203,21 @@ def _hearer_tables(schemes, n: int) -> tuple:
     return np.cumsum(counts) - counts, counts, rel, np.concatenate(coef)
 
 
+def _conserved_weights(schemes) -> np.ndarray:
+    """Per scheme, the weights w of the total w . (x + y) that each of its
+    broadcasts conserves: ones for the unbiased kinds, whose B is column
+    stochastic, and for BBGA the stationary vector of B, solved once per
+    distinct B.  Classic gets zeros: it conserves nothing, so its total
+    only turns nan with a state that is no longer finite."""
+    stationary = {}
+    for s in schemes:
+        if s.kind is SchemeKind.BBGA and s.b.tobytes() not in stationary:
+            stationary[s.b.tobytes()] = analysis.stationary_vector(s)
+    return np.array([stationary[s.b.tobytes()] if s.kind is SchemeKind.BBGA
+                     else np.full(s.n, float(s.kind.is_unbiased))
+                     for s in schemes])
+
+
 def _prepare(tables, ks: np.ndarray, toff: np.ndarray, n: int) -> tuple:
     """The real hearer entries of one check block's steps: one layout
     per check block, since rows are packed at the end of the block they
@@ -274,21 +290,23 @@ def _lockstep(rows, threshold: float, max_iters: int, *,
     scatters those entries with flat ufuncs, writing their old and new
     values into buffers, and copies the state into a snapshot; both are
     allocated once per call and sliced per block.  At the block's end
-    the rows are checked over the whole block at once: the full-state
-    mass check of unbiased schemes (row sums of the snapshots, the bits
-    of a per-step check), the stopping rule, and r and q of the recorded
-    steps.  The stopping statistic of every (step, row) comes from one
-    np.add.reduceat over the block's squared entry changes, and that one
-    array both decides the stops and fills stat_series.  A row ends
+    the rows are checked over the whole block at once: the mass check,
+    the stopping rule, and r and q of the recorded steps.  The mass check
+    compares each row's conserved total, _conserved_weights . (x + y), with
+    its value at x0 (row sums of the weighted snapshots, the bits of a
+    per-step check): a drift beyond MASS_RTOL relative, nan included,
+    fails the row, so no record holds a state that is not finite.  The
+    stopping statistic of every (step, row) comes from one np.add.reduceat
+    over the block's squared entry changes, and that one array both
+    decides the stops and fills stat_series.  A row ends
     at its first mass failure, its first stop or max_iters, a failure
     winning over a stop at the same step; the steps it ran past its end
     are ignored and its record is read from the snapshot of its end.
     Rows are packed at the end of the block they leave in: the running
     rows move to the front and the next block is laid out for them.
-    Overflow in a row run past its end or in a diverging scheme raises
-    no warning.  Returns per row its TrialRecord or the
-    MassConservationError it failed with.  Without keep_series, r and q
-    are computed only at the stop.
+    Overflow in a row run past its end raises no warning.  Returns per
+    row its TrialRecord or the MassConservationError it failed with.
+    Without keep_series, r and q are computed only at the stop.
     """
     if stop_rule not in ("change", "spread"):
         raise ValueError("stop_rule must be 'change' or 'spread'")
@@ -329,15 +347,11 @@ def _lockstep(rows, threshold: float, max_iters: int, *,
     idl = ids.tolist()
     toff = scheme_of * n
     # row sums of the C-contiguous block: the bits of x.sum() and x.mean()
-    total0 = np.add.reduce(ZZ[0], 1)
-    mu0 = total0 / n
-    unbiased = np.array([s.kind.is_unbiased for s in schemes])[scheme_of]
-    # drift tolerance on the total of values plus companions; infinite
-    # for biased rows, which are not checked
-    mass_tol = np.where(unbiased, MASS_RTOL * np.maximum(1.0, np.abs(total0)),
-                        np.inf)
+    mu0 = np.add.reduce(ZZ[0], 1) / n
+    W = _conserved_weights(schemes)[scheme_of]
+    total0 = np.add.reduce(ZZ[0] * W, 1)
+    mass_tol = MASS_RTOL * np.maximum(1.0, np.abs(total0))
     drift_max = np.zeros(E)
-    check_mass = bool(unbiased.any())
     out = [None] * E
     grid = None if full_series or not keep_series else _record_grid(max_iters)
     log = _SeriesLog(ZZ[0], mu0, grid) if keep_series else None
@@ -416,14 +430,14 @@ def _lockstep(rows, threshold: float, max_iters: int, *,
                     np.flatnonzero(rq[1].ravel() <= threshold), live)
             else:
                 stop = _first_stops(np.flatnonzero(stat <= threshold), live)
-            fail = {}          # slot: step of its first mass failure
-            if check_mass:
-                drift = np.abs(np.add.reduce(np.add.reduce(snap, 3), 0)
-                               - total0)
-                bad = drift > mass_tol
-                if np.count_nonzero(bad):
-                    fail = {p: int(bad[:, p].argmax())
-                            for p in np.flatnonzero(bad.any(0)).tolist()}
+            # the companion snapshots are not read past the statistic, so
+            # they take the weighted companions, then the weighted values
+            drift = np.add.reduce(np.multiply(snap[1], W, out=snap[1]), 2)
+            drift += np.add.reduce(np.multiply(snap[0], W, out=snap[1]), 2)
+            drift = np.abs(drift - total0)
+            bad = ~(drift <= mass_tol)       # a nan drift fails
+            fail = {p: int(bad[:, p].argmax())   # slot: its first failure
+                    for p in np.flatnonzero(bad.any(0)).tolist()}
             if log is not None:
                 rec = range(k)
                 if grid is not None:
@@ -456,11 +470,10 @@ def _lockstep(rows, threshold: float, max_iters: int, *,
                     xs = snap[0][lasts, ps]
                     r, q = _rq(xs, mu0[ps])
                     means = np.add.reduce(xs, 1) / n
-                    # the largest drift up to each row's end
-                    peak = [None] * len(ps)
-                    if check_mass:
-                        upto = np.maximum.accumulate(drift, 0)[lasts, ps]
-                        peak = np.maximum(drift_max[ps], upto).tolist()
+                    # the largest drift up to each row's end (None for
+                    # classic rows, whose weights are all zero)
+                    upto = np.maximum.accumulate(drift, 0)[lasts, ps]
+                    peak = np.maximum(drift_max[ps], upto).tolist()
                     for (p, last), rf, qf, mean, drift_p in zip(
                             done, r.tolist(), q.tolist(), means.tolist(),
                             peak):
@@ -469,12 +482,10 @@ def _lockstep(rows, threshold: float, max_iters: int, *,
                         out[i] = TrialRecord(
                             te if stop.get(p) == last else None, mean, rf, qf,
                             seed=rows[i].seed,
-                            max_drift=drift_p if unbiased[p] else None,
+                            max_drift=drift_p if W[p].any() else None,
                             **(_NO_SERIES if log is None else log.series(
                                 i, te, None if last in rec else (rf, qf))))
-            if check_mass:
-                np.maximum(drift_max, np.maximum.reduce(drift, 0),
-                           out=drift_max)
+            np.maximum(drift_max, np.maximum.reduce(drift, 0), out=drift_max)
             if not ending:
                 continue
             if len(ending) == live:
@@ -484,11 +495,10 @@ def _lockstep(rows, threshold: float, max_iters: int, *,
             moved = ZZ[:, keep].reshape(2, -1)
             Z[:, :moved.shape[1]] = moved
             ZZ = Z[:, :moved.shape[1]].reshape(2, keep.size, n)
-            ids, srow, toff, mu0, total0, mass_tol, drift_max, unbiased = (
-                v[keep] for v in (ids, srow, toff, mu0, total0, mass_tol,
-                                  drift_max, unbiased))
+            ids, srow, toff, mu0, W, total0, mass_tol, drift_max = (
+                v[keep] for v in (ids, srow, toff, mu0, W, total0, mass_tol,
+                                  drift_max))
             idl = ids.tolist()
-            check_mass = bool(unbiased.any())
     return out
 
 
@@ -570,11 +580,14 @@ def run_trial(scheme: ParamScheme, x0, threshold: float, max_iters: int,
     q(t) <= threshold instead, which is the meaningful criterion for
     localized initializations (a spike leaves most broadcasts changing
     nothing at all, so any state-change threshold fires vacuously at
-    t=1); campaigns and sweeps use it for a spike init.  For
-    sum-preserving schemes the engine recomputes the total of values plus
-    companions every iteration and raises MassConservationError on
-    relative drift beyond 1e-9; the record's max_drift is the largest
-    drift it saw (None for biased schemes).
+    t=1); campaigns and sweeps use it for a spike init.  Every companion
+    scheme conserves a weighted total of values plus companions: their
+    sum for UBGA1-3, their weighting by B's stationary vector for BBGA.
+    The engine recomputes it every iteration and raises
+    MassConservationError on a drift beyond MASS_RTOL relative to it or
+    on a total that is not a number, so a diverging trial fails instead
+    of running on; the record's max_drift is the largest drift it saw
+    (None for classic, which conserves nothing).
 
     full_series records every iteration and the stopping statistic of
     each in stat_series; the trial stops as it does without it.

@@ -58,8 +58,17 @@ MUTANTS = (
            "np.arange(live * n, steps * live * n, live * n)",
            ("tests/test_lockstep.py",)),
     Mutant("lockstep: mass check at twice the tolerance", "sim.py",
-           "bad = drift > mass_tol", "bad = drift > 2 * mass_tol",
+           "bad = ~(drift <= mass_tol)", "bad = ~(drift <= 2 * mass_tol)",
            ("tests/test_lockstep.py",)),
+    # a state that is no longer finite runs on to max_iters
+    Mutant("lockstep: a nan drift passes", "sim.py",
+           "bad = ~(drift <= mass_tol)", "bad = drift > mass_tol",
+           ("tests/test_sim.py",)),
+    # BBGA gets the zero weights of classic: only a state that is no
+    # longer finite fails it
+    Mutant("lockstep: BBGA rows unchecked", "sim.py",
+           "] if s.kind is SchemeKind.BBGA", "] if False",
+           ("tests/test_sim.py",)),
     # two workers' chunks overlap by one seed
     Mutant("campaigns: seed chunks overlap", "sim.py",
            "(c + 1) * trials // nwork", "(c + 1) * trials // nwork + 1",

@@ -3,10 +3,12 @@ gossiplab.sim replaced, kept as the slow oracle for differential tests.
 
 It draws one broadcaster per iteration, updates the receivers in place
 and recomputes r, q and the mass check on every step, keeping the
-largest drift (nan once the state is no longer finite, as np.maximum
-gives).  The stopping statistic has the engine's one definition: the
-square root of the np.add.reduceat sum of the receivers' squared changes
-dx**2 + dy**2 plus yk**2, the square of the broadcaster's companion.
+largest drift.  The mass check weighs values plus companions by ones for
+UBGA1-3, by B's stationary vector for BBGA and by zeros for classic, and
+a drift that is not at most the tolerance (nan included) fails.  The
+stopping statistic has the engine's one definition: the square root of
+the np.add.reduceat sum of the receivers' squared changes dx**2 + dy**2
+plus yk**2, the square of the broadcaster's companion.
 reduceat, not np.add.reduce or a dot product: those may sum the same
 entries in another order and round differently.  Besides the TrialRecord
 it returns the final (x, y) state so tests can replay the trial through
@@ -17,7 +19,9 @@ import math
 import numpy as np
 
 from gossiplab import sim
+from gossiplab.analysis import stationary_vector
 from gossiplab.errors import MassConservationError
+from gossiplab.protocol import SchemeKind
 from gossiplab.sim import FULL_RECORD_LIMIT, THIN_FACTOR, TrialRecord
 
 
@@ -38,8 +42,11 @@ def reference_trial(scheme, x0, threshold, max_iters, rng, *,
     one_minus_ed = [1.0 - c for c in ed_cols]
 
     mu0 = float(x.mean())
-    check_mass = scheme.kind.is_unbiased
-    total0 = float(x.sum())
+    if scheme.kind is SchemeKind.BBGA:
+        w = stationary_vector(scheme)
+    else:
+        w = np.full(n, float(scheme.kind.is_unbiased))
+    total0 = float((w * x).sum())
     mass_tol = sim.MASS_RTOL * max(1.0, abs(total0))
     drift_max = 0.0
 
@@ -73,12 +80,11 @@ def reference_trial(scheme, x0, threshold, max_iters, rng, *,
             delta2 = yk * yk
         y[k] = 0.0
 
-        if check_mass:
-            drift = abs((float(x.sum()) + float(y.sum())) - total0)
-            drift_max = float(np.maximum(drift_max, drift))
-            if drift > mass_tol:
-                raise MassConservationError(
-                    f"mass drifted by {drift:.3e} at iteration {t}")
+        drift = abs((float((w * x).sum()) + float((w * y).sum())) - total0)
+        if not drift <= mass_tol:
+            raise MassConservationError(
+                f"mass drifted by {drift:.3e} at iteration {t}")
+        drift_max = max(drift_max, drift)
 
         stat = math.sqrt(delta2)
         if full_series:
@@ -110,7 +116,7 @@ def reference_trial(scheme, x0, threshold, max_iters, rng, *,
         r_series=np.asarray(rs),
         q_series=np.asarray(qs),
         stat_series=None if stats is None else np.asarray(stats),
-        max_drift=drift_max if check_mass else None,
+        max_drift=None if scheme.kind is SchemeKind.CLASSIC else drift_max,
     )
     return record, x, y
 

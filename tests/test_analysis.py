@@ -13,11 +13,10 @@ from gossiplab.errors import (
 from gossiplab.graph import DiGraph, laplacian
 from gossiplab.protocol import ParamScheme, SchemeKind, build_scheme
 from gossiplab.analysis import (
-    bbga_closed_eigs, classify_expectation,
-    epsilon_report, epsilon_report_dict, eta_bound, eta_practical,
-    expected_matrix, indegree_laplacian, optimal_epsilon,
-    second_largest_moduli, second_moment_matrix,
-    spectral_report_dict, stationary_vector,
+    bbga_closed_eigs, classify_expectation, epsilon_report, eta_bound,
+    eta_practical, expected_matrix, indegree_laplacian, optimal_epsilon,
+    report_dict, second_largest_moduli, second_moment_matrix,
+    stationary_vector,
 )
 from gossiplab.cli import report_json
 from gossiplab.sim import write_text
@@ -191,8 +190,8 @@ def test_epsilon_report_real_and_complex_spectra(graph16, digraph16):
 
 def test_report_dicts_serialize(tmp_path, graph16):
     s = build_scheme(SchemeKind.BBGA, graph16, 0.5)
-    sdict = spectral_report_dict(classify_expectation(s))
-    edict = epsilon_report_dict(epsilon_report(graph16))
+    sdict = report_dict(classify_expectation(s))
+    edict = report_dict(epsilon_report(graph16))
     assert len(sdict["spectrum"]) == 32
     assert all(len(pair) == 2 for pair in sdict["spectrum"])
     assert sdict["is_simple_one"] is True

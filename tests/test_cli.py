@@ -140,7 +140,7 @@ def test_epsilon_report_is_computed_once_per_command(graph_file, tmp_path,
 
     monkeypatch.setattr(analysis, "epsilon_report", counting)
     g = graph.load_graph(graph_file)
-    expected = analysis.epsilon_report_dict(real(g))
+    expected = analysis.report_dict(real(g))
     for spec in ("auto-optimal", "auto-eta-fraction:0.5", "0.3"):
         calls.clear()
         out = tmp_path / spec.replace(":", "_")
@@ -202,16 +202,26 @@ def test_analysis_csv_format(graph16):
 
 def test_sweep(graph_file, tmp_path, capsys, monkeypatch):
     # the analytic column reuses the sweep's schemes and reads only the
-    # spectrum: no scheme is built twice, no left eigenvector is solved
+    # spectrum: no scheme is built twice, and the one left eigenvector
+    # solved is the stationary vector of the B that every grid point
+    # shares, which weighs the engine's mass check
     def refuse(*args, **kwargs):
         raise AssertionError("not needed by sweep")
 
+    solved = []
+    left_eigenvector = spectra.left_eigenvector
+
+    def counting(m, *args, **kwargs):
+        solved.append(m.shape)
+        return left_eigenvector(m, *args, **kwargs)
+
     monkeypatch.setattr(cli, "build_scheme", refuse)
-    monkeypatch.setattr(spectra, "left_eigenvector", refuse)
+    monkeypatch.setattr(spectra, "left_eigenvector", counting)
     code = run(["sweep", "--graph", str(graph_file), "--scheme", "bbga",
                 "--grid", "0.3,0.5", "--trials", "2", "--threshold", "1e-3",
                 "--out", str(tmp_path), "--svg"])
     assert code == EXIT_OK
+    assert solved == [(8, 8)]
     monkeypatch.undo()
     printed = capsys.readouterr().out
     assert "best_epsilon=" in printed
@@ -454,34 +464,50 @@ def test_simulate_prints_the_approximate_epsilon_note(tmp_path, capsys):
     assert "note=" not in classic
 
 
-def test_diverging_trials_warn_once_and_stay_censored(graph16, tmp_path,
-                                                      capsys):
-    # bbga far beyond its stability window: every trial overflows to a
-    # non-finite state and runs to max_iters.  Exit code, records and
-    # stdout are those of censored trials; stderr holds one censored and
-    # one non-finite line and no numpy warning escapes
+def test_diverging_trials_fail_with_exit_3(graph16, tmp_path, capsys):
+    # bbga far beyond its stability window: every trial drifts off its
+    # weighted total long before its state overflows, and fails.  The
+    # runs exit 3 with one failure line per trial on stderr, nothing is
+    # counted as censored and no numpy warning escapes
     path = tmp_path / "graph16.txt"
     graph.save_graph(graph16, path)
     calls = [
-        (["simulate", "--scheme", "bbga", "--epsilon", "60"],
-         "failures=0 censored=2", "scheme=bbga: "),
-        (["sweep", "--scheme", "bbga", "--grid", "60"],
-         "failures=0 censored=2", ""),
+        (["simulate", "--scheme", "bbga", "--epsilon", "60"], "  trial "),
+        (["sweep", "--scheme", "bbga", "--grid", "60"], "  epsilon=60 trial "),
     ]
-    for argv, out, where in calls:
+    for argv, where in calls:
         with warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter("always")
             code = run(argv + ["--graph", str(path), "--trials", "2",
                                "--max-iters", "3000",
                                "--out", str(tmp_path / argv[0])])
-        assert code == EXIT_OK
+        assert code == EXIT_NUMERIC
         captured = capsys.readouterr()
-        assert out in captured.out
-        assert captured.err.splitlines() == [
-            f"warning: {where}2 of 2 trials hit max_iters=3000 without "
-            f"converging; the broadcast averages count them as 3000",
-            "warning: scheme=bbga: 2 of 2 trials reached a non-finite state"]
+        assert "failures=2 censored=0" in captured.out
+        lines = captured.err.splitlines()
+        assert [ln[:len(where) + 1] for ln in lines] == [
+            f"{where}0", f"{where}1"]
+        assert all(" failed: MassConservationError: mass drifted by " in ln
+                   for ln in lines)
         assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
+
+
+def test_a_diverging_campaign_fails_every_trial_early(graph16, tmp_path,
+                                                      capsys):
+    # half of BBGA's first-moment window: the expected update converges,
+    # but the second moment grows, and each trial leaves its weighted
+    # total within a few hundred broadcasts.  No trajectory is written
+    path = tmp_path / "graph16.txt"
+    graph.save_graph(graph16, path)
+    code = run(["simulate", "--graph", str(path), "--schemes", "bbga",
+                "--epsilon", "auto-eta-fraction:0.5", "--trials", "4",
+                "--max-iters", "100000", "--out", str(tmp_path / "out")])
+    assert code == EXIT_NUMERIC
+    captured = capsys.readouterr()
+    assert "failures=4 censored=0" in captured.out
+    failed = [int(ln.rsplit(" ", 1)[1]) for ln in captured.err.splitlines()]
+    assert len(failed) == 4 and max(failed) < 500
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 def test_config_file_resolution(graph_file, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Series CSV emission: the vectorized t,r,q formatter of gossiplab.sim
 against the one-% reference it replaced, byte for byte."""
 import itertools
+import math
 
 import numpy as np
 from hypothesis import given, settings
@@ -8,10 +9,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gossiplab import sim
-from gossiplab.graph import connectivity_radius, random_geometric_graph
-from gossiplab.analysis import epsilon_report
 from gossiplab.protocol import SchemeKind, build_scheme
-from gossiplab.sim import aggregate_csv, aggregate_series, trial_csv
+from gossiplab.sim import (
+    TrialRecord, aggregate_csv, aggregate_series, trial_csv,
+)
 
 from reference_emission import reference_series_csv
 
@@ -120,21 +121,22 @@ def test_series_csv_matches_the_reference(data):
 
 
 def test_diverging_series_match_the_reference():
-    # BBGA far beyond its stability limit: r and q overflow to inf and
-    # then turn nan, and both CSVs still carry the reference's bytes
-    g = random_geometric_graph(16, connectivity_radius(16),
-                               np.random.default_rng(7))
-    eps = 2.0 * epsilon_report(g).eta_formula
-    s = build_scheme(SchemeKind.BBGA, g, eps)
-    with np.errstate(over="ignore", invalid="ignore"):
-        res = sim.monte_carlo(s, g, "gaussian", 2, 1e-5, 3000, base_seed=3)
-    for rec in res.records:
-        assert rec.converged_at is None
-        assert np.isinf(rec.r_series).any() and np.isnan(rec.r_series).any()
-        assert np.isnan(rec.q_series).any()
+    # series that grow past the largest double to inf and then turn nan,
+    # as those of a diverging state would: both CSVs still carry the
+    # reference's bytes
+    t = np.arange(3001)
+    records = []
+    for rate, turn in ((0.3, 2500), (0.5, 2800)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = np.exp(rate * t)                # inf from t = 710 / rate
+            r[turn:] -= r[turn:]                # inf - inf: nan
+        q = 0.5 * np.sqrt(r)
+        assert np.isinf(r).any() and np.isnan(r).any() and np.isnan(q).any()
+        records.append(TrialRecord(None, math.nan, r[-1], q[-1], t, r, q))
+    for rec in records:
         assert trial_csv(rec) == reference_series_csv(
             "t,r,q", rec.t_series, rec.r_series, rec.q_series)
-    series = aggregate_series(res.records)
+    series = aggregate_series(records)
     assert np.isnan(series[1]).any()
     assert aggregate_csv(series) == reference_series_csv(
         "t,mean_r,mean_q", *series)

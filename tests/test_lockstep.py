@@ -36,18 +36,16 @@ def assert_same(a, b):
     if not isinstance(a, TrialRecord) or not isinstance(b, TrialRecord):
         assert type(a) is type(b) and str(a) == str(b)
         return
-    # a diverging biased row may reach nan; nan must then match nan
+    # a row whose state is no longer finite fails, so no record holds nan
     for f in FIELDS:
-        va, vb = getattr(a, f), getattr(b, f)
-        assert va == vb or (isinstance(va, float) and math.isnan(va)
-                            and math.isnan(vb)), f
+        assert getattr(a, f) == getattr(b, f), f
     for f in SERIES:
         assert getattr(a, f).dtype == getattr(b, f).dtype, f
-        assert np.array_equal(getattr(a, f), getattr(b, f), equal_nan=True), f
+        assert np.array_equal(getattr(a, f), getattr(b, f)), f
     if a.stat_series is None or b.stat_series is None:
         assert a.stat_series is None and b.stat_series is None
     else:
-        assert np.array_equal(a.stat_series, b.stat_series, equal_nan=True)
+        assert np.array_equal(a.stat_series, b.stat_series)
 
 
 def stripped(rec):
@@ -359,13 +357,13 @@ def test_monte_carlo_rows_equal_one_row_calls_for_any_worker_count(
             x0 = rng.random(16)
             assert_same(replace(rec, seed=None),
                         run_trial(scheme, x0, 1e-4, 20_000, rng))
-        # drift telemetry: per unbiased record, its campaign maximum
+        # drift telemetry: per record, its campaign maximum; BBGA's
+        # conserved total is weighted by B's stationary vector, which
+        # sums to one, so its tolerance is MASS_RTOL
         drifts = [r.max_drift for r in serial.records]
-        if scheme.kind.is_unbiased:
-            assert all(0.0 <= d <= sim.MASS_RTOL * 16 for d in drifts)
-            assert serial.max_drift == (max(drifts) if drifts else None)
-        else:
-            assert drifts == [None] * 5 and serial.max_drift is None
+        bound = sim.MASS_RTOL * (16 if scheme.kind.is_unbiased else 1)
+        assert all(0.0 <= d <= bound for d in drifts)
+        assert serial.max_drift == (max(drifts) if drifts else None)
     assert seen_failure
 
 
@@ -627,7 +625,9 @@ def test_broadcasters_without_hearers_match_the_reference(graph16,
                                                           monkeypatch, chunk):
     # schemes whose a has all-zero columns: those broadcasters reach no
     # one, so their rows have empty segments, and on the two-node graph a
-    # whole step can have no entry at all
+    # whole step can have no entry at all.  A silenced companion row
+    # loses the companion its broadcaster zeroes, so it fails the mass
+    # check; the classic rows and the unsilenced ones run on
     monkeypatch.setattr(sim, "ENTRY_CHUNK", chunk)
 
     def silenced(scheme, *nodes):
@@ -647,14 +647,16 @@ def test_broadcasters_without_hearers_match_the_reference(graph16,
         cases.append((s, np.random.default_rng(i).random(16), 10 + i))
     for full_series in (False, True):
         refs = references(cases, 1e-5, 3000, full_series=full_series)
-        assert any(isinstance(r, MassConservationError) for r in refs)
-        assert sum(isinstance(r, TrialRecord) for r in refs) >= 6
+        assert [isinstance(r, TrialRecord) for r in refs] == [
+            False, False, True, True, True, True, False, False, True]
         assert_rows_match(cases, refs, 1e-5, 3000, full_series=full_series)
 
     pair = DiGraph(2, {(1, 2), (2, 1)})
     mute = silenced(build_scheme(SchemeKind.BBGA, pair, 0.5), 0)
     assert [len(r) for r in mute.receivers] == [0, 1]
-    cases = [(mute, np.array([1.0, 0.0]), seed) for seed in range(4)]
+    quiet = silenced(build_scheme(SchemeKind.CLASSIC, pair, 0.0), 0)
+    cases = [(s, np.array([1.0, 0.0]), seed) for s in (mute, quiet)
+             for seed in range(4)]
     for stop_rule in ("change", "spread"):
         refs = references(cases, 1e-6, 500, stop_rule=stop_rule)
         assert_rows_match(cases, refs, 1e-6, 500, stop_rule=stop_rule)

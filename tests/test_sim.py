@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from gossiplab import sim
-from gossiplab.errors import InvalidEpsilon, MissingCoords
+from gossiplab.errors import (
+    InvalidEpsilon, MassConservationError, MissingCoords,
+)
 from gossiplab.graph import DiGraph
 from gossiplab.protocol import SchemeKind, build_scheme
 from gossiplab.sim import (
@@ -16,7 +18,7 @@ from gossiplab.sim import (
     init_values, monte_carlo, run_trial, sweep_csv, trial_csv, write_text,
 )
 
-from reference_engine import recorded
+from reference_engine import recorded, reference_trial
 
 PATH4 = DiGraph(4, {(1, 2), (2, 1), (2, 3), (3, 2), (3, 4), (4, 3)})
 
@@ -387,3 +389,53 @@ def test_early_stop_accuracy_improves_with_tighter_threshold(graph16):
         errs[thr] = worst
     assert errs[1e-7] < errs[1e-5]
     assert errs[1e-7] < 1e-3
+
+
+# ---- the mass check: every companion row, on its weighted total ----
+
+COMPANION = (SchemeKind.UBGA1, SchemeKind.UBGA2, SchemeKind.UBGA3,
+             SchemeKind.BBGA)
+
+
+@pytest.mark.parametrize("g, eps", [("graph16", 0.5), ("graph16", 2.0),
+                                    ("digraph16", 0.5), ("digraph16", 2.0),
+                                    ("graph50", 0.5)])
+def test_bbga_conserves_its_stationary_weighted_total(request, g, eps):
+    # BBGA's broadcasts conserve v . (x + y), v the stationary vector of
+    # B; the engine measures the drift from it, which stays at rounding
+    # level
+    g = request.getfixturevalue(g)
+    res = monte_carlo(build_scheme(SchemeKind.BBGA, g, eps), g,
+                      InitKind.UNIFORM, 4, 1e-4, 20_000, base_seed=5,
+                      keep_series=False)
+    assert res.failures == ()
+    assert all(0.0 <= r.max_drift <= 1e-13 for r in res.records)
+    assert res.max_drift == max(r.max_drift for r in res.records) > 0.0
+
+
+@pytest.mark.parametrize("eps", [1e150, 1e300])
+def test_wild_couplings_end_as_failures_or_finite_records(graph16, eps):
+    schemes = [build_scheme(kind, graph16, eps) for kind in COMPANION]
+    for res in campaigns(schemes, graph16, InitKind.UNIFORM, 3, 1e-5, 2000,
+                         base_seed=1):
+        assert len(res.failures) + len(res.records) == 3
+        for rec in res.records:
+            assert np.isfinite((rec.consensus_value, rec.r_final,
+                                rec.q_final, rec.max_drift)).all()
+            assert np.isfinite(rec.r_series).all()
+            assert np.isfinite(rec.q_series).all()
+
+
+@pytest.mark.parametrize("kind", COMPANION + (SchemeKind.CLASSIC,))
+def test_a_nan_in_x0_fails_at_the_first_iteration(graph16, kind):
+    # a total that is not a number fails the check, in classic rows too,
+    # whose zero weights leave a finite state's total at exactly 0
+    s = build_scheme(kind, graph16, 0.0 if kind is SchemeKind.CLASSIC
+                     else 0.5)
+    x0 = np.random.default_rng(2).random(16)
+    x0[5] = np.nan
+    message = "^mass drifted by nan at iteration 1$"
+    with pytest.raises(MassConservationError, match=message):
+        run_trial(s, x0, 1e-5, 1000, np.random.default_rng(3))
+    with pytest.raises(MassConservationError, match=message):
+        reference_trial(s, x0, 1e-5, 1000, np.random.default_rng(3))
