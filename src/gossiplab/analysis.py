@@ -182,6 +182,8 @@ def stationary_vector(scheme: ParamScheme) -> np.ndarray:
     if scheme.kind is SchemeKind.CLASSIC:
         raise ValueError("classic broadcast gossip has no companion matrix B")
     n = scheme.n
+    # ROADMAP item 4 moves this and classify to unit_left_vector with the
+    # digests they change (second_moment_rho, w1/w2); left_eigenvector goes
     return spectra.left_eigenvector(scheme.b, 1.0, mask=np.ones(n))
 
 

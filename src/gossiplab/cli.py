@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__, analysis, graph, sim, spectra, svgplot
 from .errors import (
     GossipLabError, InvalidEpsilon, MissingCoords, NotStronglyConnected,
-    RetryExhausted,
+    RetryExhausted, SizeOverflow,
 )
 from .protocol import SchemeKind, build_scheme
 
@@ -41,7 +41,7 @@ class ConfigError(GossipLabError):
 EXIT_CODES = (
     (RetryExhausted, EXIT_RETRY),
     ((ConfigError, InvalidEpsilon, NotStronglyConnected, MissingCoords,
-      ValueError, OSError), EXIT_CONFIG),
+      SizeOverflow, ValueError, OSError), EXIT_CONFIG),
     (GossipLabError, EXIT_NUMERIC),
 )
 

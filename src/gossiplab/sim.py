@@ -59,7 +59,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import analysis
+from . import spectra
 from .errors import MassConservationError, MissingCoords
 from .graph import DiGraph
 from .protocol import ParamScheme, SchemeKind, build_scheme
@@ -206,13 +206,14 @@ def _hearer_tables(schemes, n: int) -> tuple:
 def _conserved_weights(schemes) -> np.ndarray:
     """Per scheme, the weights w of the total w . (x + y) that each of its
     broadcasts conserves: ones for the unbiased kinds, whose B is column
-    stochastic, and for BBGA the stationary vector of B, solved once per
-    distinct B.  Classic gets zeros: it conserves nothing, so its total
-    only turns nan with a state that is no longer finite."""
+    stochastic, and for BBGA the stationary vector of B, one bordered
+    solve per distinct B.  Classic gets zeros: it conserves nothing, so
+    its total only turns nan with a state that is no longer finite."""
     stationary = {}
     for s in schemes:
         if s.kind is SchemeKind.BBGA and s.b.tobytes() not in stationary:
-            stationary[s.b.tobytes()] = analysis.stationary_vector(s)
+            stationary[s.b.tobytes()] = spectra.unit_left_vector(
+                s.b, np.ones(s.n))
     return np.array([stationary[s.b.tobytes()] if s.kind is SchemeKind.BBGA
                      else np.full(s.n, float(s.kind.is_unbiased))
                      for s in schemes])
@@ -293,8 +294,8 @@ def _lockstep(rows, threshold: float, max_iters: int, *,
     the rows are checked over the whole block at once: the mass check,
     the stopping rule, and r and q of the recorded steps.  The mass check
     compares each row's conserved total, _conserved_weights . (x + y), with
-    its value at x0 (row sums of the weighted snapshots, the bits of a
-    per-step check): a drift beyond MASS_RTOL relative, nan included,
+    its value at x0 (row sums of the weighted x + y snapshots, the bits
+    of a per-step check): a drift beyond MASS_RTOL relative, nan included,
     fails the row, so no record holds a state that is not finite.  The
     stopping statistic of every (step, row) comes from one np.add.reduceat
     over the block's squared entry changes, and that one array both
@@ -431,9 +432,9 @@ def _lockstep(rows, threshold: float, max_iters: int, *,
             else:
                 stop = _first_stops(np.flatnonzero(stat <= threshold), live)
             # the companion snapshots are not read past the statistic, so
-            # they take the weighted companions, then the weighted values
-            drift = np.add.reduce(np.multiply(snap[1], W, out=snap[1]), 2)
-            drift += np.add.reduce(np.multiply(snap[0], W, out=snap[1]), 2)
+            # they take x + y, weighted
+            xy = np.add(snap[1], snap[0], out=snap[1])
+            drift = np.add.reduce(np.multiply(xy, W, out=xy), 2)
             drift = np.abs(drift - total0)
             bad = ~(drift <= mass_tol)       # a nan drift fails
             fail = {p: int(bad[:, p].argmax())   # slot: its first failure

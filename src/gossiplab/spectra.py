@@ -1,10 +1,10 @@
 """Dense eigen-analysis for small nonsymmetric real matrices.
 
-Everything here wraps LAPACK's general eigensolver (via numpy) and adds
-the conventions the rest of the package relies on: a canonical spectrum
-ordering and residual-checked left eigenvectors.  Matrices are dense and
-small (a few hundred rows at most), so no sparse path is provided.  No
-other module of the package calls numpy.linalg.
+Everything here wraps LAPACK (via numpy) and adds the conventions the
+rest of the package relies on: a canonical spectrum ordering and
+residual-checked left eigenvectors, by eigensolver or linear solve.
+Matrices are dense and small (a few hundred rows at most), so no sparse
+path is provided.  No other module of the package calls numpy.linalg.
 """
 from __future__ import annotations
 
@@ -17,10 +17,12 @@ SIMPLE_GAP = 1e-8         # minimum distance to the nearest other eigenvalue
 RESIDUAL_RTOL = 1e-8      # eigenpair residual, relative to the matrix norm
 
 
-def _as_square(m) -> np.ndarray:
+def _as_square(m, stack: bool = False) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise ValueError("matrix must be square")
+    if m.ndim > 2 and not stack:
+        raise ValueError("need a single matrix")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix has non-finite entries")
     return m
@@ -39,7 +41,7 @@ def eigenvalues(m) -> np.ndarray:
     """Complex spectrum of a real square matrix in canonical order; for a
     stack (..., k, k) the spectrum of each matrix, which LAPACK solves
     with the same bits as a call on that matrix alone."""
-    m = _as_square(m)
+    m = _as_square(m, stack=True)
     try:
         vals = np.linalg.eigvals(m)
     except np.linalg.LinAlgError as exc:
@@ -62,8 +64,6 @@ def left_eigenvector(m, lam, mask) -> np.ndarray:
     imaginary part is negligible.
     """
     m = _as_square(m)
-    if m.ndim != 2:
-        raise ValueError("need a single matrix")
     scale = max(np.linalg.norm(m), 1.0)
     try:
         # Plain transpose (no conjugation): rows of vecs.T satisfy u^T M = lam u^T.
@@ -89,6 +89,26 @@ def left_eigenvector(m, lam, mask) -> np.ndarray:
         raise NoConvergence(f"eigenvector residual {resid:.3e} too large")
     if np.abs(u.imag).max(initial=0.0) <= 1e-10 * max(np.abs(u.real).max(), 1.0):
         return np.ascontiguousarray(u.real)
+    return u
+
+
+def unit_left_vector(m, mask) -> np.ndarray:
+    """u with u^T M = u^T and u . mask = 1 from one solve of M^T - I with
+    its first row replaced by mask.  Its rows are dependent, weighted by
+    M's right eigenvector at 1, which must weigh the first: any row does
+    for a stochastic B, only a value row for an expected map.  Raises
+    NotSimple on a singular system, NoConvergence on a large residual."""
+    m = _as_square(m)
+    scale = max(np.linalg.norm(m), 1.0)
+    system = m.T - np.eye(len(m))
+    system[0] = mask
+    try:
+        u = np.linalg.solve(system, np.eye(1, len(m))[0])
+    except np.linalg.LinAlgError as exc:
+        raise NotSimple(f"1 is not a simple eigenvalue: {exc}") from exc
+    resid = np.linalg.norm(u @ m - u)
+    if not resid <= RESIDUAL_RTOL * scale * np.linalg.norm(u):
+        raise NoConvergence(f"eigenvector residual {resid:.3e} too large")
     return u
 
 

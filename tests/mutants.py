@@ -69,6 +69,12 @@ MUTANTS = (
     Mutant("lockstep: BBGA rows unchecked", "sim.py",
            "] if s.kind is SchemeKind.BBGA", "] if False",
            ("tests/test_sim.py",)),
+    # the solve on M, not M^T, gives the right null vector: ones for
+    # BBGA's row-stochastic B, not its stationary vector (the residual
+    # check refuses it, so every BBGA call fails)
+    Mutant("mass weights: bordered solve on M, not M^T", "spectra.py",
+           "system = m.T - np.eye(len(m))", "system = m - np.eye(len(m))",
+           ("tests/test_sim.py::test_bbga_conserves_its_stationary_weighted_total",)),
     # two workers' chunks overlap by one seed
     Mutant("campaigns: seed chunks overlap", "sim.py",
            "(c + 1) * trials // nwork", "(c + 1) * trials // nwork + 1",

@@ -3,12 +3,13 @@ gossiplab.sim replaced, kept as the slow oracle for differential tests.
 
 It draws one broadcaster per iteration, updates the receivers in place
 and recomputes r, q and the mass check on every step, keeping the
-largest drift.  The mass check weighs values plus companions by ones for
-UBGA1-3, by B's stationary vector for BBGA and by zeros for classic, and
-a drift that is not at most the tolerance (nan included) fails.  The
-stopping statistic has the engine's one definition: the square root of
-the np.add.reduceat sum of the receivers' squared changes dx**2 + dy**2
-plus yk**2, the square of the broadcaster's companion.
+largest drift.  The mass check weighs x + y by ones for UBGA1-3, by
+B's stationary vector for BBGA (the engine's spectra.unit_left_vector)
+and by zeros for classic, and a drift that is not at most the tolerance
+(nan included) fails.  The stopping statistic has the engine's one
+definition: the square root of the np.add.reduceat sum of the
+receivers' squared changes dx**2 + dy**2 plus yk**2, the square of the
+broadcaster's companion.
 reduceat, not np.add.reduce or a dot product: those may sum the same
 entries in another order and round differently.  Besides the TrialRecord
 it returns the final (x, y) state so tests can replay the trial through
@@ -18,8 +19,7 @@ import math
 
 import numpy as np
 
-from gossiplab import sim
-from gossiplab.analysis import stationary_vector
+from gossiplab import sim, spectra
 from gossiplab.errors import MassConservationError
 from gossiplab.protocol import SchemeKind
 from gossiplab.sim import FULL_RECORD_LIMIT, THIN_FACTOR, TrialRecord
@@ -43,7 +43,7 @@ def reference_trial(scheme, x0, threshold, max_iters, rng, *,
 
     mu0 = float(x.mean())
     if scheme.kind is SchemeKind.BBGA:
-        w = stationary_vector(scheme)
+        w = spectra.unit_left_vector(scheme.b, np.ones(n))
     else:
         w = np.full(n, float(scheme.kind.is_unbiased))
     total0 = float((w * x).sum())
@@ -80,7 +80,7 @@ def reference_trial(scheme, x0, threshold, max_iters, rng, *,
             delta2 = yk * yk
         y[k] = 0.0
 
-        drift = abs((float((w * x).sum()) + float((w * y).sum())) - total0)
+        drift = abs(float((w * (x + y)).sum()) - total0)
         if not drift <= mass_tol:
             raise MassConservationError(
                 f"mass drifted by {drift:.3e} at iteration {t}")

@@ -202,21 +202,23 @@ def test_analysis_csv_format(graph16):
 
 def test_sweep(graph_file, tmp_path, capsys, monkeypatch):
     # the analytic column reuses the sweep's schemes and reads only the
-    # spectrum: no scheme is built twice, and the one left eigenvector
-    # solved is the stationary vector of the B that every grid point
-    # shares, which weighs the engine's mass check
+    # spectrum: no scheme is built twice, no eigenvector is solved, and
+    # the one bordered solve is the stationary vector of the B that every
+    # grid point shares, which weighs the engine's mass check
     def refuse(*args, **kwargs):
         raise AssertionError("not needed by sweep")
 
     solved = []
-    left_eigenvector = spectra.left_eigenvector
+    unit_left_vector = spectra.unit_left_vector
 
     def counting(m, *args, **kwargs):
         solved.append(m.shape)
-        return left_eigenvector(m, *args, **kwargs)
+        return unit_left_vector(m, *args, **kwargs)
 
     monkeypatch.setattr(cli, "build_scheme", refuse)
-    monkeypatch.setattr(spectra, "left_eigenvector", counting)
+    monkeypatch.setattr(spectra, "left_eigenvector", refuse)
+    monkeypatch.setattr(np.linalg, "eig", refuse)
+    monkeypatch.setattr(spectra, "unit_left_vector", counting)
     code = run(["sweep", "--graph", str(graph_file), "--scheme", "bbga",
                 "--grid", "0.3,0.5", "--trials", "2", "--threshold", "1e-3",
                 "--out", str(tmp_path), "--svg"])
@@ -369,14 +371,17 @@ def test_simulate_files_and_lines_are_pinned(tmp_path, monkeypatch, capsys):
 
 
 def test_simulate_solves_no_eigenproblem(tmp_path, monkeypatch, capsys):
-    # no simulate output depends on the expected map: the pinned run (and
-    # its generate step, which needs neither) gives the same lines and
-    # bytes without it
+    # no simulate output depends on the expected map, and BBGA's mass
+    # check is weighed by a bordered solve, not an eigenvector: the pinned
+    # run (and its generate step, which needs none of them) gives the
+    # same lines and bytes without them
     def refuse(*args, **kwargs):
-        raise AssertionError("simulate built or classified the expected map")
+        raise AssertionError("simulate solved an eigenproblem")
 
     monkeypatch.setattr(analysis, "classify_expectation", refuse)
     monkeypatch.setattr(analysis, "expected_matrix", refuse)
+    monkeypatch.setattr(spectra, "left_eigenvector", refuse)
+    monkeypatch.setattr(np.linalg, "eig", refuse)
     test_simulate_files_and_lines_are_pinned(tmp_path, monkeypatch, capsys)
 
 
@@ -910,8 +915,9 @@ BAD_INPUTS = [
     Bad("wibble", "3", EXIT_CONFIG),
     Bad("n", "x", EXIT_CONFIG), Bad("n", "1", EXIT_CONFIG),
     Bad("n", "-4", EXIT_CONFIG),
-    # the second-moment lift of 23 nodes is over its entry cap
-    Bad("n", "23", EXIT_NUMERIC, ("analyze",), ("--check", "second-moment")),
+    # the second-moment lift of 23 nodes is over its entry cap, a size
+    # the settings ask for
+    Bad("n", "23", EXIT_CONFIG, ("analyze",), ("--check", "second-moment")),
     Bad("radius", "0", EXIT_CONFIG), Bad("radius", "nan", EXIT_CONFIG),
     Bad("radius", "0.01", EXIT_RETRY),
     Bad("p_asym", "-0.5", EXIT_CONFIG), Bad("p_asym", "1", EXIT_CONFIG),

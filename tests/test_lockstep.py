@@ -436,7 +436,7 @@ def block_cases(g, with_failure):
     kinds = [(SchemeKind.UBGA1, 0.5, 1), (SchemeKind.BBGA, 0.5, 3),
              (SchemeKind.CLASSIC, 0.0, 4), (SchemeKind.UBGA2, 0.4, 2)]
     if with_failure:
-        # far past the stability window: fails the mass check at t=20
+        # far past the stability window: fails the mass check at t=19
         kinds.append((SchemeKind.UBGA1, 50.0, 2))
     return [(build_scheme(kind, g, eps), np.random.default_rng(seed).random(16),
              seed) for kind, eps, seed in kinds]
@@ -457,7 +457,7 @@ def chunk_entries(schemes, rows, steps):
 def test_rows_leaving_at_a_block_flush_keep_their_series(
         graph16, monkeypatch, with_failure, offset, entry_capped,
         full_series):
-    # The first row to leave (a stop at t=58, or a mass failure at t=20)
+    # The first row to leave (a stop at t=58, or a mass failure at t=19)
     # does so one iteration after the end of a check block (offset -1),
     # on the block's last iteration (0), or one before (1); the other
     # rows leave later at other points of their blocks.  The rows are
@@ -468,7 +468,7 @@ def test_rows_leaving_at_a_block_flush_keep_their_series(
     refs = references(cases, 1e-5, 5000, full_series=full_series)
     times = [leave_time(ref) for ref in refs]
     first = min(times)
-    assert first == (20 if with_failure else 58)
+    assert first == (19 if with_failure else 58)
     assert sorted(times)[1] > first
     span = first + offset
     if entry_capped:
@@ -813,7 +813,7 @@ def test_rows_ending_before_their_state_overflows_in_the_block(
     if threshold == 10.0:
         assert refs[0].converged_at == 1 and refs[0].max_drift == 0.0
     else:
-        assert str(refs[0]) == "mass drifted by 8.271e+00 at iteration 2"
+        assert str(refs[0]) == "mass drifted by 2.867e+00 at iteration 2"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         lock = _lockstep([Row(s, x, np.random.default_rng(seed), seed)

@@ -4,11 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gossiplab.analysis import classify_expectation, expected_matrix
 from gossiplab.errors import NotSimple
+from gossiplab.protocol import SchemeKind, build_scheme
 from gossiplab.spectra import (
     eigenvalues, left_eigenvector, multiset_distance, sort_spectrum,
-    spectral_radius,
+    spectral_radius, unit_left_vector,
 )
+from strategies import strong_digraphs
 
 
 def test_sort_spectrum_order():
@@ -91,6 +94,52 @@ def test_left_eigenvector_rejects_orthogonal_mask():
     m = np.diag([2.0, 1.0])
     with pytest.raises(ValueError):
         left_eigenvector(m, 2.0, mask=np.array([0.0, 1.0]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(g=strong_digraphs(20),
+       kind=st.sampled_from([k for k in SchemeKind
+                             if k is not SchemeKind.CLASSIC]))
+def test_unit_left_vector_equals_the_eigenvector_it_replaces(g, kind):
+    # the bordered solve that weighs the engine's mass check gives the
+    # stationary vector of B that the dense eigensolver gives
+    b = build_scheme(kind, g, 0.5).b
+    u = unit_left_vector(b, np.ones(g.n))
+    v = left_eigenvector(b, 1.0, mask=np.ones(g.n))
+    assert np.linalg.norm(u - v) <= 1e-12 * np.linalg.norm(v)
+
+
+def test_unit_left_vector_known_stationary_weights():
+    b = np.array([[0.0, 0.5, 0.5], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+    u = unit_left_vector(b, np.ones(3))
+    assert np.allclose(u, [0.4, 0.2, 0.4], atol=1e-12)
+
+
+def test_unit_left_vector_rejects_a_reducible_matrix():
+    # two disjoint 2-cycles: 1 is a double eigenvalue, and the system is
+    # singular
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    z = np.zeros((2, 2))
+    with pytest.raises(NotSimple):
+        unit_left_vector(np.block([[swap, z], [z, swap]]), np.ones(4))
+    with pytest.raises(ValueError):
+        unit_left_vector(np.stack([swap, swap]), np.ones(2))
+
+
+@pytest.mark.parametrize("kind", [SchemeKind.BBGA, SchemeKind.UBGA1])
+def test_unit_left_vector_of_the_expected_map(digraph16, kind):
+    # the expected map's right eigenvector at 1 is [1...1, 0...0], so a
+    # companion row of the system is dependent on the others; the first
+    # row, a value row, is the one replaced, and the split vector is
+    # classify_expectation's w1 and w2
+    s = build_scheme(kind, digraph16, 0.5)
+    n = s.n
+    u = unit_left_vector(expected_matrix(s),
+                         np.concatenate([np.ones(n), np.zeros(n)]))
+    rep = classify_expectation(s)
+    assert rep.is_simple_one
+    assert np.max(np.abs(u[:n] - rep.w1)) < 1e-10
+    assert np.max(np.abs(u[n:] - rep.w2)) < 1e-10
 
 
 def test_multiset_distance():
