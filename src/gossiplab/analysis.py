@@ -27,9 +27,10 @@ import numpy as np
 
 from . import spectra
 from .errors import (
-    BadStationaryVector, BadXi, NotSimple, SizeOverflow, XiOutOfRange,
+    BadStationaryVector, BadXi, NotSimple, NotStronglyConnected, SizeOverflow,
+    XiOutOfRange,
 )
-from .graph import DiGraph, laplacian
+from .graph import DiGraph, is_strongly_connected, laplacian
 from .protocol import ParamScheme, SchemeKind, assemble_Wk
 
 # An eigenvalue counts as the unit eigenvalue within this distance, and
@@ -284,7 +285,11 @@ def indegree_laplacian(g: DiGraph) -> np.ndarray:
 def epsilon_report(g: DiGraph) -> EpsilonReport:
     """Stability window and optimal coupling for the in-degree weight
     scheme on g.  For graphs with complex Laplacian spectrum the report
-    falls back to real parts and clears the spectrum_real flag."""
+    falls back to real parts and clears the spectrum_real flag.  A graph
+    that is not strongly connected, on which the scheme cannot run, is
+    refused before its Laplacian is built."""
+    if not is_strongly_connected(g):
+        raise NotStronglyConnected("scheme needs a strongly connected digraph")
     n = g.n
     xi = spectra.eigenvalues(indegree_laplacian(g))
     spectrum_real = bool(np.max(np.abs(xi.imag)) <= REAL_SPECTRUM_TOL)

@@ -60,6 +60,10 @@ class DiGraph:
         """Whether every node reaches every other, checked once per graph."""
         if self.n == 1:
             return True
+        # a strongly connected digraph on n >= 2 nodes has at least n
+        # edges: answer before building the n x n adjacency
+        if len(self.edges) < self.n:
+            return False
         adj = self._adj
         return bool(_reachable(adj, 0).all() and _reachable(adj.T, 0).all())
 

@@ -54,6 +54,12 @@ class ParamScheme:
     a, b are n x n with entry (j, k) used when j hears k's broadcast;
     d holds the companion decay rates with column k = the rates applied
     during k's broadcast.  All three share the graph's zero pattern.
+
+    A read-only float64 array that owns its data is kept as given (its
+    owner must not write to it through a view made before it was
+    frozen) and may serve as more than one of a, b, d; anything else is
+    copied once and frozen, so a caller that later writes to its own
+    array cannot reach the scheme.
     """
 
     kind: SchemeKind
@@ -64,9 +70,12 @@ class ParamScheme:
 
     def __post_init__(self):
         for name in ("a", "b", "d"):
-            m = np.array(getattr(self, name), dtype=float)
-            m.setflags(write=False)
-            object.__setattr__(self, name, m)
+            m = getattr(self, name)
+            if not (type(m) is np.ndarray and m.dtype == np.float64
+                    and not m.flags.writeable and m.flags.owndata):
+                m = np.array(m, dtype=float)
+                m.setflags(write=False)
+                object.__setattr__(self, name, m)
 
     @property
     def n(self) -> int:
@@ -130,23 +139,25 @@ def build_scheme(kind: SchemeKind, g: DiGraph, epsilon: float,
     inv_in = 1.0 / indeg
     inv_out = 1.0 / outdeg
 
+    # each distinct matrix is built once: weights that coincide (BBGA's
+    # a, b and d, UBGA2's a and d, classic's zero b and d) share one array
     if kind is SchemeKind.CLASSIC:
         a = gamma * adj
-        b = np.zeros((n, n))
-        d = np.zeros((n, n))
+        b = d = np.zeros((n, n))
     else:
         d = adj * inv_in[:, None]
         if kind is SchemeKind.BBGA:
-            a = adj * inv_in[:, None]
-            b = a.copy()
+            a = b = d
         else:
             b = adj * inv_out[None, :]
             if kind is SchemeKind.UBGA1:
                 a = 0.5 * adj
             elif kind is SchemeKind.UBGA2:
-                a = adj * inv_in[:, None]
+                a = d
             else:
                 a = adj * inv_out[:, None]
+    for m in (a, b, d):
+        m.setflags(write=False)
 
     return ParamScheme(kind=kind, a=a, b=b, d=d, epsilon=float(epsilon))
 

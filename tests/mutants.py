@@ -75,6 +75,12 @@ MUTANTS = (
     Mutant("mass weights: bordered solve on M, not M^T", "spectra.py",
            "system = m.T - np.eye(len(m))", "system = m - np.eye(len(m))",
            ("tests/test_sim.py::test_bbga_conserves_its_stationary_weighted_total",)),
+    # a caller's writeable float array becomes the scheme's own: a later
+    # write to it reaches the scheme
+    Mutant("scheme weights: writeable inputs kept without a copy",
+           "protocol.py", "and not m.flags.writeable and m.flags.owndata",
+           "and m.flags.owndata",
+           ("tests/test_protocol.py::test_a_scheme_keeps_no_handle_of_its_callers_arrays",)),
     # two workers' chunks overlap by one seed
     Mutant("campaigns: seed chunks overlap", "sim.py",
            "(c + 1) * trials // nwork", "(c + 1) * trials // nwork + 1",

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gossiplab.errors import (
-    BadStationaryVector, BadXi, SizeOverflow, XiOutOfRange,
+    BadStationaryVector, BadXi, NotStronglyConnected, SizeOverflow,
+    XiOutOfRange,
 )
 from gossiplab.graph import DiGraph, laplacian
 from gossiplab.protocol import ParamScheme, SchemeKind, build_scheme
@@ -172,6 +173,15 @@ def test_indegree_laplacian(digraph16):
     assert np.allclose(np.diag(lap), 1.0)
     with pytest.raises(ValueError):
         indegree_laplacian(DiGraph(2, {(1, 2)}))    # node 2 hears nobody
+
+
+def test_epsilon_report_refuses_a_graph_that_is_not_strongly_connected():
+    # two 2-cycles: every node hears one other, and xi_2 = 0 would have
+    # surfaced as BadXi; 10**8 nodes without edges build no Laplacian
+    for g in (DiGraph(4, {(1, 2), (2, 1), (3, 4), (4, 3)}),
+              DiGraph(10**8, set())):
+        with pytest.raises(NotStronglyConnected):
+            epsilon_report(g)
 
 
 def test_epsilon_report_real_and_complex_spectra(graph16, digraph16):

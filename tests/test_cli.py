@@ -1066,3 +1066,22 @@ def test_a_graph_file_giving_a_node_two_coordinates_exits_2(graph_file,
         EXIT_CONFIG,
         f"error: cannot load graph {bad}: coord line for node 3 given twice\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--epsilon", "0.5"],
+    ["analyze", "--epsilon", "auto-optimal"],
+    ["sweep", "--grid", "0.5", "--trials", "1"],
+    ["simulate", "--trials", "1"],
+], ids=["analyze", "analyze-auto", "sweep", "simulate"])
+def test_a_graph_file_naming_more_nodes_than_its_edges_connect_exits_2(
+        tmp_path, argv):
+    # 10**8 nodes and no edge: the graph is refused as not strongly
+    # connected before any n x n array (8.88 PiB as booleans) is asked for
+    bad = tmp_path / "huge.txt"
+    bad.write_text("100000000 0\n")
+    out = tmp_path / "out"
+    code, err = run_captured(argv + ["--graph", str(bad), "--out", str(out)])
+    assert (code, err) == (
+        EXIT_CONFIG, "error: scheme needs a strongly connected digraph\n")
+    assert not out.exists()

@@ -1,11 +1,14 @@
 """Update rules, weight schemes, and the per-broadcast matrices."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from gossiplab.errors import InvalidEpsilon, NotStronglyConnected
-from gossiplab.graph import DiGraph
+from gossiplab.graph import DiGraph, is_strongly_connected
 from gossiplab.protocol import (
-    GossipState, SchemeKind, assemble_Wk, build_scheme, local_update, step,
+    GossipState, ParamScheme, SchemeKind, assemble_Wk, build_scheme,
+    local_update, step,
 )
 
 K2 = DiGraph(2, {(1, 2), (2, 1)})
@@ -84,6 +87,61 @@ def test_scheme_arrays_are_frozen(graph16):
     for m in (s.a, s.b, s.d):
         with pytest.raises(Exception):
             m[0, 0] = 9.0
+
+
+# a directed 200-cycle with every other link made two-way: in- and
+# out-degrees differ from node to node
+RING200 = DiGraph(200, {(i, i % 200 + 1) for i in range(1, 201)}
+                  | {(i % 200 + 1, i) for i in range(2, 201, 2)})
+DISTINCT = {SchemeKind.BBGA: 1, SchemeKind.UBGA2: 2, SchemeKind.CLASSIC: 2,
+            SchemeKind.UBGA1: 3, SchemeKind.UBGA3: 3}
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_build_scheme_builds_each_distinct_matrix_once(kind):
+    # weights that coincide share one read-only array, which the scheme
+    # keeps as given: one n x n block per distinct matrix stays, and at
+    # most one more (the float adjacency) lives while they are built
+    assert is_strongly_connected(RING200)      # the boolean adjacency is cached
+    block = 200 * 200 * 8
+    tracemalloc.start()
+    try:
+        s = make(kind, RING200)
+        _, peak = tracemalloc.get_traced_memory()
+        kept = sum(t.size == block
+                   for t in tracemalloc.take_snapshot().traces)
+    finally:
+        tracemalloc.stop()
+    assert kept == DISTINCT[kind]
+    assert peak <= (DISTINCT[kind] + 1.5) * block
+    assert len({id(s.a), id(s.b), id(s.d)}) == DISTINCT[kind]
+    if kind is SchemeKind.BBGA:
+        assert s.a is s.b is s.d
+    elif kind is SchemeKind.UBGA2:
+        assert s.a is s.d
+    elif kind is SchemeKind.CLASSIC:
+        assert s.b is s.d
+    assert not any(m.flags.writeable for m in (s.a, s.b, s.d))
+
+
+def test_a_scheme_keeps_no_handle_of_its_callers_arrays():
+    # a writeable float array, an int array and a read-only view of a
+    # writeable array are copied; a read-only float64 array that owns
+    # its data is kept
+    a = np.array([[0.0, 0.5], [0.5, 0.0]])
+    b = np.array([[0, 1], [1, 0]])
+    base = np.array([[0.0, 1.0], [1.0, 0.0]])
+    d = base.view()
+    d.setflags(write=False)
+    s = ParamScheme(SchemeKind.UBGA1, a, b, d, 0.5)
+    before = [m.copy() for m in (s.a, s.b, s.d)]
+    a[0, 1] = b[0, 1] = base[0, 1] = 9
+    for m, was in zip((s.a, s.b, s.d), before):
+        assert np.array_equal(m, was)
+        assert m.dtype == np.float64 and not m.flags.writeable
+    frozen = before[0]
+    frozen.setflags(write=False)
+    assert ParamScheme(SchemeKind.BBGA, frozen, frozen, frozen, 0.5).b is frozen
 
 
 def test_receivers_match_out_neighbors(digraph16):
