@@ -30,7 +30,7 @@ from .errors import (
     BadStationaryVector, BadXi, NotSimple, NotStronglyConnected, SizeOverflow,
     XiOutOfRange,
 )
-from .graph import DiGraph, is_strongly_connected, laplacian
+from .graph import DiGraph, broadcasters, is_strongly_connected, laplacian
 from .protocol import ParamScheme, SchemeKind, assemble_Wk
 
 # An eigenvalue counts as the unit eigenvalue within this distance, and
@@ -42,6 +42,8 @@ UNIT_MARGIN = 1e-10
 REAL_SPECTRUM_TOL = 1e-8
 # Entries the dense second-moment lift may hold.
 KRON_ENTRY_CAP = 4_000_000
+# Broadcasters whose diagonal rows expected_matrix lays out at once.
+DIAGONAL_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -69,45 +71,48 @@ class EpsilonReport:
 
 
 def expected_matrix(scheme: ParamScheme) -> np.ndarray:
-    """The (2n, 2n) average of the per-broadcaster maps W_k, in O(n^2).
+    """The (2n, 2n) average of the per-broadcaster maps W_k, in O(n^2),
+    built straight from the weight columns.
 
-    Off its four block diagonals W_k is nonzero only in column k, so each
-    off-diagonal entry of sum_k W_k has a single nonzero term: a_ij top
-    left, 0.0 - a_ij bottom left, b_ij bottom right, nothing top right.
-    The block diagonals are summed over broadcasters k = 1..n in order,
-    starting from 0.0, one length-4n vector per k, exactly as adding the
-    dense assemble_Wk matrices one after another does; then w /= n.  So w
+    Off its four block diagonals W_k is nonzero only in column k, at k's
+    hearers j, so each off-diagonal entry of sum_k W_k has a single
+    nonzero term: a_jk top left, 0.0 - a_jk bottom left, b_jk bottom
+    right, nothing top right.  The block diagonals are summed over
+    broadcasters k = 1..n in order, starting from 0.0, one length-4n
+    vector per k built from its column, exactly as adding the dense
+    assemble_Wk matrices one after another does; then w /= n.  So w
     equals that per-k sum bit for bit.  (Written as 0.0 - a, not -a, so
     that zeros stay +0.0; a pairwise np.sum would round differently.)
     """
     n = scheme.n
-    a, b, d = scheme.a, scheme.b, scheme.d
+    j, k, a = scheme.hearers, broadcasters(scheme.ptr), scheme.a
+    ptr = scheme.ptr.tolist()
     # allocated before the scratch arrays below so that glibc can hand
     # their memory back on return; the other order raised the peak RSS
     # of two n=400 analyses by 3 MB
     w = np.zeros((2 * n, 2 * n))
-    ed = scheme.epsilon * d.T
-    # terms[k] holds broadcaster k's contribution to the four diagonals
-    terms = np.empty((n, 4, n))
-    terms[:, 0] = 1.0 - a.T
-    terms[:, 1] = ed
-    terms[:, 2] = a.T
-    terms[:, 3] = 1.0 - ed
-    diag = np.arange(n)
-    terms[diag, 0, diag] = 1.0
-    terms[diag, 2, diag] = a[diag, diag] - a[diag, diag]
-    terms[diag, 3, diag] = b[diag, diag] - ed[diag, diag]
+    ed = scheme.epsilon * scheme.d
+    # per edge, its hearer's terms in the four diagonals; a node that
+    # does not hear k gets 1, 0, 0, 1, and k itself 1, 0, 0, 0.  The
+    # rows of DIAGONAL_ROWS broadcasters are laid out at a time
+    terms = np.stack((1.0 - a, ed, a, 1.0 - ed), 1)
     sums = np.zeros(4 * n)
-    for row in terms.reshape(n, 4 * n):
-        sums += row
-    w[:n, :n] = 0.0 + a
-    w[n:, :n] = 0.0 - a
-    w[n:, n:] = 0.0 + b
+    for c0 in range(0, n, DIAGONAL_ROWS):
+        c = np.arange(c0, min(c0 + DIAGONAL_ROWS, n))
+        rows = np.empty((c.size, 4, n))
+        rows[:] = [[1.0], [0.0], [0.0], [1.0]]
+        rows[c - c0, 3, c] = 0.0
+        e = slice(ptr[c0], ptr[c[-1] + 1])
+        rows[k[e] - c0, :, j[e]] = terms[e]
+        for row in rows.reshape(c.size, 4 * n):
+            sums += row
     sums = sums.reshape(4, n)
-    w[diag, diag] = sums[0]
-    w[diag, n + diag] = sums[1]
-    w[n + diag, diag] = sums[2]
-    w[n + diag, n + diag] = sums[3]
+    w[j, k] = 0.0 + a
+    w[n + j, k] = 0.0 - a
+    w[n + j, n + k] = 0.0 + scheme.b
+    diag = np.arange(n)
+    for s, (r, c) in zip(sums, ((0, 0), (0, n), (n, 0), (n, n))):
+        w[r + diag, c + diag] = s
     w /= n
     return w
 
@@ -185,7 +190,8 @@ def stationary_vector(scheme: ParamScheme) -> np.ndarray:
     n = scheme.n
     # ROADMAP item 4 moves this and classify to unit_left_vector with the
     # digests they change (second_moment_rho, w1/w2); left_eigenvector goes
-    return spectra.left_eigenvector(scheme.b, 1.0, mask=np.ones(n))
+    return spectra.left_eigenvector(scheme.dense(scheme.b), 1.0,
+                                    mask=np.ones(n))
 
 
 def second_moment_matrix(scheme: ParamScheme, v) -> np.ndarray:
@@ -198,7 +204,8 @@ def second_moment_matrix(scheme: ParamScheme, v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape != (n,):
         raise ValueError(f"v must be a length-{n} vector")
-    if np.max(np.abs(v @ scheme.b - v)) > 1e-8 or abs(v.sum() - 1.0) > 1e-8:
+    vb = np.bincount(broadcasters(scheme.ptr), v[scheme.hearers] * scheme.b, n)
+    if np.max(np.abs(vb - v)) > 1e-8 or abs(v.sum() - 1.0) > 1e-8:
         raise BadStationaryVector("need v^T B = v^T with entries summing to 1")
     dim = 4 * n * n
     if dim * dim > KRON_ENTRY_CAP:

@@ -288,10 +288,10 @@ def cmd_generate(cfg: argparse.Namespace) -> int:
     out = _outdir(cfg)
     path = out / "graph.txt"
     graph.save_graph(g, path, header_lines=make_header("generate", cfg, extras))
+    # epsilon_report refuses a graph that is not strongly connected
     xi = analysis.epsilon_report(g).xi
-    sc = "yes" if graph.is_strongly_connected(g) else "no"
     radius = float(extras["radius_resolved"])
-    print(f"n={g.n} edges={len(g.edges)} strongly_connected={sc} "
+    print(f"n={g.n} edges={len(g.edges)} strongly_connected=yes "
           f"radius={radius:.17g} p_asym={cfg.p_asym:g}")
     print(f"xi2={xi[1].real:.6g}{'' if abs(xi[1].imag) < 1e-12 else '+...j'} "
           f"xi_n={xi[-1].real:.6g}")

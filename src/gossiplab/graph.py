@@ -47,32 +47,43 @@ class DiGraph:
             c.setflags(write=False)
             object.__setattr__(self, "coords", c)
 
+    def __reduce__(self):
+        # unpickling rebuilds the graph, so its arrays are read-only again
+        return DiGraph, (self.n, self.edges, self.coords)
+
     @cached_property
-    def _adj(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n), dtype=bool)
-        for (i, j) in self.edges:
-            a[i - 1, j - 1] = True
-        a.setflags(write=False)
-        return a
+    def columns(self) -> tuple:
+        """The edges by broadcaster, read-only: node k + 1 is heard by
+        hearers[ptr[k]:ptr[k + 1]] (0-based, ascending)."""
+        # each edge as one key, ordered by broadcaster, then hearer
+        key = np.fromiter(sorted((j - 1) * self.n + i - 1
+                                 for i, j in self.edges),
+                          np.intp, len(self.edges))
+        ptr = np.zeros(self.n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(key // self.n, minlength=self.n), out=ptr[1:])
+        hearers = key % self.n
+        ptr.setflags(write=False)
+        hearers.setflags(write=False)
+        return ptr, hearers
 
     @cached_property
     def _strong(self) -> bool:
         """Whether every node reaches every other, checked once per graph."""
-        if self.n == 1:
-            return True
         # a strongly connected digraph on n >= 2 nodes has at least n
-        # edges: answer before building the n x n adjacency
-        if len(self.edges) < self.n:
+        # edges: answer before laying the edges out
+        if self.n > 1 and len(self.edges) < self.n:
             return False
-        adj = self._adj
-        return bool(_reachable(adj, 0).all() and _reachable(adj.T, 0).all())
+        ptr, hearers = self.columns
+        k = broadcasters(ptr)
+        return bool(_reachable(k, hearers, self.n).all()
+                    and _reachable(hearers, k, self.n).all())
 
     def adjacency(self) -> np.ndarray:
         """0/1 matrix with entry (i, j) = 1 iff i receives from j."""
-        return self._adj.astype(float)
-
-    def in_degree(self, i: int) -> int:
-        return int(self._adj[i - 1].sum())
+        ptr, hearers = self.columns
+        a = np.zeros((self.n, self.n))
+        a[hearers, broadcasters(ptr)] = 1.0
+        return a
 
     def is_symmetric(self) -> bool:
         """True when every link is bidirectional."""
@@ -90,16 +101,23 @@ def connectivity_radius(n: int) -> float:
     return math.sqrt(2.0 * math.log(n) / n)
 
 
-def _reachable(adj: np.ndarray, start: int) -> np.ndarray:
-    """Boolean reachability from `start` following rows of a boolean adjacency."""
-    n = adj.shape[0]
+def broadcasters(ptr: np.ndarray) -> np.ndarray:
+    """Per edge of a column layout, the broadcaster (0-based) whose
+    column ptr[k]:ptr[k + 1] holds it."""
+    return np.repeat(np.arange(len(ptr) - 1), np.diff(ptr))
+
+
+def _reachable(src: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
+    """Which of the nodes 0..n-1 node 0 reaches along the edges
+    src[e] -> dst[e]."""
     seen = np.zeros(n, dtype=bool)
-    seen[start] = True
+    seen[0] = True
     frontier = seen.copy()
     while frontier.any():
-        nxt = adj[frontier].any(axis=0) & ~seen
-        seen |= nxt
-        frontier = nxt
+        nxt = np.zeros(n, dtype=bool)
+        nxt[dst[frontier[src]]] = True
+        frontier = nxt & ~seen
+        seen |= frontier
     return seen
 
 
@@ -125,10 +143,10 @@ def random_geometric_graph(n: int, radius: float,
         d2 = np.einsum("ijk,ijk->ij", diff, diff)
         close = d2 <= r2
         np.fill_diagonal(close, False)
-        if _reachable(close, 0).all():
+        src, dst = np.nonzero(close)
+        if _reachable(src, dst, n).all():
             edges = frozenset(
-                (int(i) + 1, int(j) + 1) for i, j in zip(*np.nonzero(close))
-            )
+                (int(i) + 1, int(j) + 1) for i, j in zip(src, dst))
             return DiGraph(n, edges, coords=pts)
     raise RetryExhausted(
         f"no connected geometric graph in {DEFAULT_RETRY_BUDGET} draws "

@@ -25,14 +25,13 @@ rule: eps = 0, B = 0, d = 0, a_jk = gamma.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
 from .errors import InvalidEpsilon, NotStronglyConnected
-from .graph import DiGraph, is_strongly_connected
+from .graph import DiGraph, broadcasters, is_strongly_connected
 
 
 class SchemeKind(Enum):
@@ -49,42 +48,81 @@ class SchemeKind(Enum):
 
 @dataclass(frozen=True)
 class ParamScheme:
-    """Frozen weight matrices for one protocol instance.
+    """Frozen edge weights for one protocol instance, by broadcaster.
 
-    a, b are n x n with entry (j, k) used when j hears k's broadcast;
-    d holds the companion decay rates with column k = the rates applied
-    during k's broadcast.  All three share the graph's zero pattern.
+    Broadcaster k (0-based) is heard by hearers[ptr[k]:ptr[k + 1]],
+    ascending and never k itself; a, b and d hold one weight per edge,
+    aligned with hearers: a_jk, b_jk and the companion rate d_jk that
+    hearer j applies during k's broadcast.  Every other weight is zero.
+    A layout that breaks these rules is refused with ValueError.
 
-    A read-only float64 array that owns its data is kept as given (its
-    owner must not write to it through a view made before it was
-    frozen) and may serve as more than one of a, b, d; anything else is
-    copied once and frozen, so a caller that later writes to its own
-    array cannot reach the scheme.
+    A read-only array that owns its data, of intp for ptr and hearers
+    and float64 for the weights, is kept as given (its owner must not
+    write to it through a view made before it was frozen) and may fill
+    more than one field; anything else is copied once per object and
+    frozen, so a caller that later writes to its own array cannot reach
+    the scheme.  Unpickling goes through the same rule.
     """
 
     kind: SchemeKind
+    ptr: np.ndarray
+    hearers: np.ndarray
     a: np.ndarray
     b: np.ndarray
     d: np.ndarray
     epsilon: float
 
     def __post_init__(self):
-        for name in ("a", "b", "d"):
+        kept = {}       # one frozen array per object given
+        for name in ("ptr", "hearers", "a", "b", "d"):
             m = getattr(self, name)
-            if not (type(m) is np.ndarray and m.dtype == np.float64
-                    and not m.flags.writeable and m.flags.owndata):
-                m = np.array(m, dtype=float)
-                m.setflags(write=False)
-                object.__setattr__(self, name, m)
+            dtype = np.intp if name in ("ptr", "hearers") else np.float64
+            key = (id(m), dtype)
+            if key not in kept:
+                if not (type(m) is np.ndarray and m.dtype == dtype
+                        and not m.flags.writeable and m.flags.owndata):
+                    m = np.array(m, dtype=dtype)
+                    m.setflags(write=False)
+                kept[key] = m
+            object.__setattr__(self, name, kept[key])
+        ptr, hearers = self.ptr, self.hearers
+        if (ptr.ndim != 1 or len(ptr) < 2 or ptr[0] != 0
+                or np.diff(ptr).min() < 0
+                or {m.shape for m in (hearers, self.a, self.b, self.d)}
+                != {(ptr[-1],)}):
+            raise ValueError("ptr must rise from 0 to the edge count, and "
+                             "hearers, a, b and d hold one entry per edge")
+        # the checks below make one array of one entry per edge, k, and
+        # work in place or a slice at a time
+        n = self.n
+        k = broadcasters(ptr)
+        if hearers.size and (hearers.min() < 0 or hearers.max() >= n
+                             or not np.subtract(hearers, k, out=k).all()):
+            raise ValueError("hearers must be nodes 0..n-1 other than the "
+                             "broadcaster")
+        np.subtract(hearers, k, out=k)      # k again
+        # k*n + j rises along the columns exactly when each column's
+        # hearers ascend without repeats
+        k *= n
+        k += hearers
+        for s in range(0, len(k) - 1, 512):
+            if np.diff(k[s:s + 513]).min() <= 0:
+                raise ValueError("each broadcaster's hearers must ascend")
+
+    def __reduce__(self):
+        # unpickling goes through __post_init__, which freezes the arrays
+        return ParamScheme, tuple(getattr(self, f.name) for f in fields(self))
 
     @property
     def n(self) -> int:
-        return self.a.shape[0]
+        return len(self.ptr) - 1
 
-    @cached_property
-    def receivers(self) -> tuple:
-        """Per broadcaster (0-based), the 0-based indices of its hearers."""
-        return tuple(np.flatnonzero(self.a[:, k] != 0.0) for k in range(self.n))
+    def dense(self, w) -> np.ndarray:
+        """The n x n matrix with the edge weights w at (hearer,
+        broadcaster) and zeros elsewhere, for a dense solve."""
+        m = np.zeros((self.n, self.n))
+        m[self.hearers, broadcasters(self.ptr)] = w
+        return m
 
 
 @dataclass
@@ -106,7 +144,7 @@ class GossipState:
 
 def build_scheme(kind: SchemeKind, g: DiGraph, epsilon: float,
                  gamma: float = 0.5) -> ParamScheme:
-    """Assemble the weight matrices of a named scheme on a strongly
+    """Assemble the edge weights of a named scheme on a strongly
     connected digraph.
 
     epsilon must be positive and finite for companion-coupled kinds and
@@ -129,9 +167,9 @@ def build_scheme(kind: SchemeKind, g: DiGraph, epsilon: float,
                              f"got {epsilon}")
 
     n = g.n
-    adj = g.adjacency()
-    indeg = adj.sum(axis=1)       # how many nodes j hears
-    outdeg = adj.sum(axis=0)      # how many nodes hear k
+    ptr, hearers = g.columns
+    indeg = np.bincount(hearers, minlength=n)   # how many nodes j hears
+    outdeg = np.diff(ptr)                       # how many nodes hear k
     if np.any(indeg == 0) or np.any(outdeg == 0):
         # unreachable for strongly connected inputs; guards direct misuse
         raise NotStronglyConnected("every node needs in- and out-neighbors")
@@ -139,27 +177,28 @@ def build_scheme(kind: SchemeKind, g: DiGraph, epsilon: float,
     inv_in = 1.0 / indeg
     inv_out = 1.0 / outdeg
 
-    # each distinct matrix is built once: weights that coincide (BBGA's
-    # a, b and d, UBGA2's a and d, classic's zero b and d) share one array
+    # one weight per edge; each distinct array is built once: weights
+    # that coincide (BBGA's a, b and d, UBGA2's a and d, classic's zero
+    # b and d) share one array
     if kind is SchemeKind.CLASSIC:
-        a = gamma * adj
-        b = d = np.zeros((n, n))
+        a = np.full(len(hearers), gamma, dtype=float)
+        b = d = np.zeros(len(hearers))
     else:
-        d = adj * inv_in[:, None]
+        d = inv_in[hearers]
         if kind is SchemeKind.BBGA:
             a = b = d
         else:
-            b = adj * inv_out[None, :]
+            b = np.repeat(inv_out, outdeg)
             if kind is SchemeKind.UBGA1:
-                a = 0.5 * adj
+                a = np.full(len(hearers), 0.5)
             elif kind is SchemeKind.UBGA2:
                 a = d
             else:
-                a = adj * inv_out[:, None]
+                a = inv_out[hearers]
     for m in (a, b, d):
         m.setflags(write=False)
 
-    return ParamScheme(kind=kind, a=a, b=b, d=d, epsilon=float(epsilon))
+    return ParamScheme(kind, ptr, hearers, a, b, d, float(epsilon))
 
 
 def local_update(state: GossipState, k: int, scheme: ParamScheme) -> GossipState:
@@ -173,11 +212,12 @@ def local_update(state: GossipState, k: int, scheme: ParamScheme) -> GossipState
     x = state.x.copy()
     y = state.y.copy()
     kk = k - 1
-    recv = scheme.receivers[kk]
+    col = slice(scheme.ptr[kk], scheme.ptr[kk + 1])
+    recv = scheme.hearers[col]
     if recv.size:
-        a = scheme.a[recv, kk]
-        b = scheme.b[recv, kk]
-        d = scheme.d[recv, kk]
+        a = scheme.a[col]
+        b = scheme.b[col]
+        d = scheme.d[col]
         xr = state.x[recv]
         yr = state.y[recv]
         eps = scheme.epsilon
@@ -195,15 +235,16 @@ def assemble_Wk(scheme: ParamScheme, k: int) -> np.ndarray:
         raise ValueError(f"broadcaster {k} outside 1..{scheme.n}")
     n = scheme.n
     kk = k - 1
+    col = slice(scheme.ptr[kk], scheme.ptr[kk + 1])
+    j = scheme.hearers[col]
     ak = np.zeros((n, n))
-    ak[:, kk] = scheme.a[:, kk]
+    ak[j, kk] = scheme.a[col]
     lk = np.diag(ak.sum(axis=1)) - ak
-    bk = np.zeros((n, n))
-    bk[:, kk] = scheme.b[:, kk]
     sk = np.eye(n)
     sk[kk, kk] = 0.0
-    sk += bk
-    dk = np.diag(scheme.d[:, kk])
+    sk[j, kk] += scheme.b[col]
+    dk = np.zeros((n, n))
+    dk[j, j] = scheme.d[col]
     eps = scheme.epsilon
     top = np.hstack([np.eye(n) - lk, eps * dk])
     bot = np.hstack([lk, sk - eps * dk])

@@ -61,7 +61,7 @@ import numpy as np
 
 from . import spectra
 from .errors import MassConservationError, MissingCoords
-from .graph import DiGraph
+from .graph import DiGraph, broadcasters
 from .protocol import ParamScheme, SchemeKind, build_scheme
 
 FULL_RECORD_LIMIT = 10_000   # record every iteration up to here
@@ -182,25 +182,22 @@ def _rq(xs: np.ndarray, mu0: np.ndarray) -> tuple:
     return np.add.reduce(d, -1) / n, np.add.reduce(m, -1) / n
 
 
-def _hearer_tables(schemes, n: int) -> tuple:
-    """CSR hearer tables with one segment per (scheme s, broadcaster k),
-    at s*n + k: its first entry and its hearer count, and per entry the
-    hearer's position relative to k (j - k) and the coefficients 1-a, a,
-    eps*d, b as one row of an (entries, 4) table (np.take copies 32-byte
-    rows much faster than 40-byte ones; 1-eps*d is taken per layout).
-    Hearers are sorted within a segment.  _prepare lays the steps out
-    from them, one layout per check block; rows are packed at the end of
-    the block they leave in.  The arithmetic mirrors
-    protocol.local_update, so a replay through protocol.step reproduces
-    every trial's states bit for bit."""
-    parts = [np.nonzero(s.a.T) for s in schemes]    # k's hearers, sorted
-    counts = np.concatenate([np.bincount(k, minlength=n) for k, _ in parts])
-    rel = np.concatenate([j - k for k, j in parts])
-    coef = []
-    for s, (k, j) in zip(schemes, parts):
-        a = s.a[j, k]
-        coef.append(np.stack((1.0 - a, a, s.epsilon * s.d[j, k], s.b[j, k]), 1))
-    return np.cumsum(counts) - counts, counts, rel, np.concatenate(coef)
+def _hearer_tables(schemes) -> tuple:
+    """CSR hearer tables, the schemes' weight columns concatenated: per
+    (scheme s, broadcaster k), at s*n + k, its first entry and its hearer
+    count, and per entry the hearer's position relative to k (j - k) and
+    the coefficients 1-a, a, eps*d, b as one row of an (entries, 4) table
+    (np.take copies 32-byte rows much faster than 40-byte ones; 1-eps*d
+    is taken per layout).  Hearers are sorted within a segment.  _prepare
+    lays the steps out from them, one layout per check block; rows are
+    packed at the end of the block they leave in.  The arithmetic
+    mirrors protocol.local_update, so a replay through protocol.step
+    reproduces every trial's states bit for bit."""
+    counts = np.concatenate([np.diff(s.ptr) for s in schemes])
+    rel = np.concatenate([s.hearers - broadcasters(s.ptr) for s in schemes])
+    coef = np.concatenate([np.stack((1.0 - s.a, s.a, s.epsilon * s.d, s.b), 1)
+                           for s in schemes])
+    return np.cumsum(counts) - counts, counts, rel, coef
 
 
 def _conserved_weights(schemes) -> np.ndarray:
@@ -210,13 +207,17 @@ def _conserved_weights(schemes) -> np.ndarray:
     solve per distinct B.  Classic gets zeros: it conserves nothing, so
     its total only turns nan with a state that is no longer finite."""
     stationary = {}
+    rows = []
     for s in schemes:
-        if s.kind is SchemeKind.BBGA and s.b.tobytes() not in stationary:
-            stationary[s.b.tobytes()] = spectra.unit_left_vector(
-                s.b, np.ones(s.n))
-    return np.array([stationary[s.b.tobytes()] if s.kind is SchemeKind.BBGA
-                     else np.full(s.n, float(s.kind.is_unbiased))
-                     for s in schemes])
+        if s.kind is not SchemeKind.BBGA:
+            rows.append(np.full(s.n, float(s.kind.is_unbiased)))
+            continue
+        key = (s.ptr.tobytes(), s.hearers.tobytes(), s.b.tobytes())
+        if key not in stationary:
+            stationary[key] = spectra.unit_left_vector(s.dense(s.b),
+                                                       np.ones(s.n))
+        rows.append(stationary[key])
+    return np.array(rows)
 
 
 def _prepare(tables, ks: np.ndarray, toff: np.ndarray, n: int) -> tuple:
@@ -329,7 +330,7 @@ def _lockstep(rows, threshold: float, max_iters: int, *,
     full_series = full_series and keep_series
     spread = stop_rule == "spread"
 
-    tables = _hearer_tables(schemes, n)
+    tables = _hearer_tables(schemes)
     per_row = max(1.0, float(tables[1].mean()))   # mean hearers per broadcast
     # the most (step, row) cells a block can hold, for its buffers: the
     # entries' old and new values and the state after each step

@@ -100,7 +100,8 @@ def unit_left_vector(m, mask) -> np.ndarray:
     NotSimple on a singular system, NoConvergence on a large residual."""
     m = _as_square(m)
     scale = max(np.linalg.norm(m), 1.0)
-    system = m.T - np.eye(len(m))
+    system = m.T.copy()       # M^T - I, without an identity matrix
+    system[np.diag_indices(len(m))] -= 1.0
     system[0] = mask
     try:
         u = np.linalg.solve(system, np.eye(1, len(m))[0])

@@ -37,7 +37,7 @@ class Mutant(NamedTuple):
 
 MUTANTS = (
     Mutant("expected map: 0.0 - a -> -a", "analysis.py",
-           "w[n:, :n] = 0.0 - a", "w[n:, :n] = -a",
+           "w[n + j, k] = 0.0 - a", "w[n + j, k] = -a",
            ("tests/test_expected_map.py",)),
     Mutant("emission: _TIE_SLACK = 0.0", "sim.py",
            "_TIE_SLACK = 1e-9", "_TIE_SLACK = 0.0",
@@ -67,14 +67,19 @@ MUTANTS = (
     # BBGA gets the zero weights of classic: only a state that is no
     # longer finite fails it
     Mutant("lockstep: BBGA rows unchecked", "sim.py",
-           "] if s.kind is SchemeKind.BBGA", "] if False",
+           "if s.kind is not SchemeKind.BBGA:", "if True:",
            ("tests/test_sim.py",)),
     # the solve on M, not M^T, gives the right null vector: ones for
     # BBGA's row-stochastic B, not its stationary vector (the residual
     # check refuses it, so every BBGA call fails)
     Mutant("mass weights: bordered solve on M, not M^T", "spectra.py",
-           "system = m.T - np.eye(len(m))", "system = m - np.eye(len(m))",
+           "system = m.T.copy()", "system = m.copy()",
            ("tests/test_sim.py::test_bbga_conserves_its_stationary_weighted_total",)),
+    # broadcaster k's segment starts at column k+1's first edge: its
+    # hearers and weights are read from the wrong column
+    Mutant("edge columns: broadcaster k reads column k+1's edges", "sim.py",
+           "return np.cumsum(counts) - counts,", "return np.cumsum(counts),",
+           ("tests/test_lockstep.py",)),
     # a caller's writeable float array becomes the scheme's own: a later
     # write to it reaches the scheme
     Mutant("scheme weights: writeable inputs kept without a copy",

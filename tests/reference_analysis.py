@@ -4,7 +4,7 @@ reference_expected_w is the per-broadcaster sum that
 gossiplab.analysis.expected_matrix replaced, kept as the slow oracle: it
 adds the n dense 2n x 2n matrices of protocol.assemble_Wk one after
 another and divides by n, which costs O(n^3).  expected_blocks builds
-the structural blocks of the same map straight from the weight
+the structural blocks of the same map from the weights as dense
 matrices, so w == w0 + eps*e cross-checks the assembly.
 monotonicity_check checks the qualitative shape of the closed-form
 eigenvalue branches on a grid.  mean_square_rate is the dense rate at
@@ -17,6 +17,8 @@ import numpy as np
 
 from gossiplab.graph import laplacian
 from gossiplab.protocol import assemble_Wk
+
+from edge_columns import dense
 
 
 def reference_expected_w(scheme) -> np.ndarray:
@@ -41,9 +43,10 @@ class ExpectedBlocks(NamedTuple):
 
 def expected_blocks(scheme) -> ExpectedBlocks:
     n = scheme.n
-    lbar = laplacian(scheme.a) / n
-    dbar = np.diag(scheme.d.sum(axis=1)) / n
-    sbar = (1.0 - 1.0 / n) * np.eye(n) + scheme.b / n
+    a, b, d = dense(scheme)
+    lbar = laplacian(a) / n
+    dbar = np.diag(d.sum(axis=1)) / n
+    sbar = (1.0 - 1.0 / n) * np.eye(n) + b / n
     eye, zero = np.eye(n), np.zeros((n, n))
     w0 = np.block([[eye - lbar, zero], [lbar, sbar]])
     e = np.block([[zero, dbar], [zero, -dbar]])

@@ -1,7 +1,8 @@
 """Reference trial engine: the one-trial loop the lockstep kernel in
 gossiplab.sim replaced, kept as the slow oracle for differential tests.
 
-It draws one broadcaster per iteration, updates the receivers in place
+It draws one broadcaster per iteration, reads its hearers and weights
+from the scheme's edge column, updates the receivers in place
 and recomputes r, q and the mass check on every step, keeping the
 largest drift.  The mass check weighs x + y by ones for UBGA1-3, by
 B's stationary vector for BBGA (the engine's spectra.unit_left_vector)
@@ -24,6 +25,8 @@ from gossiplab.errors import MassConservationError
 from gossiplab.protocol import SchemeKind
 from gossiplab.sim import FULL_RECORD_LIMIT, THIN_FACTOR, TrialRecord
 
+from edge_columns import column, dense
+
 
 # a diverging scheme may overflow, as in the lockstep kernel
 @np.errstate(over="ignore", invalid="ignore")
@@ -34,16 +37,15 @@ def reference_trial(scheme, x0, threshold, max_iters, rng, *,
     y = np.zeros(n)
     eps = scheme.epsilon
 
-    recv_list = scheme.receivers
-    one_minus_a = [1.0 - scheme.a[r, k] for k, r in enumerate(recv_list)]
-    a_cols = [np.ascontiguousarray(scheme.a[r, k]) for k, r in enumerate(recv_list)]
-    b_cols = [np.ascontiguousarray(scheme.b[r, k]) for k, r in enumerate(recv_list)]
-    ed_cols = [eps * scheme.d[r, k] for k, r in enumerate(recv_list)]
+    recv_list, a_cols, b_cols, d_cols = zip(
+        *(column(scheme, k) for k in range(n)))
+    one_minus_a = [1.0 - c for c in a_cols]
+    ed_cols = [eps * c for c in d_cols]
     one_minus_ed = [1.0 - c for c in ed_cols]
 
     mu0 = float(x.mean())
     if scheme.kind is SchemeKind.BBGA:
-        w = spectra.unit_left_vector(scheme.b, np.ones(n))
+        w = spectra.unit_left_vector(dense(scheme)[1], np.ones(n))
     else:
         w = np.full(n, float(scheme.kind.is_unbiased))
     total0 = float((w * x).sum())

@@ -12,7 +12,7 @@ from gossiplab.errors import (
     XiOutOfRange,
 )
 from gossiplab.graph import DiGraph, laplacian
-from gossiplab.protocol import ParamScheme, SchemeKind, build_scheme
+from gossiplab.protocol import SchemeKind, build_scheme
 from gossiplab.analysis import (
     bbga_closed_eigs, classify_expectation, epsilon_report, eta_bound,
     eta_practical, expected_matrix, indegree_laplacian, optimal_epsilon,
@@ -22,6 +22,7 @@ from gossiplab.analysis import (
 from gossiplab.cli import report_json
 from gossiplab.sim import write_text
 from gossiplab.spectra import eigenvalues, spectral_radius
+from edge_columns import dense, scheme_from_dense
 from reference_analysis import expected_blocks, monotonicity_check
 from strategies import strong_digraphs
 
@@ -35,8 +36,9 @@ def test_expected_matrix_decomposition(digraph16):
         em = expected_blocks(s)
         # the averaged per-broadcast maps match the structural form
         assert np.max(np.abs(w - (em.w0 + s.epsilon * em.e))) < 1e-13
-        assert np.allclose(em.lbar, laplacian(s.a) / 16)
-        assert np.allclose(em.dbar, np.diag(s.d.sum(axis=1)) / 16)
+        a, _, d = dense(s)
+        assert np.allclose(em.lbar, laplacian(a) / 16)
+        assert np.allclose(em.dbar, np.diag(d.sum(axis=1)) / 16)
     s = build_scheme(SchemeKind.BBGA, digraph16, 0.7)
     em = expected_blocks(s)
     # matching mixing and companion weights collapse Sbar to I - Lbar
@@ -66,9 +68,8 @@ def test_classify_reports_repeated_unit_eigenvalue_in_band():
     # multiplicity two, which must set the flag, not raise
     k2 = build_scheme(SchemeKind.BBGA, DiGraph(2, {(1, 2), (2, 1)}), 0.5)
     z = np.zeros((2, 2))
-    a = np.block([[k2.a, z], [z, k2.a]])
-    s = ParamScheme(kind=SchemeKind.BBGA, a=a, b=a.copy(), d=a.copy(),
-                    epsilon=0.5)
+    a = np.block([[dense(k2)[0], z], [z, dense(k2)[0]]])
+    s = scheme_from_dense(SchemeKind.BBGA, a, a, a, 0.5)
     rep = classify_expectation(s)
     assert not rep.is_simple_one
     assert rep.w1 is None and rep.w2 is None

@@ -16,7 +16,8 @@ from gossiplab.analysis import (
 from gossiplab.graph import (
     connectivity_radius, directify, random_geometric_graph,
 )
-from gossiplab.protocol import ParamScheme, SchemeKind, build_scheme
+from gossiplab.protocol import SchemeKind, build_scheme
+from edge_columns import dense, scheme_from_dense
 from reference_analysis import expected_blocks, reference_expected_w
 from strategies import strong_digraphs
 
@@ -42,14 +43,16 @@ def test_expected_map_is_bitwise_the_per_broadcaster_sum(g, kind, eps, gamma,
         # custom mixing weights in (0, 1] on the edges, the kind's b and d
         rng = np.random.default_rng(a_seed)
         a = g.adjacency() * (1.0 - rng.random((g.n, g.n)))
-        scheme = ParamScheme(kind, a, scheme.b, scheme.d, scheme.epsilon)
+        scheme = scheme_from_dense(kind, a, *dense(scheme)[1:],
+                                   scheme.epsilon)
     assert_bitwise(scheme)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_expected_map_is_bitwise_for_arbitrary_weights(seed):
-    # dense weights with nonzero diagonals, negative entries, signed zeros
-    # and a negative coupling: no term of the sum may be dropped or reordered
+    # weights on every edge of the complete digraph, with negative
+    # entries, signed zeros and a negative coupling: no term of the sum
+    # may be dropped or reordered
     rng = np.random.default_rng(seed)
     n = 9
     mats = []
@@ -59,7 +62,8 @@ def test_expected_map_is_bitwise_for_arbitrary_weights(seed):
         m[rng.random((n, n)) < 0.2] = -0.0
         mats.append(m)
     for eps in (0.7, -1.3, 0.0):
-        assert_bitwise(ParamScheme(SchemeKind.UBGA1, *mats, epsilon=eps))
+        assert_bitwise(scheme_from_dense(SchemeKind.UBGA1, *mats, eps,
+                                         hears=np.ones((n, n))))
 
 
 def test_expected_map_is_bitwise_on_the_200_node_benchmark_graph():

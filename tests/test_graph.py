@@ -1,5 +1,6 @@
 """Graph construction, generation, and serialization."""
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -49,7 +50,6 @@ def test_neighbor_and_degree_conventions():
     assert np.flatnonzero(adj[1]).tolist() == [2]          # 2 hears 3
     assert np.flatnonzero(adj[:, 2]).tolist() == [0, 1]    # 1, 2 hear 3
     assert np.flatnonzero(adj[:, 1]).tolist() == [0]       # 1 hears 2
-    assert g.in_degree(1) == 2
     assert adj[0, 1] == 1.0 and adj[0, 2] == 1.0 and adj[1, 0] == 0.0
     assert adj.sum() == len(TRIANGLE_EDGES)
 
@@ -69,8 +69,17 @@ def test_graph_is_immutable(graph16):
     with pytest.raises(Exception):
         graph16.coords[0, 0] = 5.0
     with pytest.raises(Exception):
-        graph16._adj[0, 0] = True
+        graph16.columns[1][0] = 0
     assert isinstance(graph16.edges, frozenset)
+
+
+def test_an_unpickled_graph_is_immutable(graph16):
+    # process pools send graphs pickled, with what the graph has cached
+    g = pickle.loads(pickle.dumps(graph16))
+    assert (g.n, g.edges) == (graph16.n, graph16.edges)
+    assert np.array_equal(g.coords, graph16.coords)
+    assert not g.coords.flags.writeable
+    assert not any(m.flags.writeable for m in g.columns)
 
 
 def test_random_geometric_graph_properties(graph16):
@@ -217,9 +226,9 @@ def test_strong_connectivity_is_checked_once_per_graph(graph16, monkeypatch):
     calls = []
     reachable = graph._reachable
 
-    def spy(adj, start):
-        calls.append(start)
-        return reachable(adj, start)
+    def spy(*args):
+        calls.append(args)
+        return reachable(*args)
 
     monkeypatch.setattr(graph, "_reachable", spy)
     points = sim.epsilon_sweep(SchemeKind.BBGA, g, DEFAULT_GRID, 1, 1e-3, 50,

@@ -1,15 +1,18 @@
 """Update rules, weight schemes, and the per-broadcast matrices."""
+import pickle
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from gossiplab import sim
 from gossiplab.errors import InvalidEpsilon, NotStronglyConnected
 from gossiplab.graph import DiGraph, is_strongly_connected
 from gossiplab.protocol import (
     GossipState, ParamScheme, SchemeKind, assemble_Wk, build_scheme,
     local_update, step,
 )
+from edge_columns import column, dense
 
 K2 = DiGraph(2, {(1, 2), (2, 1)})
 TRIANGLE = DiGraph(3, {(1, 2), (2, 3), (3, 1), (1, 3)})
@@ -60,39 +63,41 @@ def test_weight_structure(digraph16):
 
     for kind in (SchemeKind.UBGA1, SchemeKind.UBGA2, SchemeKind.UBGA3,
                  SchemeKind.BBGA):
-        s = make(kind, g)
-        assert np.all(s.a[~on] == 0.0)
-        assert np.all(s.b[~on] == 0.0)
-        assert np.allclose(s.d.sum(axis=1), 1.0)       # rows of d: 1/in-degree
+        a, b, d = dense(make(kind, g))
+        assert np.all(a[~on] == 0.0)
+        assert np.all(b[~on] == 0.0)
+        assert np.allclose(d.sum(axis=1), 1.0)       # rows of d: 1/in-degree
         if kind.is_unbiased:
-            assert np.allclose(s.b.sum(axis=0), 1.0)   # column-stochastic B
+            assert np.allclose(b.sum(axis=0), 1.0)   # column-stochastic B
         else:
-            assert np.array_equal(s.b, s.a)            # B = A, row-stochastic
-            assert np.allclose(s.a.sum(axis=1), 1.0)
+            assert np.array_equal(b, a)              # B = A, row-stochastic
+            assert np.allclose(a.sum(axis=1), 1.0)
 
-    assert np.array_equal(make(SchemeKind.UBGA1, g).a, 0.5 * adj)
-    assert np.allclose(make(SchemeKind.UBGA2, g).a,
+    assert np.array_equal(dense(make(SchemeKind.UBGA1, g))[0], 0.5 * adj)
+    assert np.allclose(dense(make(SchemeKind.UBGA2, g))[0],
                        adj * (1.0 / indeg)[:, None])
-    assert np.allclose(make(SchemeKind.UBGA3, g).a,
+    assert np.allclose(dense(make(SchemeKind.UBGA3, g))[0],
                        adj * (1.0 / outdeg)[:, None])
 
     c = make(SchemeKind.CLASSIC, g, gamma=0.25)
-    assert np.array_equal(c.a, 0.25 * adj)
+    assert np.array_equal(dense(c)[0], 0.25 * adj)
     assert np.all(c.b == 0.0) and np.all(c.d == 0.0)
     assert c.epsilon == 0.0
 
 
 def test_scheme_arrays_are_frozen(graph16):
     s = make(SchemeKind.BBGA, graph16)
-    for m in (s.a, s.b, s.d):
+    for m in (s.ptr, s.hearers, s.a, s.b, s.d):
         with pytest.raises(Exception):
-            m[0, 0] = 9.0
+            m[0] = 9
 
 
-# a directed 200-cycle with every other link made two-way: in- and
-# out-degrees differ from node to node
-RING200 = DiGraph(200, {(i, i % 200 + 1) for i in range(1, 201)}
-                  | {(i % 200 + 1, i) for i in range(2, 201, 2)})
+# 60 nodes, i hearing j unless 7 divides i + 2j: in- and out-degrees
+# differ from node to node (50 to 52), and the edges outnumber the nodes
+# 50 to 1, so an array of n entries weighs little beside one of one
+# float per edge
+DENSE60 = DiGraph(60, {(i, j) for i in range(1, 61) for j in range(1, 61)
+                       if i != j and (i + 2 * j) % 7})
 DISTINCT = {SchemeKind.BBGA: 1, SchemeKind.UBGA2: 2, SchemeKind.CLASSIC: 2,
             SchemeKind.UBGA1: 3, SchemeKind.UBGA3: 3}
 
@@ -100,13 +105,14 @@ DISTINCT = {SchemeKind.BBGA: 1, SchemeKind.UBGA2: 2, SchemeKind.CLASSIC: 2,
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_build_scheme_builds_each_distinct_matrix_once(kind):
     # weights that coincide share one read-only array, which the scheme
-    # keeps as given: one n x n block per distinct matrix stays, and at
-    # most one more (the float adjacency) lives while they are built
-    assert is_strongly_connected(RING200)      # the boolean adjacency is cached
-    block = 200 * 200 * 8
+    # keeps as given, as it keeps the graph's edge columns: one array of
+    # one weight per edge stays per distinct weight, and at most one more
+    # edge-sized array (the layout check's) lives while they are built
+    ptr, hearers = DENSE60.columns
+    block = len(hearers) * 8
     tracemalloc.start()
     try:
-        s = make(kind, RING200)
+        s = make(kind, DENSE60)
         _, peak = tracemalloc.get_traced_memory()
         kept = sum(t.size == block
                    for t in tracemalloc.take_snapshot().traces)
@@ -114,6 +120,7 @@ def test_build_scheme_builds_each_distinct_matrix_once(kind):
         tracemalloc.stop()
     assert kept == DISTINCT[kind]
     assert peak <= (DISTINCT[kind] + 1.5) * block
+    assert s.ptr is ptr and s.hearers is hearers
     assert len({id(s.a), id(s.b), id(s.d)}) == DISTINCT[kind]
     if kind is SchemeKind.BBGA:
         assert s.a is s.b is s.d
@@ -121,35 +128,112 @@ def test_build_scheme_builds_each_distinct_matrix_once(kind):
         assert s.a is s.d
     elif kind is SchemeKind.CLASSIC:
         assert s.b is s.d
-    assert not any(m.flags.writeable for m in (s.a, s.b, s.d))
+    assert not any(m.flags.writeable
+                   for m in (s.ptr, s.hearers, s.a, s.b, s.d))
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_an_unpickled_scheme_is_frozen_and_shares_as_built(kind):
+    # process pools send schemes pickled: the copy a worker gets must be
+    # as read-only, and share its arrays as, the scheme that was sent
+    s = make(kind, TRIANGLE)
+    t = pickle.loads(pickle.dumps(s))
+    names = ("ptr", "hearers", "a", "b", "d")
+    for name in names:
+        assert np.array_equal(getattr(t, name), getattr(s, name))
+        assert not getattr(t, name).flags.writeable
+    assert (t.kind, t.epsilon) == (s.kind, s.epsilon)
+    assert len({id(getattr(t, name)) for name in names}) == \
+        len({id(getattr(s, name)) for name in names})
+    if kind is SchemeKind.BBGA:
+        assert t.a is t.b is t.d
+
+
+def test_scheme_tables_of_a_sparse_graph_hold_no_n_by_n_array():
+    # a two-way ring plus random two-way chords, built from its edges:
+    # the weights and the engine's hearer tables cost a small multiple of
+    # one float per edge per scheme; one n x n float matrix would cost
+    # 570 floats per edge
+    n = 2000
+    rng = np.random.default_rng(7)
+    edges = {(i % n + 1, (i + 1) % n + 1) for i in range(n)}
+    edges |= {(j, i) for i, j in edges}
+    chords = rng.integers(1, n + 1, size=(1500, 2))
+    edges |= {(int(i), int(j)) for i, j in chords if i != j}
+    edges |= {(j, i) for i, j in edges}
+    g = DiGraph(n, edges)
+    assert is_strongly_connected(g)
+    per_edge = len(g.edges) * 8
+    tracemalloc.start()
+    try:
+        schemes = [make(kind, g) for kind in ALL_KINDS]
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        sim._hearer_tables(schemes)
+        _, tables_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * per_edge * len(schemes)
+    assert tables_peak < 16 * per_edge * len(schemes)
 
 
 def test_a_scheme_keeps_no_handle_of_its_callers_arrays():
-    # a writeable float array, an int array and a read-only view of a
-    # writeable array are copied; a read-only float64 array that owns
-    # its data is kept
-    a = np.array([[0.0, 0.5], [0.5, 0.0]])
-    b = np.array([[0, 1], [1, 0]])
-    base = np.array([[0.0, 1.0], [1.0, 0.0]])
+    # a writeable float array, an integer array, a list and a read-only
+    # view of a writeable array are copied, each object once; a
+    # read-only array of the field's dtype that owns its data is kept
+    ptr = np.array([0, 1, 2])
+    hearers = [1, 0]
+    a = np.array([0.5, 0.5])
+    b = np.array([1, 1])
+    base = np.array([1.0, 1.0])
     d = base.view()
     d.setflags(write=False)
-    s = ParamScheme(SchemeKind.UBGA1, a, b, d, 0.5)
-    before = [m.copy() for m in (s.a, s.b, s.d)]
-    a[0, 1] = b[0, 1] = base[0, 1] = 9
-    for m, was in zip((s.a, s.b, s.d), before):
-        assert np.array_equal(m, was)
-        assert m.dtype == np.float64 and not m.flags.writeable
-    frozen = before[0]
+    s = ParamScheme(SchemeKind.UBGA1, ptr, hearers, a, b, d, 0.5)
+    names = ("ptr", "hearers", "a", "b", "d")
+    before = [getattr(s, name).copy() for name in names]
+    ptr[1] = hearers[0] = a[0] = b[0] = base[0] = 9
+    for name, was in zip(names, before):
+        m = getattr(s, name)
+        assert np.array_equal(m, was) and not m.flags.writeable
+        assert m.dtype == (np.intp if name in names[:2] else np.float64)
+    w = np.array([0.5, 1.0])
+    shared = ParamScheme(SchemeKind.BBGA, s.ptr, s.hearers, w, w, w, 0.5)
+    assert shared.a is shared.b is shared.d and shared.a is not w
+    assert shared.ptr is s.ptr and shared.hearers is s.hearers
+    frozen = before[2]
     frozen.setflags(write=False)
-    assert ParamScheme(SchemeKind.BBGA, frozen, frozen, frozen, 0.5).b is frozen
+    kept = ParamScheme(SchemeKind.BBGA, s.ptr, s.hearers, frozen, frozen,
+                       frozen, 0.5)
+    assert kept.b is frozen
+
+
+@pytest.mark.parametrize("ptr, hearers, a", [
+    # a broadcaster among its own hearers: the expected map takes every
+    # W_k's own diagonal entries as those of a node that does not hear k
+    ([0, 1, 2], [0, 0], [1.0, 1.0]),
+    ([0, 1, 2], [1, 0, 1], [1.0, 1.0]),         # hearers past ptr's end
+    ([0, 1, 2, 2], [2], [1.0]),                 # hearers short of it
+    ([0, 1, 2], [1, 0], [1.0]),                 # a short of them
+    ([0, 2, 2, 2], [2, 1], [1.0, 1.0]),         # hearers not ascending
+    ([0, 2, 2, 2], [1, 1], [1.0, 1.0]),         # a hearer twice
+    ([0, 1, 2], [1, 2], [1.0, 1.0]),            # a hearer past node n-1
+    ([0, 1, 2], [-1, 0], [1.0, 1.0]),           # a negative hearer
+    ([1, 2, 3], [1, 0], [1.0, 1.0]),            # ptr not from 0
+    ([0, 2, 1], [1, 0], [1.0, 1.0]),            # ptr falling
+    ([0], [], []),                              # no broadcaster
+])
+def test_a_scheme_refuses_a_broken_column_layout(ptr, hearers, a):
+    b = d = np.ones(len(hearers))
+    with pytest.raises(ValueError):
+        ParamScheme(SchemeKind.UBGA1, ptr, hearers, a, b, d, 0.5)
 
 
 def test_receivers_match_out_neighbors(digraph16):
     s = make(SchemeKind.UBGA1, digraph16)
     adj = digraph16.adjacency()
     for k in range(digraph16.n):
-        # the nodes that listen to k: column k of the adjacency
-        assert tuple(s.receivers[k]) == tuple(np.flatnonzero(adj[:, k]))
+        # the nodes that listen to k: column k of the adjacency, ascending
+        assert tuple(column(s, k)[0]) == tuple(np.flatnonzero(adj[:, k]))
 
 
 def test_two_node_broadcast_by_hand():

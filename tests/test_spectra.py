@@ -103,7 +103,8 @@ def test_left_eigenvector_rejects_orthogonal_mask():
 def test_unit_left_vector_equals_the_eigenvector_it_replaces(g, kind):
     # the bordered solve that weighs the engine's mass check gives the
     # stationary vector of B that the dense eigensolver gives
-    b = build_scheme(kind, g, 0.5).b
+    s = build_scheme(kind, g, 0.5)
+    b = s.dense(s.b)
     u = unit_left_vector(b, np.ones(g.n))
     v = left_eigenvector(b, 1.0, mask=np.ones(g.n))
     assert np.linalg.norm(u - v) <= 1e-12 * np.linalg.norm(v)
