@@ -85,8 +85,8 @@ def expected_matrix(scheme: ParamScheme) -> np.ndarray:
     that zeros stay +0.0; a pairwise np.sum would round differently.)
     """
     n = scheme.n
-    j, k, a = scheme.hearers, broadcasters(scheme.ptr), scheme.a
-    ptr = scheme.ptr.tolist()
+    ptr, j = scheme.graph.columns
+    k, a, ptr = broadcasters(ptr), scheme.a, ptr.tolist()
     # allocated before the scratch arrays below so that glibc can hand
     # their memory back on return; the other order raised the peak RSS
     # of two n=400 analyses by 3 MB
@@ -204,7 +204,8 @@ def second_moment_matrix(scheme: ParamScheme, v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape != (n,):
         raise ValueError(f"v must be a length-{n} vector")
-    vb = np.bincount(broadcasters(scheme.ptr), v[scheme.hearers] * scheme.b, n)
+    ptr, hearers = scheme.graph.columns
+    vb = np.bincount(broadcasters(ptr), v[hearers] * scheme.b, n)
     if np.max(np.abs(vb - v)) > 1e-8 or abs(v.sum() - 1.0) > 1e-8:
         raise BadStationaryVector("need v^T B = v^T with entries summing to 1")
     dim = 4 * n * n

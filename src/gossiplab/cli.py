@@ -149,6 +149,9 @@ def resolve_config(args: argparse.Namespace) -> argparse.Namespace:
                 raise ConfigError(f"--{k.replace('_', '-')} cannot be "
                                   "combined with a graph file")
             del values[k]
+    for k, v in values.items():     # each is echoed on one "# " line
+        if isinstance(v, str) and "".join(v.splitlines()) != v:
+            raise ConfigError(f"{k} must hold no line break, got {v!r}")
     cfg = argparse.Namespace(**values)
     if values.get("workers") is not None and cfg.workers < 1:
         raise ConfigError(f"workers must be at least 1, got {cfg.workers}")

@@ -25,7 +25,7 @@ rule: eps = 0, B = 0, d = 0, a_jk = gamma.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 import numpy as np
@@ -48,25 +48,23 @@ class SchemeKind(Enum):
 
 @dataclass(frozen=True)
 class ParamScheme:
-    """Frozen edge weights for one protocol instance, by broadcaster.
+    """Frozen edge weights for one protocol instance on a digraph.
 
-    Broadcaster k (0-based) is heard by hearers[ptr[k]:ptr[k + 1]],
-    ascending and never k itself; a, b and d hold one weight per edge,
-    aligned with hearers: a_jk, b_jk and the companion rate d_jk that
-    hearer j applies during k's broadcast.  Every other weight is zero.
-    A layout that breaks these rules is refused with ValueError.
+    a, b and d hold one weight per edge, aligned with the graph's edge
+    columns (graph.columns: broadcaster k, 0-based, is heard by
+    hearers[ptr[k]:ptr[k + 1]]): a_jk, b_jk and the companion rate d_jk
+    that hearer j applies during k's broadcast; every other weight is
+    zero.  Weights of any other length are refused with ValueError.
 
-    A read-only array that owns its data, of intp for ptr and hearers
-    and float64 for the weights, is kept as given (its owner must not
-    write to it through a view made before it was frozen) and may fill
-    more than one field; anything else is copied once per object and
-    frozen, so a caller that later writes to its own array cannot reach
-    the scheme.  Unpickling goes through the same rule.
+    A read-only float64 array that owns its data is kept as given (its
+    owner must not write to it through a view made before it was
+    frozen) and may fill more than one field; anything else is copied
+    once per object and frozen, so a caller that later writes to its own
+    array cannot reach the scheme.  Unpickling goes through the same rule.
     """
 
     kind: SchemeKind
-    ptr: np.ndarray
-    hearers: np.ndarray
+    graph: DiGraph = field(repr=False)
     a: np.ndarray
     b: np.ndarray
     d: np.ndarray
@@ -74,40 +72,18 @@ class ParamScheme:
 
     def __post_init__(self):
         kept = {}       # one frozen array per object given
-        for name in ("ptr", "hearers", "a", "b", "d"):
+        for name in ("a", "b", "d"):
             m = getattr(self, name)
-            dtype = np.intp if name in ("ptr", "hearers") else np.float64
-            key = (id(m), dtype)
+            key = id(m)
             if key not in kept:
-                if not (type(m) is np.ndarray and m.dtype == dtype
+                if not (type(m) is np.ndarray and m.dtype == np.float64
                         and not m.flags.writeable and m.flags.owndata):
-                    m = np.array(m, dtype=dtype)
+                    m = np.array(m, dtype=np.float64)
                     m.setflags(write=False)
+                if m.shape != (len(self.graph.edges),):
+                    raise ValueError("a, b and d hold one weight per edge")
                 kept[key] = m
             object.__setattr__(self, name, kept[key])
-        ptr, hearers = self.ptr, self.hearers
-        if (ptr.ndim != 1 or len(ptr) < 2 or ptr[0] != 0
-                or np.diff(ptr).min() < 0
-                or {m.shape for m in (hearers, self.a, self.b, self.d)}
-                != {(ptr[-1],)}):
-            raise ValueError("ptr must rise from 0 to the edge count, and "
-                             "hearers, a, b and d hold one entry per edge")
-        # the checks below make one array of one entry per edge, k, and
-        # work in place or a slice at a time
-        n = self.n
-        k = broadcasters(ptr)
-        if hearers.size and (hearers.min() < 0 or hearers.max() >= n
-                             or not np.subtract(hearers, k, out=k).all()):
-            raise ValueError("hearers must be nodes 0..n-1 other than the "
-                             "broadcaster")
-        np.subtract(hearers, k, out=k)      # k again
-        # k*n + j rises along the columns exactly when each column's
-        # hearers ascend without repeats
-        k *= n
-        k += hearers
-        for s in range(0, len(k) - 1, 512):
-            if np.diff(k[s:s + 513]).min() <= 0:
-                raise ValueError("each broadcaster's hearers must ascend")
 
     def __reduce__(self):
         # unpickling goes through __post_init__, which freezes the arrays
@@ -115,13 +91,14 @@ class ParamScheme:
 
     @property
     def n(self) -> int:
-        return len(self.ptr) - 1
+        return self.graph.n
 
     def dense(self, w) -> np.ndarray:
         """The n x n matrix with the edge weights w at (hearer,
         broadcaster) and zeros elsewhere, for a dense solve."""
+        ptr, hearers = self.graph.columns
         m = np.zeros((self.n, self.n))
-        m[self.hearers, broadcasters(self.ptr)] = w
+        m[hearers, broadcasters(ptr)] = w
         return m
 
 
@@ -198,7 +175,7 @@ def build_scheme(kind: SchemeKind, g: DiGraph, epsilon: float,
     for m in (a, b, d):
         m.setflags(write=False)
 
-    return ParamScheme(kind, ptr, hearers, a, b, d, float(epsilon))
+    return ParamScheme(kind, g, a, b, d, float(epsilon))
 
 
 def local_update(state: GossipState, k: int, scheme: ParamScheme) -> GossipState:
@@ -212,8 +189,9 @@ def local_update(state: GossipState, k: int, scheme: ParamScheme) -> GossipState
     x = state.x.copy()
     y = state.y.copy()
     kk = k - 1
-    col = slice(scheme.ptr[kk], scheme.ptr[kk + 1])
-    recv = scheme.hearers[col]
+    ptr, hearers = scheme.graph.columns
+    col = slice(ptr[kk], ptr[kk + 1])
+    recv = hearers[col]
     if recv.size:
         a = scheme.a[col]
         b = scheme.b[col]
@@ -235,8 +213,9 @@ def assemble_Wk(scheme: ParamScheme, k: int) -> np.ndarray:
         raise ValueError(f"broadcaster {k} outside 1..{scheme.n}")
     n = scheme.n
     kk = k - 1
-    col = slice(scheme.ptr[kk], scheme.ptr[kk + 1])
-    j = scheme.hearers[col]
+    ptr, hearers = scheme.graph.columns
+    col = slice(ptr[kk], ptr[kk + 1])
+    j = hearers[col]
     ak = np.zeros((n, n))
     ak[j, kk] = scheme.a[col]
     lk = np.diag(ak.sum(axis=1)) - ak

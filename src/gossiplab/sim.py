@@ -193,8 +193,9 @@ def _hearer_tables(schemes) -> tuple:
     packed at the end of the block they leave in.  The arithmetic
     mirrors protocol.local_update, so a replay through protocol.step
     reproduces every trial's states bit for bit."""
-    counts = np.concatenate([np.diff(s.ptr) for s in schemes])
-    rel = np.concatenate([s.hearers - broadcasters(s.ptr) for s in schemes])
+    cols = [s.graph.columns for s in schemes]
+    counts = np.concatenate([np.diff(ptr) for ptr, _ in cols])
+    rel = np.concatenate([hearers - broadcasters(ptr) for ptr, hearers in cols])
     coef = np.concatenate([np.stack((1.0 - s.a, s.a, s.epsilon * s.d, s.b), 1)
                            for s in schemes])
     return np.cumsum(counts) - counts, counts, rel, coef
@@ -212,7 +213,7 @@ def _conserved_weights(schemes) -> np.ndarray:
         if s.kind is not SchemeKind.BBGA:
             rows.append(np.full(s.n, float(s.kind.is_unbiased)))
             continue
-        key = (s.ptr.tobytes(), s.hearers.tobytes(), s.b.tobytes())
+        key = (id(s.graph), s.b.tobytes())
         if key not in stationary:
             stationary[key] = spectra.unit_left_vector(s.dense(s.b),
                                                        np.ones(s.n))

@@ -1,25 +1,29 @@
-"""Dense n x n weights for tests, to and from the edge columns that a
-protocol.ParamScheme holds.  scheme_from_dense builds a scheme from
-dense weights, dense reads its weights back as matrices and column
-reads one broadcaster's hearers and weights."""
+"""Dense n x n weights for tests, to and from the edge weights of a
+protocol.ParamScheme, aligned with its graph's edge columns.
+scheme_from_dense builds a scheme from dense weights, dense reads its
+weights back as matrices and column reads one broadcaster's hearers
+and weights."""
 import numpy as np
 
+from gossiplab.graph import DiGraph, broadcasters
 from gossiplab.protocol import ParamScheme
 
 
 def scheme_from_dense(kind, a, b, d, epsilon, hears=None) -> ParamScheme:
-    """The scheme in which broadcaster k is heard by the nodes j != k
-    with hears[j, k] (by default where a, b or d is nonzero), with the
-    weights that a, b and d hold there.  The diagonal is dropped: no
-    broadcaster hears itself."""
+    """The scheme on the digraph in which broadcaster k is heard by the
+    nodes j != k with hears[j, k] (by default where a, b or d is
+    nonzero), with the weights that a, b and d hold there.  The diagonal
+    is dropped: no broadcaster hears itself."""
     a, b, d = (np.asarray(m, dtype=float) for m in (a, b, d))
     if hears is None:
         hears = (a != 0.0) | (b != 0.0) | (d != 0.0)
     hears = np.array(hears, dtype=bool)
     np.fill_diagonal(hears, False)
-    k, j = np.nonzero(hears.T)      # by broadcaster, hearers ascending
-    ptr = np.concatenate(([0], np.cumsum(np.bincount(k, minlength=len(a)))))
-    return ParamScheme(kind, ptr, j, a[j, k], b[j, k], d[j, k], epsilon)
+    g = DiGraph(len(a), {(int(j) + 1, int(k) + 1)
+                         for j, k in zip(*np.nonzero(hears))})
+    ptr, j = g.columns
+    k = broadcasters(ptr)
+    return ParamScheme(kind, g, a[j, k], b[j, k], d[j, k], epsilon)
 
 
 def dense(scheme) -> tuple:
@@ -29,5 +33,6 @@ def dense(scheme) -> tuple:
 
 def column(scheme, k: int) -> tuple:
     """Broadcaster k's (0-based) hearers and their weights a, b and d."""
-    col = slice(scheme.ptr[k], scheme.ptr[k + 1])
-    return scheme.hearers[col], scheme.a[col], scheme.b[col], scheme.d[col]
+    ptr, hearers = scheme.graph.columns
+    col = slice(ptr[k], ptr[k + 1])
+    return hearers[col], scheme.a[col], scheme.b[col], scheme.d[col]

@@ -86,6 +86,11 @@ MUTANTS = (
            "protocol.py", "and not m.flags.writeable and m.flags.owndata",
            "and m.flags.owndata",
            ("tests/test_protocol.py::test_a_scheme_keeps_no_handle_of_its_callers_arrays",)),
+    # weights of another length than the graph's edge count are kept:
+    # the engine's tables would pair hearers with other edges' weights
+    Mutant("scheme weights: no check of one weight per edge", "protocol.py",
+           "if m.shape != (len(self.graph.edges),):", "if False:",
+           ("tests/test_protocol.py::test_a_scheme_refuses_weights_not_one_per_edge",)),
     # two workers' chunks overlap by one seed
     Mutant("campaigns: seed chunks overlap", "sim.py",
            "(c + 1) * trials // nwork", "(c + 1) * trials // nwork + 1",

@@ -870,6 +870,25 @@ def test_infinite_threshold_exits_2_before_any_trial(graph_file, tmp_path,
         assert not out.exists()
 
 
+@pytest.mark.parametrize("brk", ["\n", "\r", "\x0b", "\x1c", " "])
+def test_a_setting_with_a_line_break_exits_2_writing_nothing(
+        graph_file, tmp_path, capsys, brk):
+    # every setting is echoed on a "# config:" header line: a line break
+    # in one split the headers, so the graph written could not be loaded
+    # and every CSV header was corrupt
+    cases = [(["generate", "--n", "8", "--seed", "1",
+               "--out", str(tmp_path / f"a{brk}b")], "out"),
+             (["simulate", "--epsilon", f"0.5{brk}", "--trials", "2",
+               "--graph", str(graph_file), "--out", str(tmp_path / "s")],
+              "epsilon")]
+    for argv, key in cases:
+        assert run(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must hold no line break")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+
 def test_non_finite_coupling_exits_2_before_any_trial(graph_file, tmp_path,
                                                       capsys, monkeypatch):
     # an infinite coupling used to run every trial on a nan state up to

@@ -602,7 +602,7 @@ def test_a_hub_segment_past_the_pairwise_block_matches_lone_runs():
                build_scheme(SchemeKind.UBGA1, g, 0.5),
                build_scheme(SchemeKind.UBGA3, g, 0.8),
                build_scheme(SchemeKind.CLASSIC, g, 0.0)]
-    assert max(np.diff(schemes[0].ptr)) == n - 1
+    assert max(np.diff(schemes[0].graph.columns[0])) == n - 1
     cases = [(s, np.random.default_rng(i).random(n), seed)
              for i, s in enumerate(schemes) for seed in (5, 6)]
     for seed in (5, 6):     # the hub broadcasts within the first 600 steps
@@ -643,7 +643,7 @@ def test_broadcasters_without_hearers_match_the_reference(graph16,
                                      (SchemeKind.CLASSIC, 0.0),
                                      (SchemeKind.UBGA1, 0.5)]):
         s = build_scheme(kind, graph16, eps)
-        assert all(np.diff(s.ptr))
+        assert all(np.diff(s.graph.columns[0]))
         for dropped in ((0,), (3, 7, 15)):
             cases.append((silenced(s, *dropped),
                           np.random.default_rng(i).random(16), 10 + i))
@@ -656,7 +656,7 @@ def test_broadcasters_without_hearers_match_the_reference(graph16,
 
     pair = DiGraph(2, {(1, 2), (2, 1)})
     mute = silenced(build_scheme(SchemeKind.UBGA2, pair, 0.5), 0)
-    assert np.diff(mute.ptr).tolist() == [0, 1]
+    assert np.diff(mute.graph.columns[0]).tolist() == [0, 1]
     quiet = silenced(build_scheme(SchemeKind.CLASSIC, pair, 0.0), 0)
     cases = [(s, np.array([1.0, 0.0]), seed) for s in (mute, quiet)
              for seed in range(4)]

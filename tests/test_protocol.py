@@ -87,7 +87,7 @@ def test_weight_structure(digraph16):
 
 def test_scheme_arrays_are_frozen(graph16):
     s = make(SchemeKind.BBGA, graph16)
-    for m in (s.ptr, s.hearers, s.a, s.b, s.d):
+    for m in (*s.graph.columns, s.a, s.b, s.d):
         with pytest.raises(Exception):
             m[0] = 9
 
@@ -105,10 +105,10 @@ DISTINCT = {SchemeKind.BBGA: 1, SchemeKind.UBGA2: 2, SchemeKind.CLASSIC: 2,
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_build_scheme_builds_each_distinct_matrix_once(kind):
     # weights that coincide share one read-only array, which the scheme
-    # keeps as given, as it keeps the graph's edge columns: one array of
-    # one weight per edge stays per distinct weight, and at most one more
-    # edge-sized array (the layout check's) lives while they are built
-    ptr, hearers = DENSE60.columns
+    # keeps as given, with the graph whose edge columns it reads: one
+    # array of one weight per edge stays per distinct weight, and no
+    # transient copy of one lives while they are built
+    _, hearers = DENSE60.columns     # laid out before the trace starts
     block = len(hearers) * 8
     tracemalloc.start()
     try:
@@ -119,8 +119,9 @@ def test_build_scheme_builds_each_distinct_matrix_once(kind):
     finally:
         tracemalloc.stop()
     assert kept == DISTINCT[kind]
-    assert peak <= (DISTINCT[kind] + 1.5) * block
-    assert s.ptr is ptr and s.hearers is hearers
+    assert peak <= (DISTINCT[kind] + 0.5) * block
+    assert s.graph is DENSE60
+    assert "graph" not in repr(s)     # nor its 3,000 edges
     assert len({id(s.a), id(s.b), id(s.d)}) == DISTINCT[kind]
     if kind is SchemeKind.BBGA:
         assert s.a is s.b is s.d
@@ -129,7 +130,7 @@ def test_build_scheme_builds_each_distinct_matrix_once(kind):
     elif kind is SchemeKind.CLASSIC:
         assert s.b is s.d
     assert not any(m.flags.writeable
-                   for m in (s.ptr, s.hearers, s.a, s.b, s.d))
+                   for m in (*s.graph.columns, s.a, s.b, s.d))
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -138,15 +139,23 @@ def test_an_unpickled_scheme_is_frozen_and_shares_as_built(kind):
     # as read-only, and share its arrays as, the scheme that was sent
     s = make(kind, TRIANGLE)
     t = pickle.loads(pickle.dumps(s))
-    names = ("ptr", "hearers", "a", "b", "d")
+    names = ("a", "b", "d")
     for name in names:
         assert np.array_equal(getattr(t, name), getattr(s, name))
         assert not getattr(t, name).flags.writeable
-    assert (t.kind, t.epsilon) == (s.kind, s.epsilon)
+    assert (t.kind, t.epsilon, t.graph) == (s.kind, s.epsilon, s.graph)
     assert len({id(getattr(t, name)) for name in names}) == \
         len({id(getattr(s, name)) for name in names})
     if kind is SchemeKind.BBGA:
         assert t.a is t.b is t.d
+    # schemes on one graph, sent together, come back on one graph: one
+    # pair of edge columns, not one per scheme
+    t = pickle.loads(pickle.dumps([s, make(kind, TRIANGLE, eps=0.25)]))
+    assert t[0].graph is t[1].graph
+    assert all(c is d for c, d in zip(t[0].graph.columns,
+                                      t[1].graph.columns))
+    assert not any(getattr(u, name).flags.writeable
+                   for u in t for name in names)
 
 
 def test_scheme_tables_of_a_sparse_graph_hold_no_n_by_n_array():
@@ -178,54 +187,44 @@ def test_scheme_tables_of_a_sparse_graph_hold_no_n_by_n_array():
 
 
 def test_a_scheme_keeps_no_handle_of_its_callers_arrays():
-    # a writeable float array, an integer array, a list and a read-only
-    # view of a writeable array are copied, each object once; a
-    # read-only array of the field's dtype that owns its data is kept
-    ptr = np.array([0, 1, 2])
-    hearers = [1, 0]
+    # a writeable float array, an integer array, a read-only view of a
+    # writeable array and a list are copied, each object once; a
+    # read-only float64 array that owns its data is kept
     a = np.array([0.5, 0.5])
     b = np.array([1, 1])
     base = np.array([1.0, 1.0])
     d = base.view()
     d.setflags(write=False)
-    s = ParamScheme(SchemeKind.UBGA1, ptr, hearers, a, b, d, 0.5)
-    names = ("ptr", "hearers", "a", "b", "d")
+    s = ParamScheme(SchemeKind.UBGA1, K2, a, b, d, 0.5)
+    names = ("a", "b", "d")
     before = [getattr(s, name).copy() for name in names]
-    ptr[1] = hearers[0] = a[0] = b[0] = base[0] = 9
+    a[0] = b[0] = base[0] = 9
     for name, was in zip(names, before):
         m = getattr(s, name)
         assert np.array_equal(m, was) and not m.flags.writeable
-        assert m.dtype == (np.intp if name in names[:2] else np.float64)
-    w = np.array([0.5, 1.0])
-    shared = ParamScheme(SchemeKind.BBGA, s.ptr, s.hearers, w, w, w, 0.5)
-    assert shared.a is shared.b is shared.d and shared.a is not w
-    assert shared.ptr is s.ptr and shared.hearers is s.hearers
-    frozen = before[2]
+        assert m.dtype == np.float64
+    assert s.graph is K2
+    w = [0.5, 1.0]
+    shared = ParamScheme(SchemeKind.BBGA, K2, w, w, w, 0.5)
+    assert shared.a is shared.b is shared.d
+    w[0] = 9
+    assert shared.a.tolist() == [0.5, 1.0]
+    frozen = before[0]
     frozen.setflags(write=False)
-    kept = ParamScheme(SchemeKind.BBGA, s.ptr, s.hearers, frozen, frozen,
-                       frozen, 0.5)
+    kept = ParamScheme(SchemeKind.BBGA, K2, frozen, frozen, frozen, 0.5)
     assert kept.b is frozen
 
 
-@pytest.mark.parametrize("ptr, hearers, a", [
-    # a broadcaster among its own hearers: the expected map takes every
-    # W_k's own diagonal entries as those of a node that does not hear k
-    ([0, 1, 2], [0, 0], [1.0, 1.0]),
-    ([0, 1, 2], [1, 0, 1], [1.0, 1.0]),         # hearers past ptr's end
-    ([0, 1, 2, 2], [2], [1.0]),                 # hearers short of it
-    ([0, 1, 2], [1, 0], [1.0]),                 # a short of them
-    ([0, 2, 2, 2], [2, 1], [1.0, 1.0]),         # hearers not ascending
-    ([0, 2, 2, 2], [1, 1], [1.0, 1.0]),         # a hearer twice
-    ([0, 1, 2], [1, 2], [1.0, 1.0]),            # a hearer past node n-1
-    ([0, 1, 2], [-1, 0], [1.0, 1.0]),           # a negative hearer
-    ([1, 2, 3], [1, 0], [1.0, 1.0]),            # ptr not from 0
-    ([0, 2, 1], [1, 0], [1.0, 1.0]),            # ptr falling
-    ([0], [], []),                              # no broadcaster
-])
-def test_a_scheme_refuses_a_broken_column_layout(ptr, hearers, a):
-    b = d = np.ones(len(hearers))
-    with pytest.raises(ValueError):
-        ParamScheme(SchemeKind.UBGA1, ptr, hearers, a, b, d, 0.5)
+def test_a_scheme_refuses_weights_not_one_per_edge():
+    # the graph lays its edges out; the weights must match it, one per
+    # edge, or the engine's tables would pair hearers with other weights
+    e = len(TRIANGLE.edges)
+    for name in ("a", "b", "d"):
+        for size in (e - 1, e + 1):
+            w = dict(a=np.ones(e), b=np.ones(e), d=np.ones(e))
+            w[name] = np.ones(size)
+            with pytest.raises(ValueError):
+                ParamScheme(SchemeKind.UBGA1, TRIANGLE, epsilon=0.5, **w)
 
 
 def test_receivers_match_out_neighbors(digraph16):
