@@ -227,6 +227,44 @@ def test_a_scheme_refuses_weights_not_one_per_edge():
                 ParamScheme(SchemeKind.UBGA1, TRIANGLE, epsilon=0.5, **w)
 
 
+@pytest.mark.parametrize("ptr, hearers, a", [
+    # a broadcaster among its own hearers: the expected map takes every
+    # W_k's own diagonal entries as those of a node that does not hear k
+    ([0, 1, 2], [0, 0], [1.0, 1.0]),
+    ([0, 1, 2], [1, 0, 1], [1.0, 1.0]),         # hearers past ptr's end
+    ([0, 1, 2, 2], [2], [1.0]),                 # hearers short of it
+    ([0, 1, 2], [1, 0], [1.0]),                 # a short of them
+    ([0, 2, 2, 2], [2, 1], [1.0, 1.0]),         # hearers not ascending
+    ([0, 2, 2, 2], [1, 1], [1.0, 1.0]),         # a hearer twice
+    ([0, 1, 2], [1, 2], [1.0, 1.0]),            # a hearer past node n-1
+    ([0, 1, 2], [-1, 0], [1.0, 1.0]),           # a negative hearer
+    ([1, 2, 3], [1, 0], [1.0, 1.0]),            # ptr not from 0
+    ([0, 2, 1], [1, 0], [1.0, 1.0]),            # ptr falling
+    ([0], [], []),                              # no broadcaster
+])
+def test_a_scheme_refuses_a_broken_column_layout(ptr, hearers, a):
+    # a scheme reads its graph's layout, so a broken one reaches it only
+    # as the graph its columns list and the weights written for them:
+    # the graph refuses it (a self-loop, a node out of range, no node),
+    # or the scheme does (weights not one per edge), or the graph lays
+    # the edges out its own valid way, which is not the broken one
+    n = len(ptr) - 1
+    edges = {(j + 1, k + 1) for k in range(n)
+             for j in hearers[ptr[k]:ptr[k + 1]]}
+    b = d = np.ones(len(hearers))
+    try:
+        s = ParamScheme(SchemeKind.UBGA1, DiGraph(n, edges), a, b, d, 0.5)
+    except ValueError:
+        return
+    got_ptr, got_hearers = s.graph.columns
+    assert (got_ptr.tolist(), got_hearers.tolist()) != (ptr, hearers)
+    assert got_ptr[0] == 0 and got_ptr[-1] == len(got_hearers) == len(s.a)
+    for k in range(n):
+        col = got_hearers[got_ptr[k]:got_ptr[k + 1]]
+        assert np.all(np.diff(col) > 0)
+        assert np.all((0 <= col) & (col < n) & (col != k))
+
+
 def test_receivers_match_out_neighbors(digraph16):
     s = make(SchemeKind.UBGA1, digraph16)
     adj = digraph16.adjacency()
