@@ -213,9 +213,15 @@ def second_moment_matrix(scheme: ParamScheme, v) -> np.ndarray:
         raise SizeOverflow(f"second-moment matrix would hold {dim * dim} "
                            f"entries (cap {KRON_ENTRY_CAP})")
     acc = np.zeros((dim, dim))
+    m = 2 * n
     for k in range(1, n + 1):
+        # kron(W_k, W_k) without its zero products, which change no sum
+        # (acc never holds -0.0): W_k[r_i, c_i] W_k[r_j, c_j] goes to
+        # (r_i m + r_j, c_i m + c_j)
         wk = assemble_Wk(scheme, k)
-        acc += np.kron(wk, wk)
+        r, c = np.nonzero(wk)
+        w = wk[r, c]
+        acc[np.add.outer(r * m, r), np.add.outer(c * m, c)] += np.outer(w, w)
     acc /= n
     one0 = np.concatenate([np.ones(n), np.zeros(n)])
     vv = np.concatenate([v, v])

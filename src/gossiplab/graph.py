@@ -11,7 +11,7 @@ so every draw is reproducible from the caller's seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -23,11 +23,13 @@ DEFAULT_RETRY_BUDGET = 1000
 
 @dataclass(frozen=True)
 class DiGraph:
-    """Immutable digraph on nodes 1..n with optional planar coordinates."""
+    """Immutable digraph on nodes 1..n with optional planar coordinates.
+    Graphs compare and hash by (n, edges); the coordinates only place
+    the nodes in a drawing."""
 
     n: int
     edges: frozenset
-    coords: np.ndarray | None = None
+    coords: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.n < 1:

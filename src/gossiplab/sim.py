@@ -410,8 +410,7 @@ def _lockstep(rows, threshold: float, max_iters: int, *,
             t += k
             tb += k
 
-            # the block's checks, on (step, slot) pairs flat in step
-            # major order
+            # the block's checks, as (step, slot) arrays
             stat = rq = None
             if full_series or not spread:
                 # the entries' changes replace their new values, and the
@@ -426,21 +425,20 @@ def _lockstep(rows, threshold: float, max_iters: int, *,
                 sums[full] = np.add.reduceat(sq, first.ravel()[full])
                 yk = _block_yk(yk0, snap[1], kps)
                 sums += yk * yk
-                stat = np.sqrt(sums, out=sums)
+                stat = np.sqrt(sums, out=sums).reshape(k, live)
+            # the steps that end each row: its stops, then its mass failures
             if spread:
                 rq = _rq(snap[0], mu0)
-                stop = _first_stops(
-                    np.flatnonzero(rq[1].ravel() <= threshold), live)
+                ends = rq[1] <= threshold
             else:
-                stop = _first_stops(np.flatnonzero(stat <= threshold), live)
+                ends = stat <= threshold
             # the companion snapshots are not read past the statistic, so
             # they take x + y, weighted
             xy = np.add(snap[1], snap[0], out=snap[1])
             drift = np.add.reduce(np.multiply(xy, W, out=xy), 2)
             drift = np.abs(drift - total0)
             bad = ~(drift <= mass_tol)       # a nan drift fails
-            fail = {p: int(bad[:, p].argmax())   # slot: its first failure
-                    for p in np.flatnonzero(bad.any(0)).tolist()}
+            ends |= bad
             if log is not None:
                 rec = range(k)
                 if grid is not None:
@@ -451,18 +449,20 @@ def _lockstep(rows, threshold: float, max_iters: int, *,
                 elif rec:
                     r, q = _rq(snap[0][rec], mu0)
                 if rec:
-                    log.blocks.append((r, q, stat.reshape(k, live))
-                                      if full_series else (r, q))
+                    log.blocks.append((r, q, stat) if full_series else (r, q))
+            # a row ends at its first stop or mass failure, or max_iters
             ending = (list(range(live)) if t == max_iters
-                      else sorted(stop.keys() | fail.keys()))
+                      else np.flatnonzero(ends.any(0)).tolist())
 
             if ending:
                 if log is not None:
                     log.split(idl)
                 done = []
+                firsts = ends.argmax(0).tolist()   # 0 if none
                 for p in ending:
-                    last = min(stop.get(p, k - 1), fail.get(p, k - 1))
-                    if fail.get(p) == last:
+                    # the row's first end, else the block's last step
+                    last = firsts[p] if ends[firsts[p], p] else k - 1
+                    if bad[last, p]:         # a failure wins a tie
                         out[idl[p]] = MassConservationError(
                             f"mass drifted by {drift[last, p]:.3e} "
                             f"at iteration {t0 + last + 1}")
@@ -483,7 +483,7 @@ def _lockstep(rows, threshold: float, max_iters: int, *,
                         i = idl[p]
                         te = t0 + last + 1
                         out[i] = TrialRecord(
-                            te if stop.get(p) == last else None, mean, rf, qf,
+                            te if ends[last, p] else None, mean, rf, qf,
                             seed=rows[i].seed,
                             max_drift=drift_p if W[p].any() else None,
                             **(_NO_SERIES if log is None else log.series(
@@ -512,17 +512,6 @@ def _block_yk(yk0: np.ndarray, ys: np.ndarray, kps: np.ndarray) -> np.ndarray:
     steps, live, n = ys.shape
     sk = kps[1:] + np.arange(0, (steps - 1) * live * n, live * n)[:, None]
     return np.concatenate((yk0, ys.reshape(-1)[sk.ravel()]))
-
-
-def _first_stops(pairs: np.ndarray, live: int) -> dict:
-    """Each slot's first step among the (step, slot) pairs of a block
-    (flat, step major, ascending) that stop it."""
-    stop = {}
-    for f in pairs.tolist():
-        step, p = divmod(f, live)
-        if p not in stop:
-            stop[p] = step
-    return stop
 
 
 class _SeriesLog:

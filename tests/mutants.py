@@ -49,9 +49,15 @@ MUTANTS = (
     # then show after it
     Mutant("emission: the row of an uncertified line is not cleared",
            "sim.py", "w[bad] = 0", "pass", ("tests/test_emission.py",)),
-    Mutant("lockstep: _first_stops keeps the last stop", "sim.py",
-           "if p not in stop:", "if True:",
+    # a row ends at its last stop or mass failure in the block, not its
+    # first
+    Mutant("lockstep: a row's first end is the block's last set step",
+           "sim.py", "firsts = ends.argmax(0).tolist()",
+           "firsts = (k - 1 - ends[::-1].argmax(0)).tolist()",
            ("tests/test_lockstep.py",)),
+    Mutant("lockstep: a stop wins a same-step tie with a mass failure",
+           "sim.py", "ends |= bad", "bad &= ~ends; ends |= bad",
+           ("tests/test_lockstep.py::test_mass_failure_wins_over_a_stop_at_the_same_step",)),
     # the broadcasters' companions after their own step, not before it
     Mutant("lockstep: block snapshot slots read one step late", "sim.py",
            "np.arange(0, (steps - 1) * live * n, live * n)",
@@ -113,6 +119,10 @@ MUTANTS = (
     # of the state change
     Mutant("lockstep: the statistic drops the broadcaster's companion",
            "sim.py", "sums += yk * yk", "pass", ("tests/test_lockstep.py",)),
+    # kron(W_k, W_k)'s column index swaps its two factors' columns
+    Mutant("second-moment lift: column index of the kron product",
+           "analysis.py", "np.add.outer(c * m, c)", "np.add.outer(c, c * m)",
+           ("tests/test_analysis.py::test_second_moment_matrix_equals_the_dense_kron_sum",)),
     # the paper's first-moment closed forms
     Mutant("closed forms: eta_bound drops the factor 2 on xi_n",
            "analysis.py", "(2.0 * n) - 2.0 * xi_n", "(2.0 * n) - xi_n",

@@ -12,7 +12,7 @@ from gossiplab.errors import (
     XiOutOfRange,
 )
 from gossiplab.graph import DiGraph, laplacian
-from gossiplab.protocol import SchemeKind, build_scheme
+from gossiplab.protocol import SchemeKind, assemble_Wk, build_scheme
 from gossiplab.analysis import (
     bbga_closed_eigs, classify_expectation, epsilon_report, eta_bound,
     eta_practical, expected_matrix, indegree_laplacian, optimal_epsilon,
@@ -111,6 +111,30 @@ def test_second_moment_matrix_guards():
     big = build_scheme(SchemeKind.BBGA, g23, 0.5)
     with pytest.raises(SizeOverflow):
         second_moment_matrix(big, stationary_vector(big))
+
+
+@pytest.mark.parametrize("kind", [k for k in SchemeKind
+                                  if k is not SchemeKind.CLASSIC])
+def test_second_moment_matrix_equals_the_dense_kron_sum(kind, digraph16):
+    # the lift adds only the nonzero products of each kron(W_k, W_k); the
+    # zeros it skips change no bit of the dense sum
+    five = DiGraph(5, {(1, 2), (2, 3), (3, 4), (4, 5), (5, 1), (1, 4),
+                       (3, 1), (5, 2)})
+    sub = DiGraph(6, {(i, j) for i, j in digraph16.edges if max(i, j) <= 6}
+                  | {(i % 6 + 1, i) for i in range(1, 7)})
+    for g in (TRIANGLE, five, sub):
+        s = build_scheme(kind, g, 0.7)
+        v = stationary_vector(s)
+        n = g.n
+        acc = np.zeros((4 * n * n, 4 * n * n))
+        for k in range(1, n + 1):
+            wk = assemble_Wk(s, k)
+            acc += np.kron(wk, wk)
+        acc /= n
+        one0 = np.concatenate([np.ones(n), np.zeros(n)])
+        vv = np.concatenate([v, v])
+        acc -= np.outer(np.kron(one0, one0), np.kron(vv, vv))
+        assert second_moment_matrix(s, v).tobytes() == acc.tobytes()
 
 
 def test_closed_eigs_two_node_chain():

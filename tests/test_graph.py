@@ -82,6 +82,25 @@ def test_an_unpickled_graph_is_immutable(graph16):
     assert not any(m.flags.writeable for m in g.columns)
 
 
+def test_graphs_compare_and_hash_by_nodes_and_edges(graph16):
+    # coordinates place the nodes in a drawing; they are not compared
+    k2 = {(1, 2), (2, 1)}
+    plain = DiGraph(2, k2)
+    placed = DiGraph(2, k2, coords=[[0.0, 0.0], [1.0, 1.0]])
+    moved = DiGraph(2, k2, coords=[[0.5, 0.0], [1.0, 0.5]])
+    for a, b in [(plain, DiGraph(2, k2)),
+                 (placed, DiGraph(2, k2, coords=[[0, 0], [1, 1]])),
+                 (placed, moved), (placed, plain)]:
+        assert a == b and hash(a) == hash(b)
+    assert placed != DiGraph(2, {(1, 2)}, coords=[[0, 0], [1, 1]])
+    assert plain != DiGraph(2, {(2, 1)})
+    assert plain != DiGraph(3, k2)
+    one_less = set(graph16.edges) - {min(graph16.edges)}
+    assert graph16 == DiGraph(16, graph16.edges, coords=graph16.coords)
+    assert graph16 != DiGraph(16, one_less, coords=graph16.coords)
+    assert len({graph16, DiGraph(16, graph16.edges), plain, placed}) == 2
+
+
 def test_random_geometric_graph_properties(graph16):
     assert graph16.n == 16
     assert graph16.is_symmetric()
