@@ -36,7 +36,8 @@ print(f"in-degrees: min {min(degrees)}, max {max(degrees)}, "
 # remove 30 percent of the one-way links while keeping the network
 # strongly connected, so broadcasts can still reach every node
 dg = directify(g, 0.3, np.random.default_rng(11))
-asym = sum((j, i) not in dg.edges for (i, j) in dg.edges)
+edges = dg.edges                 # a frozenset, built on each call
+asym = sum((j, i) not in edges for (i, j) in edges)
 print(f"directed graph: {len(dg.edges)} edges, {asym} without a reverse "
       "partner")
 

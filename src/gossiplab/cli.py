@@ -294,7 +294,7 @@ def cmd_generate(cfg: argparse.Namespace) -> int:
     # epsilon_report refuses a graph that is not strongly connected
     xi = analysis.epsilon_report(g).xi
     radius = float(extras["radius_resolved"])
-    print(f"n={g.n} edges={len(g.edges)} strongly_connected=yes "
+    print(f"n={g.n} edges={len(g.columns[1])} strongly_connected=yes "
           f"radius={radius:.17g} p_asym={cfg.p_asym:g}")
     print(f"xi2={xi[1].real:.6g}{'' if abs(xi[1].imag) < 1e-12 else '+...j'} "
           f"xi_n={xi[-1].real:.6g}")

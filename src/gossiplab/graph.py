@@ -11,7 +11,6 @@ so every draw is reproducible from the caller's seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -19,63 +18,82 @@ import numpy as np
 from .errors import RetryExhausted
 
 DEFAULT_RETRY_BUDGET = 1000
+# random_geometric_graph measures this many point pairs at a time, so a
+# draw holds O(n) floats, not an n x n matrix
+PAIR_BLOCK = 2**18
 
 
-@dataclass(frozen=True)
 class DiGraph:
-    """Immutable digraph on nodes 1..n with optional planar coordinates.
-    Graphs compare and hash by (n, edges); the coordinates only place
-    the nodes in a drawing."""
+    """Immutable digraph on nodes 1..n with optional planar coordinates,
+    built from 1-based (hearer, broadcaster) pairs: an iterable of them
+    or an (m, 2) integer array, in which a pair given twice is one edge.
+    It keeps only its read-only edge columns, (ptr, hearers) = columns:
+    node k + 1 is heard by hearers[ptr[k]:ptr[k + 1]] (0-based,
+    ascending).  Graphs compare and hash by (n, edges); the coordinates
+    only place the nodes in a drawing."""
 
-    n: int
-    edges: frozenset
-    coords: np.ndarray | None = field(default=None, compare=False)
-
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, edges, coords=None):
+        if n < 1:
             raise ValueError("need at least one node")
-        object.__setattr__(self, "edges", frozenset(self.edges))
-        for (i, j) in self.edges:
-            if not (1 <= i <= self.n and 1 <= j <= self.n):
-                raise ValueError(f"edge ({i}, {j}) outside node range 1..{self.n}")
-            if i == j:
-                raise ValueError(f"self-loop at node {i}")
-        if self.coords is not None:
-            c = np.array(self.coords, dtype=float)
-            if c.shape != (self.n, 2):
-                raise ValueError(f"coords must have shape ({self.n}, 2)")
-            if not np.all(np.isfinite(c)):
-                raise ValueError("coords must be finite")
-            c.setflags(write=False)
-            object.__setattr__(self, "coords", c)
-
-    def __reduce__(self):
-        # unpickling rebuilds the graph, so its arrays are read-only again
-        return DiGraph, (self.n, self.edges, self.coords)
-
-    @cached_property
-    def columns(self) -> tuple:
-        """The edges by broadcaster, read-only: node k + 1 is heard by
-        hearers[ptr[k]:ptr[k + 1]] (0-based, ascending)."""
-        # each edge as one key, ordered by broadcaster, then hearer
-        key = np.fromiter(sorted((j - 1) * self.n + i - 1
-                                 for i, j in self.edges),
-                          np.intp, len(self.edges))
-        ptr = np.zeros(self.n + 1, dtype=np.intp)
-        np.cumsum(np.bincount(key // self.n, minlength=self.n), out=ptr[1:])
-        hearers = key % self.n
+        e = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
+        e = e.reshape(len(e), 2)
+        outside = (e < 1) | (e > n)
+        if outside.any():
+            i, j = e[outside.argmax() // 2]
+            raise ValueError(f"edge ({i}, {j}) outside node range 1..{n}")
+        e = e.astype(np.int64, copy=False) - 1
+        loop = e[:, 0] == e[:, 1]
+        if loop.any():
+            raise ValueError(f"self-loop at node {e[loop.argmax(), 0] + 1}")
+        key = e[:, 1] * n + e[:, 0]         # by broadcaster, then hearer
+        key.sort()
+        key = key[np.diff(key, prepend=-1) != 0]
+        ptr = np.zeros(n + 1, dtype=np.intp)
+        if len(key):    # else ptr stays unwritten zero pages, whatever n
+            np.cumsum(np.bincount(key // n, minlength=n), out=ptr[1:])
+        hearers = key % n
         ptr.setflags(write=False)
         hearers.setflags(write=False)
-        return ptr, hearers
+        if coords is not None:
+            coords = np.array(coords, dtype=float)
+            if coords.shape != (n, 2):
+                raise ValueError(f"coords must have shape ({n}, 2)")
+            if not np.all(np.isfinite(coords)):
+                raise ValueError("coords must be finite")
+            coords.setflags(write=False)
+        vars(self).update(n=n, columns=(ptr, hearers), coords=coords)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a DiGraph is immutable: cannot set {name}")
+
+    def __eq__(self, other):
+        return (isinstance(other, DiGraph) and self.n == other.n
+                and all(map(np.array_equal, self.columns, other.columns)))
+
+    def __hash__(self):
+        return hash((self.n, self.columns[1].tobytes()))
+
+    def __reduce__(self):
+        # one edge array; unpickling lays it out read-only again
+        return DiGraph, (self.n, self._pairs(), self.coords)
+
+    def _pairs(self) -> np.ndarray:
+        """The edges as 1-based (hearer, broadcaster) rows, by broadcaster."""
+        ptr, hearers = self.columns
+        return np.column_stack((hearers, broadcasters(ptr))) + 1
+
+    @property
+    def edges(self) -> frozenset:
+        """The (hearer, broadcaster) pairs, 1-based, built on each call."""
+        return frozenset(map(tuple, self._pairs().tolist()))
 
     @cached_property
     def _strong(self) -> bool:
         """Whether every node reaches every other, checked once per graph."""
-        # a strongly connected digraph on n >= 2 nodes has at least n
-        # edges: answer before laying the edges out
-        if self.n > 1 and len(self.edges) < self.n:
-            return False
         ptr, hearers = self.columns
+        # on n >= 2 nodes, that takes at least n edges
+        if self.n > 1 and len(hearers) < self.n:
+            return False
         k = broadcasters(ptr)
         return bool(_reachable(k, hearers, self.n).all()
                     and _reachable(hearers, k, self.n).all())
@@ -89,10 +107,7 @@ class DiGraph:
 
     def is_symmetric(self) -> bool:
         """True when every link is bidirectional."""
-        return all((j, i) in self.edges for (i, j) in self.edges)
-
-    def sorted_edges(self) -> list:
-        return sorted(self.edges)
+        return self == DiGraph(self.n, self._pairs()[:, ::-1])
 
 
 def connectivity_radius(n: int) -> float:
@@ -129,6 +144,21 @@ def is_strongly_connected(g: DiGraph) -> bool:
     return g._strong
 
 
+def _close_pairs(pts: np.ndarray, r2: float) -> tuple:
+    """The pairs (i, j) of distinct points, 0-based and in row-major
+    order, whose squared distance is at most r2.  The distances are
+    measured PAIR_BLOCK pairs at a time, a block of rows of the matrix."""
+    rows = max(1, PAIR_BLOCK // len(pts))
+    src, dst = [], []
+    for r0 in range(0, len(pts), rows):
+        diff = pts[r0:r0 + rows, None, :] - pts[None, :, :]
+        i, j = np.nonzero(np.einsum("ijk,ijk->ij", diff, diff) <= r2)
+        src.append(i + r0)
+        dst.append(j)
+    src, dst = np.concatenate(src), np.concatenate(dst)
+    return src[src != dst], dst[src != dst]
+
+
 def random_geometric_graph(n: int, radius: float,
                            rng: np.random.Generator) -> DiGraph:
     """Drop n points uniformly in the unit square and connect pairs within
@@ -141,15 +171,9 @@ def random_geometric_graph(n: int, radius: float,
     r2 = radius * radius
     for _ in range(DEFAULT_RETRY_BUDGET):
         pts = rng.random((n, 2))
-        diff = pts[:, None, :] - pts[None, :, :]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        close = d2 <= r2
-        np.fill_diagonal(close, False)
-        src, dst = np.nonzero(close)
+        src, dst = _close_pairs(pts, r2)
         if _reachable(src, dst, n).all():
-            edges = frozenset(
-                (int(i) + 1, int(j) + 1) for i, j in zip(src, dst))
-            return DiGraph(n, edges, coords=pts)
+            return DiGraph(n, np.column_stack((src, dst)) + 1, coords=pts)
     raise RetryExhausted(
         f"no connected geometric graph in {DEFAULT_RETRY_BUDGET} draws "
         f"(n={n}, radius={radius:g})", attempts=DEFAULT_RETRY_BUDGET)
@@ -171,19 +195,16 @@ def directify(g: DiGraph, p_asym: float, rng: np.random.Generator) -> DiGraph:
         raise ValueError("directify needs a connected input graph")
     if p_asym == 0.0:
         return g
-    pairs = sorted({(min(i, j), max(i, j)) for (i, j) in g.edges})
+    # g is symmetric: its edges (j, i) with j > i, by i and then j, are
+    # the pairs (i, j) with i < j in (i, j) order
+    ij = g._pairs()[:, ::-1]
+    ij = ij[ij[:, 0] < ij[:, 1]]
     for _ in range(DEFAULT_RETRY_BUDGET):
-        edges = set()
-        for (i, j) in pairs:
-            if rng.random() < p_asym:
-                if rng.random() < 0.5:
-                    edges.add((i, j))
-                else:
-                    edges.add((j, i))
-            else:
-                edges.add((i, j))
-                edges.add((j, i))
-        cand = DiGraph(g.n, frozenset(edges), coords=g.coords)
+        # 0: both directions stay, 1: only (j, i), 2: only (i, j)
+        way = np.array([rng.random() < p_asym and 1 + (rng.random() < 0.5)
+                        for _ in range(len(ij))], dtype=np.int8)
+        cand = DiGraph(g.n, np.concatenate((ij[way != 1], ij[way != 2, ::-1])),
+                       coords=g.coords)
         if is_strongly_connected(cand):
             return cand
     raise RetryExhausted(
@@ -207,12 +228,13 @@ def laplacian(a: np.ndarray) -> np.ndarray:
 # carry comment headers.
 
 def graph_to_text(g: DiGraph) -> str:
-    lines = [f"{g.n} {len(g.edges)}"]
-    lines.extend(f"{i} {j}" for (i, j) in g.sorted_edges())
+    # the reverse graph lists its edges (j, i) by i, then j
+    i, j = DiGraph(g.n, g._pairs()[:, ::-1])._pairs().T[::-1].tolist()
+    lines = [f"{g.n} {len(i)}"]
+    lines.extend(map("{} {}".format, i, j))
     if g.coords is not None:
-        for i in range(g.n):
-            x, y = g.coords[i]
-            lines.append(f"coord {i + 1} {x:.17g} {y:.17g}")
+        lines.extend(f"coord {k} {x:.17g} {y:.17g}"
+                     for k, (x, y) in enumerate(g.coords.tolist(), 1))
     return "\n".join(lines) + "\n"
 
 
@@ -225,8 +247,7 @@ def graph_from_text(text: str) -> DiGraph:
     if len(head) != 2:
         raise ValueError(f"bad header line: {rows[0]!r}")
     n, m = int(head[0]), int(head[1])
-    edges = set()
-    coords = {}
+    pairs, coords = [], {}
     for ln in rows[1:]:
         parts = ln.split()
         if parts[0] == "coord":
@@ -239,15 +260,14 @@ def graph_from_text(text: str) -> DiGraph:
         else:
             if len(parts) != 2:
                 raise ValueError(f"bad edge line: {ln!r}")
-            edges.add((int(parts[0]), int(parts[1])))
-    if len(edges) != m:
-        raise ValueError(f"header says {m} edges, found {len(edges)}")
-    arr = None
-    if coords:
-        if sorted(coords) != list(range(1, n + 1)):
-            raise ValueError("coord lines must cover every node exactly once")
-        arr = np.array([coords[i] for i in range(1, n + 1)], dtype=float)
-    return DiGraph(n, frozenset(edges), coords=arr)
+            pairs += map(int, parts)
+    if coords and sorted(coords) != list(range(1, n + 1)):
+        raise ValueError("coord lines must cover every node exactly once")
+    g = DiGraph(n, np.array(pairs).reshape(-1, 2),
+                coords=[coords[i] for i in range(1, n + 1)] if coords else None)
+    if len(g.columns[1]) != m:
+        raise ValueError(f"header says {m} edges, found {len(g.columns[1])}")
+    return g
 
 
 def save_graph(g: DiGraph, path, header_lines=()) -> None:

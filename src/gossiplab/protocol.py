@@ -80,7 +80,7 @@ class ParamScheme:
                         and not m.flags.writeable and m.flags.owndata):
                     m = np.array(m, dtype=np.float64)
                     m.setflags(write=False)
-                if m.shape != (len(self.graph.edges),):
+                if m.shape != self.graph.columns[1].shape:
                     raise ValueError("a, b and d hold one weight per edge")
                 kept[key] = m
             object.__setattr__(self, name, kept[key])

@@ -19,8 +19,7 @@ def scheme_from_dense(kind, a, b, d, epsilon, hears=None) -> ParamScheme:
         hears = (a != 0.0) | (b != 0.0) | (d != 0.0)
     hears = np.array(hears, dtype=bool)
     np.fill_diagonal(hears, False)
-    g = DiGraph(len(a), {(int(j) + 1, int(k) + 1)
-                         for j, k in zip(*np.nonzero(hears))})
+    g = DiGraph(len(a), np.argwhere(hears) + 1)
     ptr, j = g.columns
     k = broadcasters(ptr)
     return ParamScheme(kind, g, a[j, k], b[j, k], d[j, k], epsilon)

@@ -95,8 +95,14 @@ MUTANTS = (
     # weights of another length than the graph's edge count are kept:
     # the engine's tables would pair hearers with other edges' weights
     Mutant("scheme weights: no check of one weight per edge", "protocol.py",
-           "if m.shape != (len(self.graph.edges),):", "if False:",
+           "if m.shape != self.graph.columns[1].shape:", "if False:",
            ("tests/test_protocol.py::test_a_scheme_refuses_weights_not_one_per_edge",)),
+    # the edge keys order hearer first: every graph's columns hold its
+    # reverse's edges
+    Mutant("edge columns: keys built hearer-major", "graph.py",
+           "key = e[:, 1] * n + e[:, 0]", "key = e[:, 0] * n + e[:, 1]",
+           ("tests/test_graph.py::test_neighbor_and_degree_conventions",
+            "tests/test_graph.py::test_edges_round_trip_the_input_pairs")),
     # two workers' chunks overlap by one seed
     Mutant("campaigns: seed chunks overlap", "sim.py",
            "(c + 1) * trials // nwork", "(c + 1) * trials // nwork + 1",

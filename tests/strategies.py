@@ -24,3 +24,15 @@ def star_digraphs(draw, max_n):
     hub = draw(st.integers(1, n))
     return DiGraph(n, {e for j in range(1, n + 1) if j != hub
                        for e in ((hub, j), (j, hub))})
+
+
+@st.composite
+def symmetric_digraphs(draw, max_n):
+    """A connected graph of two-way links on 2..max_n nodes: a random
+    tree (node v links to one of the nodes before it) plus random extra
+    links."""
+    n = draw(st.integers(2, max_n))
+    links = {(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)}
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    links |= set(draw(st.lists(st.sampled_from(pairs), max_size=2 * n)))
+    return DiGraph(n, {e for i, j in links for e in ((i, j), (j, i))})

@@ -1087,6 +1087,23 @@ def test_a_graph_file_giving_a_node_two_coordinates_exits_2(graph_file,
     assert not out.exists()
 
 
+def test_a_graph_file_giving_an_edge_twice_exits_2(graph_file, tmp_path):
+    # the header counts distinct edges: a repeated line adds none
+    text = graph_file.read_text()
+    head = next(ln for ln in text.splitlines() if not ln.startswith("#"))
+    n, m = map(int, head.split())
+    edge = text.split(head + "\n", 1)[1].splitlines()[0]
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text.replace(head, f"{n} {m + 1}\n{edge}", 1))
+    out = tmp_path / "out"
+    code, err = run_captured(["analyze", "--graph", str(bad), "--out",
+                              str(out)])
+    assert (code, err) == (
+        EXIT_CONFIG, f"error: cannot load graph {bad}: header says "
+        f"{m + 1} edges, found {m}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["analyze", "--epsilon", "0.5"],
     ["analyze", "--epsilon", "auto-optimal"],

@@ -4,6 +4,7 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gossiplab import graph, sim
 from gossiplab.cli import DEFAULT_GRID
@@ -14,6 +15,8 @@ from gossiplab.graph import (
     save_graph,
 )
 from gossiplab.protocol import SchemeKind
+from reference_graph import close_pairs_whole, directify_per_pair
+from strategies import symmetric_digraphs
 
 # 1 hears 2 and 3, 2 hears 3, 3 hears 1; strongly connected, asymmetric
 TRIANGLE_EDGES = frozenset({(1, 2), (2, 3), (3, 1), (1, 3)})
@@ -34,6 +37,64 @@ def test_digraph_rejects_bad_edges():
         DiGraph(3, {(1, 4)})
     with pytest.raises(ValueError):
         DiGraph(0, frozenset())
+
+
+def test_digraph_rejects_bad_edges_given_as_an_array():
+    for bad in ([[1, 1]], [[0, 2]], [[1, 4]], [[1, 2, 3]]):
+        with pytest.raises(ValueError):
+            DiGraph(3, np.array(bad))
+
+
+def test_an_edge_array_gives_the_graph_of_its_pairs():
+    rows = np.array(sorted(TRIANGLE_EDGES, reverse=True))
+    want = DiGraph(3, TRIANGLE_EDGES)
+    for dtype in (np.int64, np.int32, np.uint16):
+        g = DiGraph(3, rows.astype(dtype))
+        assert g == want and g.edges == TRIANGLE_EDGES
+        assert all(map(np.array_equal, g.columns, want.columns))
+
+
+def test_a_pair_given_twice_is_one_edge():
+    pairs = [(1, 2), (2, 1), (1, 2), (2, 1), (1, 2)]
+    for edges in (pairs, np.array(pairs)):
+        g = DiGraph(2, edges)
+        assert g.edges == {(1, 2), (2, 1)}
+        assert g.columns[0].tolist() == [0, 1, 2]
+        assert g.columns[1].tolist() == [1, 0]
+
+
+def test_a_graph_without_edges():
+    for edges in ([], frozenset(), np.empty((0, 2), dtype=np.int64)):
+        g = DiGraph(4, edges)
+        assert g.columns[0].tolist() == [0] * 5
+        assert g.columns[1].tolist() == []
+        assert g.edges == frozenset()
+        assert g.is_symmetric()
+        assert not is_strongly_connected(g)
+    assert is_strongly_connected(DiGraph(1, []))
+
+
+@given(st.integers(1, 9).flatmap(lambda n: st.tuples(
+    st.just(n), st.sets(st.tuples(st.integers(1, n), st.integers(1, n))
+                        .filter(lambda e: e[0] != e[1])))))
+def test_edges_round_trip_the_input_pairs(case):
+    n, pairs = case
+    g = DiGraph(n, pairs)
+    assert g.edges == pairs
+    # the columns list the pairs by broadcaster, then hearer
+    ptr, hearers = g.columns
+    assert [(h + 1, k + 1) for k in range(n)
+            for h in hearers[ptr[k]:ptr[k + 1]].tolist()] == sorted(
+                pairs, key=lambda e: (e[1], e[0]))
+    assert DiGraph(n, np.array(sorted(pairs), dtype=int).reshape(-1, 2)) == g
+
+
+def test_a_graph_keeps_only_its_columns(graph16):
+    assert set(vars(graph16)) <= {"n", "columns", "coords", "_strong"}
+    with pytest.raises(AttributeError):
+        graph16.n = 3
+    # pickled as one edge array, not a tuple per edge
+    assert isinstance(graph16.__reduce__()[1][1], np.ndarray)
 
 
 def test_digraph_rejects_bad_coords():
@@ -113,6 +174,36 @@ def test_random_geometric_graph_properties(graph16):
         assert d <= r + 1e-12
 
 
+@pytest.mark.parametrize("n, seed", [(16, 7), (50, 21), (400, 5)])
+@pytest.mark.parametrize("block", [None, 1, 37, 1000])
+def test_close_pairs_in_row_blocks_equal_the_whole_matrix(monkeypatch, n,
+                                                          seed, block):
+    if block is not None:
+        monkeypatch.setattr(graph, "PAIR_BLOCK", block)
+    pts = np.random.default_rng(seed).random((n, 2))
+    r2 = connectivity_radius(n) ** 2
+    src, dst = graph._close_pairs(pts, r2)
+    ref_src, ref_dst = close_pairs_whole(pts, r2)
+    assert np.array_equal(src, ref_src) and np.array_equal(dst, ref_dst)
+    g = random_geometric_graph(n, connectivity_radius(n),
+                               np.random.default_rng(seed))
+    assert g == DiGraph(n, np.column_stack(close_pairs_whole(g.coords, r2))
+                        + 1)
+
+
+@given(st.integers(2, 30), st.integers(0, 2**32 - 1), st.integers(1, 90),
+       st.floats(0.0, 1.5))
+def test_close_pairs_equal_the_whole_matrix(n, seed, block, radius):
+    pts = np.random.default_rng(seed).random((n, 2))
+    graph.PAIR_BLOCK, saved = block, graph.PAIR_BLOCK
+    try:
+        src, dst = graph._close_pairs(pts, radius * radius)
+    finally:
+        graph.PAIR_BLOCK = saved
+    ref_src, ref_dst = close_pairs_whole(pts, radius * radius)
+    assert np.array_equal(src, ref_src) and np.array_equal(dst, ref_dst)
+
+
 def test_random_geometric_graph_reproducible():
     a = random_geometric_graph(12, connectivity_radius(12), np.random.default_rng(5))
     b = random_geometric_graph(12, connectivity_radius(12), np.random.default_rng(5))
@@ -156,6 +247,23 @@ def test_directify_output(graph16, digraph16):
     assert np.array_equal(digraph16.coords, graph16.coords)
     again = directify(graph16, 0.3, np.random.default_rng(11))
     assert again.edges == digraph16.edges
+
+
+@settings(max_examples=60, deadline=None)
+@given(symmetric_digraphs(12), st.integers(0, 2**32 - 1),
+       st.floats(0.01, 0.6))
+def test_directify_draws_as_the_per_pair_loop(g, seed, p_asym):
+    # the same pairs in the same order, and the same uniforms for each:
+    # the same graph, and the generator left in the same state
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    try:
+        want = directify_per_pair(g, p_asym, ref_rng)
+    except RetryExhausted:
+        with pytest.raises(RetryExhausted):
+            directify(g, p_asym, rng)
+    else:
+        assert directify(g, p_asym, rng) == want
+    assert rng.random() == ref_rng.random()
 
 
 def test_directify_rejects_bad_input():
@@ -210,6 +318,8 @@ def test_reader_rejects_malformed_input():
         graph_from_text("2\n1 2\n")
     with pytest.raises(ValueError):
         graph_from_text("2 2\n1 2\n")          # edge count mismatch
+    with pytest.raises(ValueError, match="header says 2 edges, found 1"):
+        graph_from_text("2 2\n1 2\n1 2\n")     # one edge given twice
     with pytest.raises(ValueError):
         graph_from_text("2 1\n1 2 3\n")
     with pytest.raises(ValueError):
