@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import RetryExhausted
+from .errors import NotStronglyConnected, RetryExhausted
 
 DEFAULT_RETRY_BUDGET = 1000
 # random_geometric_graph measures this many point pairs at a time, so a
@@ -49,7 +49,7 @@ class DiGraph:
         key.sort()
         key = key[np.diff(key, prepend=-1) != 0]
         ptr = np.zeros(n + 1, dtype=np.intp)
-        if len(key):    # else ptr stays unwritten zero pages, whatever n
+        if len(key):    # DiGraph(10**8, []) leaves ptr untouched zero pages
             np.cumsum(np.bincount(key // n, minlength=n), out=ptr[1:])
         hearers = key % n
         ptr.setflags(write=False)
@@ -144,19 +144,18 @@ def is_strongly_connected(g: DiGraph) -> bool:
     return g._strong
 
 
-def _close_pairs(pts: np.ndarray, r2: float) -> tuple:
-    """The pairs (i, j) of distinct points, 0-based and in row-major
+def _close_pairs(pts: np.ndarray, r2: float) -> np.ndarray:
+    """The rows (i, j) of distinct points, 0-based and in row-major
     order, whose squared distance is at most r2.  The distances are
     measured PAIR_BLOCK pairs at a time, a block of rows of the matrix."""
     rows = max(1, PAIR_BLOCK // len(pts))
-    src, dst = [], []
+    ij = []
     for r0 in range(0, len(pts), rows):
         diff = pts[r0:r0 + rows, None, :] - pts[None, :, :]
-        i, j = np.nonzero(np.einsum("ijk,ijk->ij", diff, diff) <= r2)
-        src.append(i + r0)
-        dst.append(j)
-    src, dst = np.concatenate(src), np.concatenate(dst)
-    return src[src != dst], dst[src != dst]
+        d2 = np.einsum("ijk,ijk->ij", diff, diff)
+        ij.append(np.argwhere(d2 <= r2) + (r0, 0))
+    ij = np.concatenate(ij)
+    return ij[ij[:, 0] != ij[:, 1]]
 
 
 def random_geometric_graph(n: int, radius: float,
@@ -171,9 +170,9 @@ def random_geometric_graph(n: int, radius: float,
     r2 = radius * radius
     for _ in range(DEFAULT_RETRY_BUDGET):
         pts = rng.random((n, 2))
-        src, dst = _close_pairs(pts, r2)
-        if _reachable(src, dst, n).all():
-            return DiGraph(n, np.column_stack((src, dst)) + 1, coords=pts)
+        ij = _close_pairs(pts, r2)
+        if _reachable(ij[:, 0], ij[:, 1], n).all():
+            return DiGraph(n, ij + 1, coords=pts)
     raise RetryExhausted(
         f"no connected geometric graph in {DEFAULT_RETRY_BUDGET} draws "
         f"(n={n}, radius={radius:g})", attempts=DEFAULT_RETRY_BUDGET)
@@ -225,7 +224,10 @@ def laplacian(a: np.ndarray) -> np.ndarray:
 # Line 1: "n <edge-count>", then one "i j" line per edge (sorted), then
 # optional "coord i x y" lines with full-precision floats.  Lines starting
 # with '#' and blank lines are ignored on read, so generated files may
-# carry comment headers.
+# carry comment headers.  A header counting more nodes than the edge
+# lines list node ids (two a line) leaves a node without an edge: the
+# reader refuses such a file as not strongly connected before laying out
+# n + 1 offsets, so a load holds memory in proportion to the file.
 
 def graph_to_text(g: DiGraph) -> str:
     # the reverse graph lists its edges (j, i) by i, then j
@@ -261,6 +263,8 @@ def graph_from_text(text: str) -> DiGraph:
             if len(parts) != 2:
                 raise ValueError(f"bad edge line: {ln!r}")
             pairs += map(int, parts)
+    if n > max(1, len(pairs)):
+        raise NotStronglyConnected("scheme needs a strongly connected digraph")
     if coords and sorted(coords) != list(range(1, n + 1)):
         raise ValueError("coord lines must cover every node exactly once")
     g = DiGraph(n, np.array(pairs).reshape(-1, 2),

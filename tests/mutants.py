@@ -103,6 +103,11 @@ MUTANTS = (
            "key = e[:, 1] * n + e[:, 0]", "key = e[:, 0] * n + e[:, 1]",
            ("tests/test_graph.py::test_neighbor_and_degree_conventions",
             "tests/test_graph.py::test_edges_round_trip_the_input_pairs")),
+    # the reader lays out n + 1 offsets for a header naming nodes that no
+    # edge line names: a 16-byte file could ask for gigabytes
+    Mutant("graph reader: no refusal of nodes without an edge line",
+           "graph.py", "if n > max(1, len(pairs)):", "if False:",
+           ("tests/test_graph.py::test_reader_refuses_a_header_naming_nodes_no_edge_line_names",)),
     # two workers' chunks overlap by one seed
     Mutant("campaigns: seed chunks overlap", "sim.py",
            "(c + 1) * trials // nwork", "(c + 1) * trials // nwork + 1",

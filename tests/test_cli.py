@@ -1121,3 +1121,20 @@ def test_a_graph_file_naming_more_nodes_than_its_edges_connect_exits_2(
     assert (code, err) == (
         EXIT_CONFIG, "error: scheme needs a strongly connected digraph\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["100000000 1\n1 2\n",
+                                  "1000000000000 1\n1 2\n"],
+                         ids=["1e8-nodes", "1e12-nodes"])
+def test_a_graph_file_naming_nodes_no_edge_line_names_exits_2(tmp_path,
+                                                              text):
+    # the reader refuses the file before laying out n + 1 column offsets:
+    # 800 MB for 10**8 nodes, a MemoryError for 10**12
+    bad = tmp_path / "huge.txt"
+    bad.write_text(text)
+    out = tmp_path / "out"
+    code, err = run_captured(["simulate", "--trials", "1", "--graph",
+                              str(bad), "--out", str(out)])
+    assert (code, err) == (
+        EXIT_CONFIG, "error: scheme needs a strongly connected digraph\n")
+    assert not out.exists()

@@ -1,6 +1,7 @@
 """Graph construction, generation, and serialization."""
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from gossiplab import graph, sim
 from gossiplab.cli import DEFAULT_GRID
-from gossiplab.errors import RetryExhausted
+from gossiplab.errors import NotStronglyConnected, RetryExhausted
 from gossiplab.graph import (
     DiGraph, connectivity_radius, directify, graph_from_text, graph_to_text,
     is_strongly_connected, laplacian, load_graph, random_geometric_graph,
@@ -175,16 +176,11 @@ def test_random_geometric_graph_properties(graph16):
 
 
 @pytest.mark.parametrize("n, seed", [(16, 7), (50, 21), (400, 5)])
-@pytest.mark.parametrize("block", [None, 1, 37, 1000])
-def test_close_pairs_in_row_blocks_equal_the_whole_matrix(monkeypatch, n,
-                                                          seed, block):
-    if block is not None:
-        monkeypatch.setattr(graph, "PAIR_BLOCK", block)
+def test_close_pairs_in_row_blocks_equal_the_whole_matrix(n, seed):
     pts = np.random.default_rng(seed).random((n, 2))
     r2 = connectivity_radius(n) ** 2
-    src, dst = graph._close_pairs(pts, r2)
-    ref_src, ref_dst = close_pairs_whole(pts, r2)
-    assert np.array_equal(src, ref_src) and np.array_equal(dst, ref_dst)
+    assert np.array_equal(graph._close_pairs(pts, r2),
+                          np.column_stack(close_pairs_whole(pts, r2)))
     g = random_geometric_graph(n, connectivity_radius(n),
                                np.random.default_rng(seed))
     assert g == DiGraph(n, np.column_stack(close_pairs_whole(g.coords, r2))
@@ -193,15 +189,14 @@ def test_close_pairs_in_row_blocks_equal_the_whole_matrix(monkeypatch, n,
 
 @given(st.integers(2, 30), st.integers(0, 2**32 - 1), st.integers(1, 90),
        st.floats(0.0, 1.5))
-def test_close_pairs_equal_the_whole_matrix(n, seed, block, radius):
+def test_close_pairs_equal_the_whole_matrix_at_any_block(n, seed, block,
+                                                         radius):
     pts = np.random.default_rng(seed).random((n, 2))
-    graph.PAIR_BLOCK, saved = block, graph.PAIR_BLOCK
-    try:
-        src, dst = graph._close_pairs(pts, radius * radius)
-    finally:
-        graph.PAIR_BLOCK = saved
-    ref_src, ref_dst = close_pairs_whole(pts, radius * radius)
-    assert np.array_equal(src, ref_src) and np.array_equal(dst, ref_dst)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "PAIR_BLOCK", block)
+        ij = graph._close_pairs(pts, radius * radius)
+    assert np.array_equal(
+        ij, np.column_stack(close_pairs_whole(pts, radius * radius)))
 
 
 def test_random_geometric_graph_reproducible():
@@ -336,6 +331,24 @@ def test_reader_rejects_malformed_input():
         with pytest.raises(ValueError, match="coords must be finite"):
             graph_from_text(f"2 1\n1 2\ncoord 1 0.5 {value}\n"
                             "coord 2 0.25 0.75\n")
+
+
+def test_reader_refuses_a_header_naming_nodes_no_edge_line_names():
+    # such a node hears nobody, so the graph cannot be strongly connected;
+    # the refusal comes before n + 1 column offsets (8 bytes a node)
+    tracemalloc.start()
+    try:
+        for text in ("1000000 1\n1 2\n", "3 1\n1 2\n", "2 0\n",
+                     "3 1\n1 2\ncoord 1 0 0\ncoord 2 0 1\ncoord 3 1 0\n"):
+            with pytest.raises(NotStronglyConnected):
+                graph_from_text(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    # one edge line names both nodes of a 2-node graph: it loads
+    assert graph_from_text("2 1\n1 2\n") == DiGraph(2, {(1, 2)})
+    assert graph_from_text("1 0\n") == DiGraph(1, [])
 
 
 def test_save_and_load_with_headers(tmp_path, graph16):
