@@ -37,21 +37,19 @@ class DiGraph:
             raise ValueError("need at least one node")
         e = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
         e = e.reshape(len(e), 2)
-        outside = (e < 1) | (e > n)
-        if outside.any():
-            i, j = e[outside.argmax() // 2]
+        if len(e) and not 1 <= e.min() <= e.max() <= n:
+            i, j = e[((e < 1) | (e > n)).argmax() // 2]
             raise ValueError(f"edge ({i}, {j}) outside node range 1..{n}")
-        e = e.astype(np.int64, copy=False) - 1
-        loop = e[:, 0] == e[:, 1]
-        if loop.any():
-            raise ValueError(f"self-loop at node {e[loop.argmax(), 0] + 1}")
+        e = e.astype(np.int64, copy=False)
+        if (e[:, 0] == e[:, 1]).any():
+            raise ValueError(f"self-loop at node {e[e[:, 0] == e[:, 1]][0, 0]}")
         key = e[:, 1] * n + e[:, 0]         # by broadcaster, then hearer
+        key -= n + 1
         key.sort()
-        key = key[np.diff(key, prepend=-1) != 0]
-        ptr = np.zeros(n + 1, dtype=np.intp)
-        if len(key):    # DiGraph(10**8, []) leaves ptr untouched zero pages
-            np.cumsum(np.bincount(key // n, minlength=n), out=ptr[1:])
-        hearers = key % n
+        once = np.r_[key[:1] >= 0, key[1:] != key[:-1]]  # run starts
+        key = key if once.all() else key[once]
+        ptr = np.searchsorted(key, np.arange(n + 1) * n)
+        hearers = np.remainder(key, n, out=key)
         ptr.setflags(write=False)
         hearers.setflags(write=False)
         if coords is not None:
@@ -91,9 +89,6 @@ class DiGraph:
     def _strong(self) -> bool:
         """Whether every node reaches every other, checked once per graph."""
         ptr, hearers = self.columns
-        # on n >= 2 nodes, that takes at least n edges
-        if self.n > 1 and len(hearers) < self.n:
-            return False
         k = broadcasters(ptr)
         return bool(_reachable(k, hearers, self.n).all()
                     and _reachable(hearers, k, self.n).all())
@@ -167,10 +162,9 @@ def random_geometric_graph(n: int, radius: float,
         raise ValueError("need at least two nodes")
     if not radius > 0.0:
         raise ValueError("radius must be positive")
-    r2 = radius * radius
     for _ in range(DEFAULT_RETRY_BUDGET):
         pts = rng.random((n, 2))
-        ij = _close_pairs(pts, r2)
+        ij = _close_pairs(pts, radius * radius)
         if _reachable(ij[:, 0], ij[:, 1], n).all():
             return DiGraph(n, ij + 1, coords=pts)
     raise RetryExhausted(
@@ -220,67 +214,73 @@ def laplacian(a: np.ndarray) -> np.ndarray:
 
 
 # ---- plain-text edge-list serialization ----
-#
-# Line 1: "n <edge-count>", then one "i j" line per edge (sorted), then
-# optional "coord i x y" lines with full-precision floats.  Lines starting
-# with '#' and blank lines are ignored on read, so generated files may
-# carry comment headers.  A header counting more nodes than the edge
-# lines list node ids (two a line) leaves a node without an edge: the
-# reader refuses such a file as not strongly connected before laying out
-# n + 1 offsets, so a load holds memory in proportion to the file.
+# graph_from_text reads what save_graph writes, and refuses anything else.
 
 def graph_to_text(g: DiGraph) -> str:
     # the reverse graph lists its edges (j, i) by i, then j
     i, j = DiGraph(g.n, g._pairs()[:, ::-1])._pairs().T[::-1].tolist()
-    lines = [f"{g.n} {len(i)}"]
-    lines.extend(map("{} {}".format, i, j))
+    lines = [f"{g.n} {len(i)}", *map("{} {}".format, i, j)]
     if g.coords is not None:
         lines.extend(f"coord {k} {x:.17g} {y:.17g}"
                      for k, (x, y) in enumerate(g.coords.tolist(), 1))
     return "\n".join(lines) + "\n"
 
 
-def graph_from_text(text: str) -> DiGraph:
-    rows = [ln.strip() for ln in text.splitlines()]
-    rows = [ln for ln in rows if ln and not ln.startswith("#")]
-    if not rows:
-        raise ValueError("empty graph file")
-    head = rows[0].split()
-    if len(head) != 2:
-        raise ValueError(f"bad header line: {rows[0]!r}")
-    n, m = int(head[0]), int(head[1])
-    pairs, coords = [], {}
-    for ln in rows[1:]:
-        parts = ln.split()
-        if parts[0] == "coord":
-            if len(parts) != 4:
-                raise ValueError(f"bad coord line: {ln!r}")
-            node = int(parts[1])
-            if node in coords:
-                raise ValueError(f"coord line for node {node} given twice")
-            coords[node] = (float(parts[2]), float(parts[3]))
-        else:
-            if len(parts) != 2:
-                raise ValueError(f"bad edge line: {ln!r}")
-            pairs += map(int, parts)
-    if n > max(1, len(pairs)):
+def _table(rows, width: int, dtype, digits=b"0123456789", head=b""):
+    """Lines of `head`, then `width` numbers of `digits` one space apart."""
+    text = bytes(rows)
+    bare = head + b" " * (width - 1) + b"\n"   # a line without its digits
+    if text.translate(None, digits) == bare * (lines := text.count(b"\n")):
+        # a space for the head: digits before it stay a number of their own
+        vals = np.fromstring(text.replace(head, b" ") if head else text,
+                             dtype, sep=" ")
+        if len(vals) == width * lines:      # no number is empty
+            return vals.reshape(lines, width)
+    raise ValueError("graph lines must read 'n m', 'i j' or 'coord i x y'")
+
+
+def graph_from_text(text) -> DiGraph:
+    """The graph in graph_to_text's format (str or bytes): an "n m" line,
+    "i j" lines, then optional "coord i x y" lines; '#' and empty lines
+    are skipped.  The edge lines parse into one int64 array, and a header
+    naming more nodes than they do is refused before any layout."""
+    data = text.encode() if isinstance(text, str) else text
+    buf = np.frombuffer(data if data[-1:] == b"\n" else data + b"\n", np.uint8)
+    ends = np.flatnonzero(buf == 10)
+    starts = np.r_[0, ends[:-1] + 1]
+    keep = (buf[starts] != ord("#")) & (starts != ends)
+    lo = keep.argmax()      # a view unless a skipped line follows a kept one
+    body = (buf[starts[lo]:] if keep[lo:].all()
+            else buf[np.repeat(keep, ends - starts + 1)])
+    del ends, starts, keep
+    cut = np.r_[np.flatnonzero(body == ord("c")), len(body)][0]  # coords
+    ij = _table(body[:cut], 2, np.int64)
+    if not len(ij) or ij.max() == np.iinfo(np.int64).max:  # parsing saturates
+        raise ValueError("need an 'n m' line and numbers below 2**63")
+    (n, m), pairs = ij[0].tolist(), ij[1:]
+    coords = None
+    if cut < len(body):             # "coord i x y" lines, in any node order
+        xyz = _table(body[cut:], 3, float, b"0123456789.eE+-naif", b"coord ")
+        ids = np.sort(xyz[:, 0])
+        if (twice := ids[1:][ids[1:] == ids[:-1]]).size:
+            raise ValueError(f"coord line for node {twice[0]:g} given twice")
+        if len(ids) != n or not np.array_equal(ids, np.arange(1, n + 1)):
+            raise ValueError("coord lines must cover every node exactly once")
+        coords = xyz[np.argsort(xyz[:, 0]), 1:]
+    if n > max(1, pairs.size):      # a node no edge line names
         raise NotStronglyConnected("scheme needs a strongly connected digraph")
-    if coords and sorted(coords) != list(range(1, n + 1)):
-        raise ValueError("coord lines must cover every node exactly once")
-    g = DiGraph(n, np.array(pairs).reshape(-1, 2),
-                coords=[coords[i] for i in range(1, n + 1)] if coords else None)
+    g = DiGraph(n, pairs, coords=coords)
     if len(g.columns[1]) != m:
         raise ValueError(f"header says {m} edges, found {len(g.columns[1])}")
     return g
 
 
 def save_graph(g: DiGraph, path, header_lines=()) -> None:
-    with open(path, "w") as f:
-        for ln in header_lines:
-            f.write(f"# {ln}\n")
+    with open(path, "w", encoding="utf-8") as f:
+        f.writelines(f"# {ln}\n" for ln in header_lines)
         f.write(graph_to_text(g))
 
 
 def load_graph(path) -> DiGraph:
-    with open(path) as f:
+    with open(path, "rb") as f:
         return graph_from_text(f.read())

@@ -106,8 +106,14 @@ MUTANTS = (
     # the reader lays out n + 1 offsets for a header naming nodes that no
     # edge line names: a 16-byte file could ask for gigabytes
     Mutant("graph reader: no refusal of nodes without an edge line",
-           "graph.py", "if n > max(1, len(pairs)):", "if False:",
+           "graph.py", "if n > max(1, pairs.size):", "if False:",
            ("tests/test_graph.py::test_reader_refuses_a_header_naming_nodes_no_edge_line_names",)),
+    # the reader parses whatever numpy parses: a sign goes through, and
+    # another script's digit or a '_' meets numpy's own refusal
+    Mutant("graph reader: no ASCII-digit check", "graph.py",
+           'if text.translate(None, digits) == bare * (lines := text.count(b"\\n")):',
+           'if (lines := text.count(b"\\n")) >= 0:',
+           ("tests/test_graph.py::test_reader_refuses_numbers_that_are_not_ascii_digits",)),
     # two workers' chunks overlap by one seed
     Mutant("campaigns: seed chunks overlap", "sim.py",
            "(c + 1) * trials // nwork", "(c + 1) * trials // nwork + 1",

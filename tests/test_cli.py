@@ -1138,3 +1138,98 @@ def test_a_graph_file_naming_nodes_no_edge_line_names_exits_2(tmp_path,
     assert (code, err) == (
         EXIT_CONFIG, "error: scheme needs a strongly connected digraph\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("lines", [
+    ["\u0662 1"], ["1_0 2"], ["+1 2"], ["99999999999999999999 2"], ["1"],
+    ["1 2 3"], ["coord 1 0 0", "2 1"],
+], ids=["arabic-indic", "digit-separator", "plus", "past-int64",
+        "one-number", "three-numbers", "coord-before-edge"])
+def test_a_graph_file_outside_the_grammar_exits_2(graph_file, tmp_path,
+                                                   lines):
+    # the damaged line stands after the header, before the edge lines
+    text = graph_file.read_text()
+    head = next(ln for ln in text.splitlines() if not ln.startswith("#"))
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text.replace(head, "\n".join([head, *lines]), 1))
+    out = tmp_path / "out"
+    code, err = run_captured(["analyze", "--graph", str(bad), "--out",
+                              str(out)])
+    assert code == EXIT_CONFIG
+    assert err.startswith(f"error: cannot load graph {bad}: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+# numbers that int() or float() reads but gossiplab never writes
+ODD_NUMBERS = ["-1", "+1", "1_0", "\u0662", "\uff11", "9" * 19,
+               "18446744073709551617", "1" + "0" * 400, "1e400", "nan"]
+DAMAGES = ["swap", "number", "sign", "separator", "script", "crlf", "bom",
+           "duplicate", "truncate-line", "truncate-file", "coord-first"]
+
+
+@st.composite
+def damaged(draw, lines: list, skip: int, sep: str) -> str:
+    """The text of `lines` after one to three damages, each to a line
+    from index `skip` on (a BOM to the first line); a line's words are
+    separated by `sep`, and coord-first moves the last line to follow
+    line `skip`."""
+    lines = list(lines)
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(skip, len(lines) - 1))
+        words = lines[k].split(sep)
+        t = draw(st.integers(0, len(words) - 1))
+        damage = draw(st.sampled_from(DAMAGES))
+        if damage == "swap":
+            u = draw(st.integers(0, len(words) - 1))
+            words[t], words[u] = words[u], words[t]
+        elif damage == "number":
+            words[t] = draw(st.sampled_from(ODD_NUMBERS))
+        elif damage == "sign":
+            words[t] = draw(st.sampled_from("+-")) + words[t]
+        elif damage == "separator":
+            words[t] = words[t][:1] + "_" + words[t][1:]
+        elif damage == "script":
+            words[t] = words[t].translate(str.maketrans(
+                "0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                              "\u0665\u0666\u0667\u0668\u0669"))
+        lines[k] = sep.join(words)
+        if damage == "crlf":
+            lines[k] += "\r"
+        elif damage == "bom":
+            lines[0] = "\ufeff" + lines[0]
+        elif damage == "duplicate":
+            lines.insert(k, lines[k])
+        elif damage == "truncate-line":
+            lines[k] = lines[k][:draw(st.integers(0, len(lines[k])))]
+        elif damage == "truncate-file" and k > skip:
+            del lines[k:]
+        elif damage == "coord-first":
+            lines.insert(skip + 1, lines.pop())
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_damaged_graph_and_config_files_exit_0_or_2(tmp_path, graph16, data):
+    # a graph or config file that gossiplab did not write either loads or
+    # is refused with one error line, never with a traceback
+    path = tmp_path / "graph.txt"
+    graph.save_graph(graph16, path, header_lines=["gossiplab", "out=é"])
+    glines = path.read_text("utf-8").splitlines()
+    clines = ["scheme=bbga", "epsilon=0.5"]
+    which = data.draw(st.sampled_from(["graph", "config", "both"]))
+    if which != "config":
+        path.write_bytes(data.draw(damaged(glines, 2, " ")).encode())
+    config = tmp_path / "run.cfg"
+    config.write_bytes((data.draw(damaged(clines, 0, "=")) if which != "graph"
+                        else "\n".join(clines) + "\n").encode())
+    code, err = run_captured(["analyze", "--graph", str(path), "--config",
+                              str(config), "--out", str(tmp_path / "out")])
+    assert code in (EXIT_OK, EXIT_CONFIG)
+    assert "Traceback" not in err
+    if code == EXIT_CONFIG:
+        assert err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert "error:" not in err

@@ -16,8 +16,10 @@ from gossiplab.graph import (
     save_graph,
 )
 from gossiplab.protocol import SchemeKind
-from reference_graph import close_pairs_whole, directify_per_pair
-from strategies import symmetric_digraphs
+from reference_graph import (
+    close_pairs_whole, directify_per_pair, graph_from_text_per_line,
+)
+from strategies import strong_digraphs, symmetric_digraphs
 
 # 1 hears 2 and 3, 2 hears 3, 3 hears 1; strongly connected, asymmetric
 TRIANGLE_EDGES = frozenset({(1, 2), (2, 3), (3, 1), (1, 3)})
@@ -304,6 +306,16 @@ def test_reader_skips_comments_and_blank_lines():
     text = "# a header\n\n2 2\n1 2\n2 1\n# trailing note\n"
     g = graph_from_text(text)
     assert g.n == 2 and g.edges == {(1, 2), (2, 1)}
+    # anywhere, also between edge or coord lines, and with any bytes in a
+    # comment; the text may come as bytes, and its last line break may
+    # be missing
+    text = ("# \u00e9\u56fe\n\n2 1\n# between\n\n1 2\n# x\ncoord 2 0 1\n"
+            "\n#\ncoord 1 0.5 -1e-3\n# end")
+    expect = DiGraph(2, {(1, 2)}, coords=[(0.5, -1e-3), (0, 1)])
+    for data in (text, text.encode(), text.encode() + b"\n# \xff\xfe\n"):
+        back = graph_from_text(data)
+        assert back == expect and np.array_equal(back.coords, expect.coords)
+    assert graph_from_text("2 1\n1 2") == expect
 
 
 def test_reader_rejects_malformed_input():
@@ -349,6 +361,121 @@ def test_reader_refuses_a_header_naming_nodes_no_edge_line_names():
     # one edge line names both nodes of a 2-node graph: it loads
     assert graph_from_text("2 1\n1 2\n") == DiGraph(2, {(1, 2)})
     assert graph_from_text("1 0\n") == DiGraph(1, [])
+
+
+# what a header line may echo: any text but a line break
+HEADER_TEXT = st.text(st.characters(codec="utf-8", exclude_characters="\n"),
+                      max_size=12)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def placed_digraphs(draw):
+    """A strong digraph on 2..12 nodes, with or without coordinates."""
+    g = draw(strong_digraphs(12))
+    if not draw(st.booleans()):
+        return g
+    xy = draw(st.lists(st.tuples(FINITE, FINITE), min_size=g.n,
+                       max_size=g.n))
+    return DiGraph(g.n, g._pairs(), coords=xy)
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=placed_digraphs(), header=st.lists(HEADER_TEXT, max_size=3))
+def test_every_saved_graph_loads_equal(tmp_path_factory, g, header):
+    # equal to the per-line reader too, unless a header holds a character
+    # that str.splitlines takes for a line break (such as \x1e or \x85)
+    path = tmp_path_factory.mktemp("saved") / "g.txt"
+    save_graph(g, path, header_lines=["gossiplab", *header, "out=é/ü 图"])
+    loads = [load_graph(path)]
+    if all(h.splitlines() in ([h], []) for h in header):
+        loads.append(graph_from_text_per_line(path.read_text("utf-8")))
+    for back in loads:
+        assert back == g
+        assert all(map(np.array_equal, back.columns, g.columns))
+        if g.coords is None:
+            assert back.coords is None
+        else:
+            assert np.array_equal(back.coords, g.coords)
+
+
+@pytest.mark.parametrize("n, seed", [(16, 7), (50, 21), (400, 5)])
+def test_reader_loads_what_the_per_line_reader_loads(n, seed):
+    g = random_geometric_graph(n, connectivity_radius(n),
+                               np.random.default_rng(seed))
+    text = "# gossiplab\n# seed: 7\n" + graph_to_text(g)
+    new, old = graph_from_text(text), graph_from_text_per_line(text)
+    assert new == old == g
+    assert all(map(np.array_equal, new.columns, old.columns))
+    assert np.array_equal(new.coords, old.coords)
+
+
+def test_reader_peak_memory_is_proportional_to_the_text():
+    # 4.0 bytes a text byte here: the text's UTF-8 copy, the int64 edge
+    # rows and the sorted edge keys (the per-line reader took 17.2)
+    g = random_geometric_graph(1000, connectivity_radius(1000),
+                               np.random.default_rng(5))
+    text = "# gossiplab\n" + graph_to_text(g)
+    # a comment line among the edge lines makes the reader copy them
+    lines = text.split("\n")
+    spaced = "\n".join(ln + "\n# note" * (k % 50 == 0)
+                       for k, ln in enumerate(lines))
+    for t, bound in ((text, 5), (spaced, 6)):
+        tracemalloc.start()
+        try:
+            back = graph_from_text(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back == g
+        assert peak < bound * len(t)
+
+
+@pytest.mark.parametrize("text", [
+    "\u0662 1\n1 2\n", "2 1\n\u0662 1\n", "2 1\n1_0 2\n", "2 1\n+1 2\n",
+    "2 1\n-1 2\n", "2 1\n\uff11 2\n", "2 1\n1\t2\n",
+], ids=["arabic-indic-header", "arabic-indic", "digit-separator", "plus",
+        "minus", "fullwidth", "tab"])
+def test_reader_refuses_numbers_that_are_not_ascii_digits(text):
+    # int() reads each of them as a number; the reader reads none
+    with pytest.raises(ValueError, match="graph lines must read"):
+        graph_from_text(text)
+
+
+@pytest.mark.parametrize("text, match", [
+    ("2 1\n99999999999999999999 2\n", "below 2\\*\\*63"),
+    ("2 1\n18446744073709551617 2\n", "below 2\\*\\*63"),
+    ("18446744073709551617 1\n1 2\n", "below 2\\*\\*63"),
+    ("2 1\n1\n", "graph lines"),
+    ("2 1\n1 \n", "graph lines"),
+    ("2 1\n 1 2\n", "graph lines"),
+    ("2 1\n1  2\n", "graph lines"),
+    ("2 1\r\n1 2\r\n", "graph lines"),
+    ("\ufeff2 1\n1 2\n", "graph lines"),
+    ("  # an indented note\n2 1\n1 2\n", "graph lines"),
+    ("2 1\ncoord 1 0 0\ncoord 2 1 1\n1 2\n", "graph lines"),
+    ("coord 1 0 0\n2 1\n1 2\n", "n m"),
+    ("2 1\n1 2\ncoord 1 0 0\n2 1 1\n", "graph lines"),
+    ("2 1\n1 2\ncoord 1 0 0\ncoord  2 1 1\n", "graph lines"),
+    ("2 1\n1 2\ncoord 1 0 0\ncoord 2 1\n", "graph lines"),
+    ("2 1\n1 2\ncoord 1 0 0\ncoord 2 1 1 1\n", "graph lines"),
+    ("2 1\n1 2\ncoord 1 0 0\ncoord 2 0x1 1\n", "graph lines"),
+    ("2 1\n1 2\ncoord 1 0 0\ncoord 2 1,5 1\n", "graph lines"),
+    # numpy's own refusal of a token that is no number
+    ("2 1\n1 2\ncoord 1 0 0\ncoord 2 1e 1\n", "unmatched|graph lines"),
+    ("2 1\n1 2\ncoord 1 0 0\ncoord 2 1\u0662 1\n", "graph lines"),
+    ("3 2\n1 2\n2 1\ncoord 1 0 0\n1coord 2 3 4\n", "graph lines"),
+    ("# only a note\n", "n m"),
+], ids=["20-digits", "2**64+1", "2**64+1-header", "one-number",
+        "trailing-space", "leading-space", "two-spaces",
+        "crlf", "bom", "indented-comment", "coord-before-edge",
+        "coord-before-header", "coord-without-word", "coord-two-spaces",
+        "coord-two-numbers", "coord-four-numbers", "coord-hex",
+        "coord-comma", "coord-dangling-exponent", "coord-arabic-indic",
+        "coord-digits-before-word", "no-header"])
+def test_reader_refuses_lines_save_graph_never_writes(text, match):
+    with pytest.raises(ValueError, match=match):
+        graph_from_text(text)
 
 
 def test_save_and_load_with_headers(tmp_path, graph16):
